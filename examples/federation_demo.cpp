@@ -1,7 +1,8 @@
 // Federated cells (§I, §VI): two self-managed cells — a patient's body-area
-// cell and a ward-level cell — collaborating peer-to-peer. Alarms raised
-// inside the patient cell are exported to the ward cell, where a ward-level
-// policy pages the duty doctor; routine vitals stay local.
+// cell and a ward-level cell — collaborating peer-to-peer through a
+// dual-homed gateway that is a member of both. Alarms raised inside the
+// patient cell cross to the ward cell, where a ward-level policy pages the
+// duty doctor; routine vitals stay local.
 //
 // Run: ./federation_demo
 #include <cstdio>
@@ -10,7 +11,7 @@
 #include "hostmodel/profiles.hpp"
 #include "net/link_profiles.hpp"
 #include "smc/cell.hpp"
-#include "smc/federation.hpp"
+#include "smc/gateway.hpp"
 #include "sim/sim_executor.hpp"
 
 int main() {
@@ -22,6 +23,7 @@ int main() {
   SimHost& patient_hub = net.add_host("patient-pda", profiles::ideal_host());
   SimHost& ward_hub = net.add_host("ward-server", profiles::ideal_host());
   SimHost& body = net.add_host("body", profiles::ideal_host());
+  SimHost& gw_host = net.add_host("gateway", profiles::ideal_host());
 
   // --- Patient cell: sensors + local alarm policy.
   SmcCellConfig pc;
@@ -54,18 +56,38 @@ int main() {
   )");
   ward_cell.start();
 
-  // --- Federation: only alarms cross the cell boundary.
-  FederationBridge bridge(patient_cell.bus(), ward_cell.bus());
-  bridge.share(Filter::for_type_prefix("alarm."));
+  // --- Federation: a gateway joins both cells in the gateway role. It
+  // imports what the ward cell subscribes to (its page_doctor policy's
+  // alarm.cardiac) and, pinned here, every alarm; vitals stay local.
+  auto gateway_member = [&](const SmcCellConfig& cell) {
+    SmcMemberConfig mc;
+    mc.agent.cell_name = cell.name;
+    mc.agent.pre_shared_key = cell.pre_shared_key;
+    mc.agent.device_type = "gateway";
+    mc.agent.role = std::string(kGatewayRole);
+    return std::make_unique<SmcMember>(executor, net.create_endpoint(gw_host),
+                                       mc);
+  };
+  auto in_patient = gateway_member(pc);
+  auto in_ward = gateway_member(wc);
+  FederationGateway gateway(*in_patient, *in_ward);
+  gateway.share(Filter::for_type_prefix("alarm."));
+  in_patient->start();
+  in_ward->start();
 
   std::vector<std::string> pages;
   ward_cell.bus().subscribe_local(Filter::for_type("ward.page"),
                                   [&](const Event& e) {
                                     pages.push_back(e.get_string("patient"));
                                   });
+  // Watch what the ward routes without subscribing (a subscription would
+  // itself pull vitals across the link).
   std::size_t vitals_in_ward = 0;
-  ward_cell.bus().subscribe_local(Filter::for_type_prefix("vitals."),
-                                  [&](const Event&) { ++vitals_in_ward; });
+  BusObserver tap;
+  tap.on_publish = [&](const Event& e) {
+    if (e.type().starts_with("vitals.")) ++vitals_in_ward;
+  };
+  ward_cell.bus().set_observer(tap);
 
   // Sensor joins the patient cell and an episode strikes.
   auto patient = std::make_shared<PatientBody>(executor, /*seed=*/5);
@@ -88,7 +110,7 @@ int main() {
               static_cast<unsigned long long>(
                   patient_cell.bus().stats().published));
   std::printf("federated to ward: %llu (alarms only; %zu vitals leaked)\n",
-              static_cast<unsigned long long>(bridge.stats().forwarded),
+              static_cast<unsigned long long>(gateway.stats().forwarded),
               vitals_in_ward);
   std::printf("ward pages issued: %zu%s\n", pages.size(),
               pages.empty() ? "" : (" (patient " + pages[0] + ")").c_str());

@@ -641,15 +641,16 @@ def self_test() -> int:
         failed = True
     # The federation surface (DESIGN.md §11) runs on the member executor and
     # must stay inside the checked graph: FederationGateway::share/
-    # reconcile/forward plus FederationBridge::share/forward.
-    fed_annotated = [f for f in annotated
-                     if "gateway" in f.path or "federation" in f.path]
-    if len(fed_annotated) < 5:
-        print(f"check_affinity --self-test: FAIL: only {len(fed_annotated)} "
-              "AMUSE_AFFINITY methods found on the federation surface "
-              "(smc/gateway, smc/federation); gateway forwarding would be "
-              "unchecked")
-        failed = True
+    # reconcile/forward, checked by name like the standby surface below.
+    gateway_names = {f.name for f in annotated
+                     if os.path.join("smc", "gateway") in f.path}
+    for required in ("share", "reconcile", "forward"):
+        if required not in gateway_names:
+            print("check_affinity --self-test: FAIL: "
+                  f"FederationGateway::{required} is not AMUSE_AFFINITY-"
+                  "annotated (gateway forwarding would be outside the "
+                  "checked graph)")
+            failed = True
     # The HA surface (DESIGN.md §13) is executor-owned too: the standby's
     # replication/lease/promotion entry points mutate the replica mirror and
     # build the promoted cell, and the active side's step_down tears the cell
@@ -688,8 +689,8 @@ def self_test() -> int:
         failed = True
     print(f"check_affinity --self-test: tree has {len(entries)} entry "
           f"point(s) ({len(egress)} egress), {len(annotated)} "
-          f"affinity-annotated method(s) ({len(fed_annotated)} on the "
-          f"federation surface)")
+          f"affinity-annotated method(s) ({len(gateway_names)} on the "
+          f"federation gateway)")
     return 1 if failed else 0
 
 

@@ -100,14 +100,6 @@ bool BusClient::publish(Event event) {
   return true;
 }
 
-bool BusClient::publish(const EventPtr& event) {
-  if (!event) return false;
-  // Copy-on-write restamp: one copy to take ownership of the publisher
-  // metadata; the attribute payload (body, federation origin stamp) is
-  // carried over verbatim.
-  return publish(Event(*event));
-}
-
 void BusClient::set_unclaimed_handler(Handler handler) {
   unclaimed_ = std::move(handler);
 }

@@ -57,12 +57,9 @@ class BusClient {
   /// bus has announced flow-control pressure. A pressured publish is still
   /// sent (delivery stays reliable); the false return is the advisory
   /// signal for publishers that can defer — see SmcMember, which buffers.
+  /// An origin stamp on the event travels in the frame header; the bus
+  /// honours it only from gateway-role members (DESIGN.md §11).
   AMUSE_AFFINITY(member_executor) bool publish(Event event);
-  /// Shared-instance variant: pays exactly one copy — the copy-on-write
-  /// restamp that assigns this client's publisher id and sequence number.
-  /// All other attributes (including federation origin stamps) forward
-  /// untouched.
-  AMUSE_AFFINITY(member_executor) bool publish(const EventPtr& event);
 
   /// Invoked on kFlowControl transitions from the bus: true when the bus
   /// asks publishers to back off, false when pressure is released.
@@ -97,7 +94,7 @@ class BusClient {
 
   /// Pre-dispatch delivery filter: runs once per arriving kEvent, before
   /// any handler; return false to drop the event (counted, not silent).
-  /// SmcMember installs the HA (epoch, seq) re-delivery dedup here.
+  /// SmcMember installs the origin-stamp re-delivery dedup here.
   using DeliveryFilter = std::function<bool(const Event&)>;
   void set_delivery_filter(DeliveryFilter filter) {
     delivery_filter_ = std::move(filter);
@@ -130,7 +127,7 @@ class BusClient {
     std::uint64_t repl_updates = 0;       // repl stream messages received
     std::uint64_t repl_resyncs = 0;       // repl resync requests sent
     std::uint64_t deliveries_filtered = 0;  // dropped by the delivery
-                                            // filter (HA re-delivery dups)
+                                            // filter (origin dedup hits)
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const ReliableChannelStats& channel_stats() const {

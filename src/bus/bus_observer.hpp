@@ -49,9 +49,9 @@ struct BusObserver {
   std::function<void(ServiceId member, const Event& event)> on_shed;
   /// A promoted core re-delivered a spooled event to a re-homed `member`
   /// (DESIGN.md §13). Distinct from on_deliver so the oracle can exempt
-  /// re-deliveries from its staleness rule; the member-side (epoch, seq)
-  /// dedup filter drops any copy the member already saw, so a re-delivery
-  /// is at-most-once even when it reaches the handler.
+  /// re-deliveries from its staleness rule; the member-side origin dedup
+  /// filter drops any copy the member already saw, so a re-delivery is
+  /// at-most-once even when it reaches the handler.
   std::function<void(ServiceId member, const Event& event)> on_redeliver;
   /// An event left the bounded-staleness budget unaccounted-for by normal
   /// delivery: it was evicted from the replication spool, or a deposed

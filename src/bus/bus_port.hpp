@@ -56,11 +56,10 @@ class BusPort {
   BusPort& operator=(const BusPort&) = delete;
 
   /// A member's proxy hands the bus a fully translated event (Fig. 2 flow).
-  /// The event is shared and immutable from here on: the bus routes the
-  /// same instance to every matching member (encode-once fan-out), copying
-  /// only if it must re-stamp metadata.
+  /// The bus stamps its metadata in place, then freezes it: from there on
+  /// every matching member shares the one instance (encode-once fan-out).
   AMUSE_AFFINITY(core_executor)
-  virtual void member_publish(ServiceId member, EventPtr event) = 0;
+  virtual void member_publish(ServiceId member, Event event) = 0;
   /// Registers / replaces the member's subscription `local_id`.
   AMUSE_AFFINITY(core_executor)
   virtual void member_subscribe(ServiceId member, std::uint64_t local_id,

@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "hostmodel/profiles.hpp"
-#include "pubsub/codec.hpp"
 #include "pubsub/brute_matcher.hpp"
 #include "pubsub/fastforward_matcher.hpp"
 #include "pubsub/siena_matcher.hpp"
@@ -68,8 +67,7 @@ EventBus::EventBus(Executor& executor, std::shared_ptr<Transport> transport,
     // counter update (admissions racing the crash).
     config_.session = std::max(config_.session, replica.session_base);
     proxy_incarnations_ = replica.proxy_incarnations + 64;
-    fed_seq_ = replica.fed_seq;
-    route_seq_ = replica.route_seq;
+    origin_seq_ = replica.origin_seq;
     stats_.promotions = 1;
     ha_ = true;
     ReplState seeded = replica;
@@ -161,8 +159,8 @@ void EventBus::add_member(const MemberInfo& info) {
   // A member of the dead core re-homing after promotion: re-offer the
   // spooled events its pre-crash subscriptions missed, before any new
   // fan-out can enqueue on the fresh channel (per-sender FIFO across the
-  // promotion). One-shot per member; the member-side (epoch, seq) dedup
-  // drops anything it already saw.
+  // promotion). One-shot per member; the member-side origin dedup drops
+  // anything it already saw.
   if (auto rit = ha_rehome_.find(info.id.raw()); rit != ha_rehome_.end()) {
     ReplMember snapshot = std::move(rit->second);
     ha_rehome_.erase(rit);
@@ -198,8 +196,8 @@ void EventBus::purge_member(ServiceId id) {
     // that never reached the member — admission is bus-side, so a member
     // whose JoinAccept died on a lossy link is admitted, offered the
     // spool, and purged again without ever seeing a byte of it. The next
-    // admission re-offers; the member-side (epoch, seq) dedup makes a
-    // second offer to a member that did receive everything a no-op.
+    // admission re-offers; the member-side origin dedup makes a second
+    // offer to a member that did receive everything a no-op.
     if (const MemberInfo* info = member_info(id);
         info != nullptr && info->role != kGatewayRole) {
       ReplMember snapshot;
@@ -266,13 +264,6 @@ std::vector<MemberInfo> EventBus::members() const {
 
 std::uint64_t EventBus::subscribe_local(const Filter& filter,
                                         Handler handler) {
-  return subscribe_local_shared(
-      filter,
-      [h = std::move(handler)](const EventPtr& event) { h(*event); });
-}
-
-std::uint64_t EventBus::subscribe_local_shared(const Filter& filter,
-                                               SharedHandler handler) {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::subscribe_local");
   std::uint64_t id = next_local_id_++;
   local_handlers_.emplace(id, std::move(handler));
@@ -291,24 +282,7 @@ void EventBus::unsubscribe_local(std::uint64_t id) {
 void EventBus::publish_local(Event event) {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::publish_local");
   if (event.publisher().is_nil()) event.set_publisher(bus_id());
-  if (event.timestamp() == TimePoint{}) event.set_timestamp(executor_.now());
-  route(freeze(std::move(event)));
-}
-
-void EventBus::publish_local(EventPtr event) {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::publish_local");
-  if (!event) return;
-  // Copy-on-write restamp: a forwarded event normally arrives with its
-  // origin metadata intact and is routed as-is; only a bare event pays
-  // for a copy.
-  if (event->publisher().is_nil() || event->timestamp() == TimePoint{}) {
-    auto stamped = std::make_shared<Event>(*event);
-    if (stamped->publisher().is_nil()) stamped->set_publisher(bus_id());
-    if (stamped->timestamp() == TimePoint{}) {
-      stamped->set_timestamp(executor_.now());
-    }
-    event = std::move(stamped);
-  }
+  event.set_origin({});
   route(std::move(event));
 }
 
@@ -328,8 +302,7 @@ void EventBus::enable_ha() {
   seed.epoch = config_.epoch;
   seed.session_base = config_.session;
   seed.proxy_incarnations = proxy_incarnations_;
-  seed.fed_seq = fed_seq_;
-  seed.route_seq = route_seq_;
+  seed.origin_seq = origin_seq_;
   for (const auto& [id, info] : member_info_) {
     if (info.role == kStandbyRole) continue;
     ReplMember m;
@@ -356,7 +329,7 @@ void EventBus::step_down() {
   // Whatever is still spooled here the promoted core must cover from its
   // own replica; from this side it is abandoned — account every entry.
   for (const ReplSpoolEntry& entry : repl_.state().spool) {
-    account_staleness(decode_event(entry.event));
+    account_staleness(entry.decode());
   }
   // Purge everyone so they re-home to the promoted core.
   while (!proxies_.empty()) purge_member(proxies_.begin()->first);
@@ -371,28 +344,25 @@ void EventBus::set_observer(BusObserver observer) {
   observer_ = std::move(observer);
 }
 
-void EventBus::member_publish(ServiceId member, EventPtr event) {
+void EventBus::member_publish(ServiceId member, Event event) {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::member_publish");
-  if (!event) return;
   const MemberInfo* info = member_info(member);
   if (!info) return;  // raced with a purge
   if (authoriser_ &&
-      !authoriser_(*info, AuthAction::kPublish, event->type())) {
+      !authoriser_(*info, AuthAction::kPublish, event.type())) {
     ++stats_.denied_publish;
-    kLog.debug("publish of ", event->type(), " by ", member.to_string(),
+    kLog.debug("publish of ", event.type(), " by ", member.to_string(),
                " denied");
     return;
   }
-  // Copy-on-write metadata stamping: a well-behaved BusClient pre-stamps
-  // its own id and a timestamp, so the common path shares the decoded
-  // event untouched; only a mis-stamped event pays for a copy.
-  if (event->publisher() != member || event->timestamp() == TimePoint{}) {
-    auto stamped = std::make_shared<Event>(*event);
-    stamped->set_publisher(member);
-    if (stamped->timestamp() == TimePoint{}) {
-      stamped->set_timestamp(executor_.now());
-    }
-    event = std::move(stamped);
+  event.set_publisher(member);
+  if (event.origin().stamped() && info->role != kGatewayRole) {
+    // Only a routing peer relays another cell's stamp. Anything else —
+    // a forgery, or a member re-publishing an event it received — would
+    // pick its own dedup key and could suppress other members' events:
+    // the bus stamps it afresh instead.
+    event.set_origin({});
+    ++stats_.origins_replaced;
   }
   route(std::move(event));
 }
@@ -509,64 +479,51 @@ void EventBus::enforce_shared_budget() {
   }
 }
 
-void EventBus::route(EventPtr event) {
+void EventBus::route(Event event) {
   if (deposed_) {
     // A stepped-down core must not route: the promoted core owns the cell
     // now and our stream can no longer reach the replica. Accounted, never
     // silent — the event leaves the staleness budget here.
-    account_staleness(*event);
+    account_staleness(event);
     return;
   }
-  if (federation_) {
-    // Origin-stamped routing (DESIGN.md §11): every event is stamped with
-    // an immutable (cell, seq) pair exactly once, at its origin cell. A
-    // stamp naming *this* cell means the event has looped home; a stamp we
-    // have already routed is a multi-path duplicate. Both die here —
-    // before the publish counters and the oracle's publish tap — so loop
-    // termination needs no mutable hop counter.
-    auto origin =
-        static_cast<std::uint64_t>(event->get_int(kFedOriginCellAttr, 0));
-    if (origin != 0) {
-      auto seq =
-          static_cast<std::uint64_t>(event->get_int(kFedOriginSeqAttr, 0));
-      if (origin == bus_id().raw() || !fed_dedup_.admit(origin, seq)) {
-        ++stats_.fed_duplicates_dropped;
-        return;
-      }
-    } else {
-      auto stamped = std::make_shared<Event>(*event);
-      stamped->set(kFedOriginCellAttr,
-                   static_cast<std::int64_t>(bus_id().raw()));
-      stamped->set(kFedOriginSeqAttr, static_cast<std::int64_t>(++fed_seq_));
-      event = std::move(stamped);
+  if (event.timestamp() == TimePoint{}) event.set_timestamp(executor_.now());
+  if (event.origin().stamped()) {
+    // A gateway relayed another cell's event under its immutable origin
+    // stamp (DESIGN.md §11). A stamp naming *this* cell means the event
+    // has looped home; a stamp we have already routed is a multi-path
+    // duplicate. Both die here — before the publish counters and the
+    // oracle's publish tap — so loop termination needs no hop counter.
+    if (event.origin().cell == bus_id() ||
+        !origin_dedup_.admit(event.origin())) {
+      ++stats_.fed_duplicates_dropped;
+      return;
     }
-  }
-  if (ha_ && event->get_int(kHaEpochAttr, 0) == 0) {
-    // HA origin stamp (DESIGN.md §13): an immutable (epoch, seq) pair
-    // members dedup re-deliveries on. The epoch is part of the key — a
-    // split-brain pair of cores continue the same sequence counter
-    // independently, so a bare seq would collide across the brains.
-    auto stamped = std::make_shared<Event>(*event);
-    stamped->set(kHaEpochAttr, static_cast<std::int64_t>(config_.epoch));
-    stamped->set(kHaSeqAttr, static_cast<std::int64_t>(++route_seq_));
-    event = std::move(stamped);
+  } else if (federation_ || ha_) {
+    // Stamped exactly once, here at its origin cell. The key holds the
+    // cell (federated cells count independently) and the epoch (so do
+    // split-brain cores): federation dedups on it, and members dedup
+    // failover re-deliveries on it (DESIGN.md §13).
+    event.set_origin(Origin{bus_id(), config_.epoch, ++origin_seq_});
   }
   ++stats_.published;
-  if (observer_.on_publish) observer_.on_publish(*event);
+  if (observer_.on_publish) observer_.on_publish(event);
 
   // The Siena-based engine pays the translation toll on every event: our
   // types → Siena types for matching, Siena types → ours for delivery.
   if (config_.engine == BusEngine::kSienaBased && config_.real_translation) {
-    event = freeze(siena_round_trip(*event));
+    Origin origin = event.origin();
+    event = siena_round_trip(event);
+    event.set_origin(origin);
   }
 
   SubscriptionRegistry::MatchResult hit;
-  registry_.match(*event, hit);
+  registry_.match(event, hit);
   if (hit.empty()) ++stats_.no_subscriber;
 
   // One shared encoding per publish: every forwarding proxy in the fan-out
   // reuses these bytes instead of re-serialising the event per member.
-  auto enc = std::make_shared<EncodedEvent>(std::move(event));
+  auto enc = std::make_shared<EncodedEvent>(freeze(std::move(event)));
   enc->set_counters(&stats_.encodes, &stats_.encode_reuses);
 
   if (ha_) {
@@ -581,15 +538,11 @@ void EventBus::route(EventPtr event) {
       }
     }
     if (remote) {
-      auto epoch =
-          static_cast<std::uint64_t>(enc->event().get_int(kHaEpochAttr, 0));
-      auto seq =
-          static_cast<std::uint64_t>(enc->event().get_int(kHaSeqAttr, 0));
       for (const ReplSpoolEntry& evicted :
-           repl_.spool_append(epoch, seq, *enc->shared_bytes())) {
+           repl_.spool_append(enc->event().origin(), *enc->shared_bytes())) {
         // The budget gave up on this event: failover can no longer
         // re-deliver it. Accounted before the record disappears.
-        account_staleness(decode_event(evicted.event));
+        account_staleness(evicted.decode());
       }
       repl_flush();
     }
@@ -631,7 +584,7 @@ void EventBus::fan_out(const EncodedEvent& event,
   for (const auto& [member, locals] : hit) {
     if (member == bus_id()) {
       // Local handlers may (un)subscribe from inside the callback.
-      std::vector<SharedHandler> handlers;
+      std::vector<Handler> handlers;
       handlers.reserve(locals.size());
       for (std::uint64_t local : locals) {
         auto hit_handler = local_handlers_.find(local);
@@ -639,10 +592,10 @@ void EventBus::fan_out(const EncodedEvent& event,
           handlers.push_back(hit_handler->second);
         }
       }
-      for (const SharedHandler& h : handlers) {
+      for (const Handler& h : handlers) {
         ++stats_.local_deliveries;
         if (observer_.on_local_deliver) observer_.on_local_deliver(event.event());
-        h(event.event_ptr());
+        h(event.event());
       }
       continue;
     }
@@ -734,8 +687,7 @@ void EventBus::member_repl_resync(ServiceId member) {
 
 void EventBus::repl_flush() {
   if (!ha_ || deposed_) return;
-  repl_.counters_changed(config_.session, proxy_incarnations_, fed_seq_,
-                         route_seq_);
+  repl_.counters_changed(config_.session, proxy_incarnations_, origin_seq_);
   if (!repl_.dirty()) return;
   ReplUpdate update = repl_.take_update();
   // With no standby connected the ops are simply drained: the state is
@@ -761,8 +713,7 @@ void EventBus::schedule_lease_tick() {
 
 void EventBus::lease_tick() {
   if (!ha_ || deposed_ || standby_members_.empty()) return;
-  repl_.counters_changed(config_.session, proxy_incarnations_, fed_seq_,
-                         route_seq_);
+  repl_.counters_changed(config_.session, proxy_incarnations_, origin_seq_);
   // Pending mutations ride the tick; otherwise a bare lease renewal keeps
   // the standby's failure detector fed.
   ReplUpdate update = repl_.take_update();
@@ -788,7 +739,7 @@ void EventBus::push_repl_snapshot(Proxy& proxy) {
 void EventBus::redeliver_spool(Proxy& proxy, const ReplMember& snapshot) {
   if (snapshot.subs.empty()) return;
   for (const ReplSpoolEntry& entry : repl_.state().spool) {
-    Event event = decode_event(entry.event);
+    Event event = entry.decode();
     std::vector<std::uint64_t> locals;
     for (const auto& [local_id, filter] : snapshot.subs) {
       if (filter.matches(event)) locals.push_back(local_id);

@@ -72,8 +72,8 @@ struct EventBusConfig {
   // ---- HA warm-standby replication (DESIGN.md §13).
 
   /// Streams the replication log to standby-role members and stamps every
-  /// routed event with an (epoch, seq) HA origin pair members dedup
-  /// re-deliveries on. Implied (sticky) by admitting a standby member.
+  /// routed event with an Origin members dedup re-deliveries on. Implied
+  /// (sticky) by admitting a standby member.
   bool ha = false;
   /// Promotion epoch of this core: 1 for a cold-started active core, the
   /// replica's epoch + 1 for a promoted standby. Fences split-brain: a
@@ -100,8 +100,6 @@ struct EventBusConfig {
 class EventBus final : public BusPort {
  public:
   using Handler = std::function<void(const Event&)>;
-  /// Zero-copy local delivery: the handler shares the routed instance.
-  using SharedHandler = std::function<void(const EventPtr&)>;
   /// Authorisation hook installed by the policy service. Return false to
   /// deny. `topic` is the event type being published, or the subscription
   /// filter's type constraint ("*" when unconstrained).
@@ -133,33 +131,23 @@ class EventBus final : public BusPort {
 
   AMUSE_AFFINITY(core_executor)
   std::uint64_t subscribe_local(const Filter& filter, Handler handler);
-  /// Like subscribe_local but the handler receives the shared routed
-  /// instance — what in-process bridges use to forward without copying.
-  AMUSE_AFFINITY(core_executor)
-  std::uint64_t subscribe_local_shared(const Filter& filter,
-                                       SharedHandler handler);
   AMUSE_AFFINITY(core_executor) void unsubscribe_local(std::uint64_t id);
   /// Publishes as the bus host itself (discovery events, policy actions…).
+  /// The bus stamps its own origin: any origin the event carries is
+  /// discarded, since only gateway members relay other cells' stamps.
   AMUSE_AFFINITY(core_executor) void publish_local(Event event);
-  /// Zero-copy variant: routes the shared instance directly; pays a
-  /// copy-on-write restamp only when publisher/timestamp are missing.
-  AMUSE_AFFINITY(core_executor) void publish_local(EventPtr event);
 
-  // ---- Federation (ROADMAP "Federated multi-cell routing").
+  // ---- Federation (DESIGN.md §11).
 
-  /// Turns on origin stamping + dedup for every routed event. Implied by
-  /// admitting a gateway-role member; in-process bridges call it
-  /// explicitly. Sticky: gateway churn must not leave a window of
-  /// unstamped events.
-  AMUSE_AFFINITY(core_executor) void enable_federation();
+  /// True once a gateway-role member was admitted (sticky).
   [[nodiscard]] bool federation_enabled() const { return federation_; }
   [[nodiscard]] const InterestTable& interest_table() const { return table_; }
 
   // ---- HA warm standby (DESIGN.md §13).
 
-  /// Turns on the replication log + HA (epoch, seq) stamping. Implied by
-  /// config.ha, config.restore, or admitting a standby-role member.
-  /// Sticky: standby churn must not leave a window of unstamped events.
+  /// Turns on the replication log + origin stamping. Implied by config.ha,
+  /// config.restore, or admitting a standby-role member. Sticky: standby
+  /// churn must not leave a window of unstamped events.
   AMUSE_AFFINITY(core_executor) void enable_ha();
   [[nodiscard]] bool ha_enabled() const { return ha_; }
   [[nodiscard]] std::uint64_t epoch() const { return config_.epoch; }
@@ -202,6 +190,8 @@ class EventBus final : public BusPort {
                                               // crossed zero links
     std::uint64_t fed_duplicates_dropped = 0;  // origin-dedup hits (loops +
                                                // multi-path duplicates)
+    std::uint64_t origins_replaced = 0;  // non-gateway publishes whose
+                                         // origin the bus re-stamped
     std::uint64_t repl_updates = 0;        // repl stream messages sent
     std::uint64_t repl_resyncs = 0;        // full snapshots served on request
     std::uint64_t promotions = 0;          // 1 when this core restored a replica
@@ -228,7 +218,7 @@ class EventBus final : public BusPort {
   // ---- BusPort (called by proxies).
 
   AMUSE_AFFINITY(core_executor)
-  void member_publish(ServiceId member, EventPtr event) override;
+  void member_publish(ServiceId member, Event event) override;
   AMUSE_AFFINITY(core_executor)
   void member_subscribe(ServiceId member, std::uint64_t local_id,
                         Filter filter) override;
@@ -284,8 +274,12 @@ class EventBus final : public BusPort {
 
  private:
   static std::unique_ptr<Matcher> make_matcher(BusEngine engine);
-  // translation + cost + match + fan-out
-  AMUSE_AFFINITY(core_executor) void route(EventPtr event);
+  /// Origin stamping + dedup on every routed event from here on. Implied by
+  /// admitting a gateway-role member. Sticky: gateway churn must not leave
+  /// a window of unstamped events.
+  AMUSE_AFFINITY(core_executor) void enable_federation();
+  // stamp + translation + cost + match + fan-out
+  AMUSE_AFFINITY(core_executor) void route(Event event);
   AMUSE_AFFINITY(core_executor)
   void fan_out(const EncodedEvent& event,
                const SubscriptionRegistry::MatchResult& hit);
@@ -328,7 +322,7 @@ class EventBus final : public BusPort {
   ProxyFactory factory_;
   std::unordered_map<ServiceId, MemberInfo> member_info_;
   std::unordered_map<ServiceId, std::unique_ptr<Proxy>> proxies_;
-  std::unordered_map<std::uint64_t, SharedHandler> local_handlers_;
+  std::unordered_map<std::uint64_t, Handler> local_handlers_;
   std::uint64_t next_local_id_ = 1;
   std::uint32_t proxy_incarnations_ = 0;
   std::unordered_map<ServiceId, std::uint32_t> reserved_sessions_;
@@ -343,18 +337,18 @@ class EventBus final : public BusPort {
   // leaves the effective set unchanged skips the whole fan-out.
   bool quench_pushed_ = false;
   Digest256 quench_digest_{};
+  // ---- Origin stamping (DESIGN.md §11, §13): on while federation_ || ha_.
+  OriginDedup origin_dedup_;    // stamped arrivals from gateways
+  std::uint64_t origin_seq_ = 0;  // sequence of our own stamps
   // ---- Federation routing state (DESIGN.md §11).
   InterestTable table_;
-  OriginDedup fed_dedup_;
   std::set<ServiceId> gateway_members_;  // ordered: deterministic pushes
   bool federation_ = false;              // sticky once enabled
-  std::uint64_t fed_seq_ = 0;            // origin sequence for own events
   // ---- HA warm-standby replication state (DESIGN.md §13).
   ReplLog repl_;
   std::set<ServiceId> standby_members_;  // ordered: deterministic pushes
   bool ha_ = false;                      // sticky once enabled
   bool deposed_ = false;                 // stepped down to a higher epoch
-  std::uint64_t route_seq_ = 0;          // HA stamp sequence
   std::uint64_t lease_timer_gen_ = 0;    // invalidates stale lease timers
   // Pre-crash membership from the restored replica: subscription snapshots
   // for spool re-delivery, consumed one-shot as each member re-homes.

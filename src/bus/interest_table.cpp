@@ -100,8 +100,9 @@ void InterestMirror::reset() {
   set_ = FilterSet();
 }
 
-bool OriginDedup::admit(std::uint64_t origin_cell, std::uint64_t seq) {
-  Window& w = origins_[origin_cell];
+bool OriginDedup::admit(const Origin& origin) {
+  Window& w = origins_[{origin.cell, origin.epoch}];
+  const std::uint64_t seq = origin.seq;
   if (seq < w.floor) return false;  // fell off the window: presume seen
   if (!w.seen.insert(seq).second) return false;
   w.order.push_back(seq);

@@ -23,10 +23,12 @@
 // on a stale table.
 //
 // OriginDedup is the companion loop/multipath guard: every routed event is
-// stamped once, at its origin cell, with an immutable (cell id, sequence)
-// pair; any bus that sees its own cell id — or a (cell, seq) it has
-// already routed — drops the event. That terminates federation loops and
-// collapses multi-path duplicates without a mutable hop counter.
+// stamped once, at its origin cell, with an immutable Origin{cell, epoch,
+// seq} (pubsub/event.hpp); any bus that sees its own cell id — or an origin
+// it has already routed — drops the event. That terminates federation
+// loops and collapses multi-path duplicates without a mutable hop counter.
+// Members run the same window over their deliveries to drop failover
+// re-deliveries (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -42,13 +44,6 @@
 #include "pubsub/filter_set.hpp"
 
 namespace amuse {
-
-/// Federation origin header: an immutable (cell id, sequence) pair stamped
-/// exactly once, by the origin cell's bus, on every routed event while
-/// federation is active. Gateways forward it untouched; every bus dedups
-/// on it. Replaces the mutable x-fed-hops counter.
-inline constexpr const char* kFedOriginCellAttr = "x-fed-cell";
-inline constexpr const char* kFedOriginSeqAttr = "x-fed-seq";
 
 class InterestTable {
  public:
@@ -113,17 +108,19 @@ class InterestMirror {
   FilterSet set_;
 };
 
-/// Bounded first-arrival-wins window over federation origin stamps.
+/// Bounded first-arrival-wins window over origin stamps: one sequence
+/// window per (cell, epoch) — the key must hold both, because two cells,
+/// and two split-brain cores of one cell, count sequences independently.
 class OriginDedup {
  public:
   explicit OriginDedup(std::size_t window_per_origin = 4096)
       : window_(window_per_origin) {}
 
-  /// True when (origin cell, seq) is new — record it and route the event.
+  /// True when the stamp is new — record it and route/deliver the event.
   /// False for anything already seen, and for stamps that have fallen off
   /// the bounded window (counted as duplicates rather than risking a
   /// re-route).
-  [[nodiscard]] bool admit(std::uint64_t origin_cell, std::uint64_t seq);
+  [[nodiscard]] bool admit(const Origin& origin);
 
   void clear() { origins_.clear(); }
 
@@ -135,7 +132,7 @@ class OriginDedup {
   };
 
   std::size_t window_;
-  std::unordered_map<std::uint64_t, Window> origins_;
+  std::map<std::pair<ServiceId, std::uint64_t>, Window> origins_;
 };
 
 }  // namespace amuse

@@ -19,16 +19,40 @@ const char* to_string(BusMsgType t) {
   return "?";
 }
 
+namespace {
+
+void write_origin(Writer& w, const Origin& origin) {
+  if (origin.stamped()) origin.encode(w);
+}
+
+Origin read_origin(Reader& r) {
+  Origin o = Origin::decode(r);
+  if (!o.stamped()) throw DecodeError("origin stamp without a cell");
+  return o;
+}
+
+std::uint8_t type_byte(BusMsgType type, const Origin& origin) {
+  auto raw = static_cast<std::uint8_t>(type);
+  return origin.stamped() ? static_cast<std::uint8_t>(raw | kOriginFlag) : raw;
+}
+
+}  // namespace
+
 Bytes BusMessage::encode() const {
   Writer w;
-  w.u8(static_cast<std::uint8_t>(type));
+  const bool carries_event =
+      type == BusMsgType::kPublish || type == BusMsgType::kEvent;
+  const Origin origin = carries_event ? event->origin() : Origin{};
+  w.u8(type_byte(type, origin));
   switch (type) {
     case BusMsgType::kPublish:
+      write_origin(w, origin);
       event->encode(w);
       break;
     case BusMsgType::kEvent:
       w.u16(static_cast<std::uint16_t>(matched.size()));
       for (std::uint64_t id : matched) w.u64(id);
+      write_origin(w, origin);
       event->encode(w);
       break;
     case BusMsgType::kSubscribe:
@@ -79,19 +103,30 @@ BusMessage BusMessage::decode(BytesView data) {
   Reader r(data);
   BusMessage m;
   auto raw = r.u8();
+  const bool stamped = (raw & kOriginFlag) != 0;
+  raw &= static_cast<std::uint8_t>(~kOriginFlag);
   if (raw < 1 || raw > 9) {
     throw DecodeError("bad bus message type " + std::to_string(raw));
   }
   m.type = static_cast<BusMsgType>(raw);
+  if (stamped && m.type != BusMsgType::kPublish &&
+      m.type != BusMsgType::kEvent) {
+    throw DecodeError(std::string("origin flag on ") + to_string(m.type));
+  }
   switch (m.type) {
-    case BusMsgType::kPublish:
+    case BusMsgType::kPublish: {
+      Origin origin = stamped ? read_origin(r) : Origin{};
       m.event = Event::decode(r);
+      m.event->set_origin(origin);
       break;
+    }
     case BusMsgType::kEvent: {
       std::uint16_t n = r.u16();
       m.matched.reserve(n);
       for (std::uint16_t i = 0; i < n; ++i) m.matched.push_back(r.u64());
+      Origin origin = stamped ? read_origin(r) : Origin{};
       m.event = Event::decode(r);
+      m.event->set_origin(origin);
       break;
     }
     case BusMsgType::kSubscribe:
@@ -168,17 +203,19 @@ BusMessage BusMessage::decode(BytesView data) {
 }
 
 Bytes BusMessage::encode_event_header(
-    const std::vector<std::uint64_t>& matched) {
-  Writer w(1 + 2 + 8 * matched.size());
-  w.u8(static_cast<std::uint8_t>(BusMsgType::kEvent));
+    const std::vector<std::uint64_t>& matched, const Origin& origin) {
+  Writer w(1 + 2 + 8 * matched.size() + (origin.stamped() ? Origin::kWireSize : 0));
+  w.u8(type_byte(BusMsgType::kEvent, origin));
   w.u16(static_cast<std::uint16_t>(matched.size()));
   for (std::uint64_t id : matched) w.u64(id);
+  write_origin(w, origin);
   return std::move(w).take();
 }
 
 Bytes BusMessage::encode_publish(const Event& e) {
   Writer w;
-  w.u8(static_cast<std::uint8_t>(BusMsgType::kPublish));
+  w.u8(type_byte(BusMsgType::kPublish, e.origin()));
+  write_origin(w, e.origin());
   e.encode(w);
   return std::move(w).take();
 }

@@ -6,6 +6,14 @@
 //                            subscription ids (a member receives each event
 //                            at most once even when several of its
 //                            subscriptions match — §II-C exactly-once)
+//                            Both carry the event's Origin stamp, when it
+//                            has one, in the frame header behind a flag bit
+//                            in the type byte (kOriginFlag); an unstamped
+//                            frame carries neither flag nor stamp bytes.
+//                            Header layout:
+//                              kPublish: u8 type [origin] body
+//                              kEvent:   u8 type u16 n u64×n [origin] body
+//                              origin:   u48 cell u64 epoch u64 seq (22 B)
 // kSubscribe member → bus    local subscription id + content filter
 // kUnsubscribe member → bus  local subscription id
 // kQuenchUpdate bus → member the current global filter set, for Elvin-style
@@ -64,6 +72,10 @@ enum class BusMsgType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(BusMsgType t);
 
+/// Type-byte flag: an Origin stamp follows the kPublish/kEvent header.
+/// Decoding rejects it on every other message type.
+inline constexpr std::uint8_t kOriginFlag = 0x80;
+
 /// The payload of a kInterestUpdate message. Bus → routing peer it carries
 /// either a full table replacement (`full`, after admit or on resync) or an
 /// incremental add/remove diff that must apply on top of exactly
@@ -113,7 +125,7 @@ struct BusMessage {
   BusMsgType type = BusMsgType::kPublish;
   /// kSubscribe / kUnsubscribe: the member's local subscription id.
   std::uint64_t sub_id = 0;
-  /// kPublish / kEvent.
+  /// kPublish / kEvent (its origin() rides the frame header).
   std::optional<Event> event;
   /// kSubscribe.
   std::optional<Filter> filter;
@@ -133,12 +145,13 @@ struct BusMessage {
   /// Throws DecodeError on malformed input.
   [[nodiscard]] static BusMessage decode(BytesView data);
 
-  /// The kEvent wire format is a small per-member header (message type +
-  /// matched subscription ids) followed by the event body, so a fan-out can
-  /// encode the body once and share it:
-  ///   encode_event_header(m) ++ encode_event(e) == deliver(e, m).encode()
+  /// The kEvent wire format is a small per-member header (message type,
+  /// matched subscription ids, origin stamp) followed by the event body, so
+  /// a fan-out can encode the body once and share it:
+  ///   encode_event_header(m, e.origin()) ++ encode_event(e)
+  ///       == deliver(e, m).encode()
   [[nodiscard]] static Bytes encode_event_header(
-      const std::vector<std::uint64_t>& matched);
+      const std::vector<std::uint64_t>& matched, const Origin& origin = {});
   /// One-shot kPublish encoding without copying the event into a message.
   [[nodiscard]] static Bytes encode_publish(const Event& e);
 

@@ -19,15 +19,34 @@ constexpr std::uint8_t kOpCounters = 7;
 constexpr std::uint8_t kOpStandbyAdmit = 8;
 constexpr std::uint8_t kOpStandbyPurge = 9;
 
+// Spool entry layout (snapshot and kOpSpoolAppend alike): the origin stamp
+// exactly as the kEvent header carries it, then the body.
+void write_spool_entry(Writer& w, const ReplSpoolEntry& e) {
+  e.origin.encode(w);
+  w.blob32(e.event);
+}
+
+ReplSpoolEntry read_spool_entry(Reader& r) {
+  ReplSpoolEntry e;
+  e.origin = Origin::decode(r);
+  e.event = r.blob32();
+  return e;
+}
+
 }  // namespace
+
+Event ReplSpoolEntry::decode() const {
+  Event e = decode_event(event);
+  e.set_origin(origin);
+  return e;
+}
 
 Bytes ReplState::encode() const {
   Writer w;
   w.u64(epoch);
   w.u32(session_base);
   w.u32(proxy_incarnations);
-  w.u64(fed_seq);
-  w.u64(route_seq);
+  w.u64(origin_seq);
   w.u16(static_cast<std::uint16_t>(members.size()));
   for (const auto& [raw, m] : members) {
     w.u48(raw);
@@ -42,11 +61,7 @@ Bytes ReplState::encode() const {
   w.u16(static_cast<std::uint16_t>(standbys.size()));
   for (std::uint64_t raw : standbys) w.u48(raw);
   w.u32(static_cast<std::uint32_t>(spool.size()));
-  for (const ReplSpoolEntry& e : spool) {
-    w.u64(e.epoch);
-    w.u64(e.seq);
-    w.blob32(e.event);
-  }
+  for (const ReplSpoolEntry& e : spool) write_spool_entry(w, e);
   return std::move(w).take();
 }
 
@@ -56,8 +71,7 @@ ReplState ReplState::decode(BytesView data) {
   s.epoch = r.u64();
   s.session_base = r.u32();
   s.proxy_incarnations = r.u32();
-  s.fed_seq = r.u64();
-  s.route_seq = r.u64();
+  s.origin_seq = r.u64();
   std::uint16_t n_members = r.u16();
   for (std::uint16_t i = 0; i < n_members; ++i) {
     std::uint64_t raw = r.u48();
@@ -75,11 +89,7 @@ ReplState ReplState::decode(BytesView data) {
   for (std::uint16_t i = 0; i < n_standbys; ++i) s.standbys.insert(r.u48());
   std::uint32_t n_spool = r.u32();
   for (std::uint32_t i = 0; i < n_spool; ++i) {
-    ReplSpoolEntry e;
-    e.epoch = r.u64();
-    e.seq = r.u64();
-    e.event = r.blob32();
-    s.spool.push_back(std::move(e));
+    s.spool.push_back(read_spool_entry(r));
   }
   if (!r.done()) throw DecodeError("trailing bytes in repl state");
   return s;
@@ -131,14 +141,9 @@ void ReplState::apply_ops(BytesView ops) {
         }
         break;
       }
-      case kOpSpoolAppend: {
-        ReplSpoolEntry e;
-        e.epoch = r.u64();
-        e.seq = r.u64();
-        e.event = r.blob32();
-        spool.push_back(std::move(e));
+      case kOpSpoolAppend:
+        spool.push_back(read_spool_entry(r));
         break;
-      }
       case kOpSpoolEvict: {
         std::uint32_t count = r.u32();
         if (count > spool.size()) {
@@ -150,8 +155,7 @@ void ReplState::apply_ops(BytesView ops) {
       case kOpCounters: {
         session_base = r.u32();
         proxy_incarnations = r.u32();
-        fed_seq = r.u64();
-        route_seq = r.u64();
+        origin_seq = r.u64();
         break;
       }
       case kOpStandbyAdmit: {
@@ -267,16 +271,13 @@ void ReplLog::sub_removed(ServiceId member, std::uint64_t local_id) {
   commit_op(mark);
 }
 
-std::vector<ReplSpoolEntry> ReplLog::spool_append(std::uint64_t epoch,
-                                                  std::uint64_t seq,
+std::vector<ReplSpoolEntry> ReplLog::spool_append(const Origin& origin,
                                                   Bytes event) {
+  spool_bytes_ += event.size();
+  state_.spool.push_back(ReplSpoolEntry{origin, std::move(event)});
   std::size_t mark = ops_.size();
   ops_.u8(kOpSpoolAppend);
-  ops_.u64(epoch);
-  ops_.u64(seq);
-  ops_.blob32(event);
-  spool_bytes_ += event.size();
-  state_.spool.push_back(ReplSpoolEntry{epoch, seq, std::move(event)});
+  write_spool_entry(ops_, state_.spool.back());
   commit_op(mark);
 
   std::vector<ReplSpoolEntry> evicted;
@@ -297,22 +298,20 @@ std::vector<ReplSpoolEntry> ReplLog::spool_append(std::uint64_t epoch,
 
 void ReplLog::counters_changed(std::uint32_t session_base,
                                std::uint32_t proxy_incarnations,
-                               std::uint64_t fed_seq, std::uint64_t route_seq) {
+                               std::uint64_t origin_seq) {
   if (state_.session_base == session_base &&
       state_.proxy_incarnations == proxy_incarnations &&
-      state_.fed_seq == fed_seq && state_.route_seq == route_seq) {
+      state_.origin_seq == origin_seq) {
     return;
   }
   state_.session_base = session_base;
   state_.proxy_incarnations = proxy_incarnations;
-  state_.fed_seq = fed_seq;
-  state_.route_seq = route_seq;
+  state_.origin_seq = origin_seq;
   std::size_t mark = ops_.size();
   ops_.u8(kOpCounters);
   ops_.u32(session_base);
   ops_.u32(proxy_incarnations);
-  ops_.u64(fed_seq);
-  ops_.u64(route_seq);
+  ops_.u64(origin_seq);
   commit_op(mark);
 }
 

@@ -43,20 +43,16 @@ namespace amuse {
 
 class ReplStore;
 
-/// HA origin header: an immutable (promotion epoch, route sequence) pair
-/// stamped exactly once, by the routing core, on every event while HA
-/// replication is active. Members dedup re-deliveries on it across
-/// promotions — the key must include the epoch because a split-brain pair
-/// of cores continue the same sequence counter independently.
-inline constexpr const char* kHaEpochAttr = "x-ha-epoch";
-inline constexpr const char* kHaSeqAttr = "x-ha-seq";
-
 /// One spooled (routed but possibly still in-flight) event: the staleness
-/// budget's unit of account.
+/// budget's unit of account. The origin rides beside the body, exactly as
+/// it rides beside it in the kEvent frame header, so a re-delivery carries
+/// the stamp members dedup on.
 struct ReplSpoolEntry {
-  std::uint64_t epoch = 0;  ///< kHaEpochAttr stamp of the event.
-  std::uint64_t seq = 0;    ///< kHaSeqAttr stamp of the event.
-  Bytes event;              ///< encode_event() bytes.
+  Origin origin;
+  Bytes event;  ///< encode_event() bytes.
+
+  /// The routed event: the decoded body with its origin restored.
+  [[nodiscard]] Event decode() const;
 };
 
 /// A replicated member: admission identity plus its live subscriptions.
@@ -77,8 +73,8 @@ struct ReplState {
   /// sessions above anything the dead core ever issued.
   std::uint32_t session_base = 0;
   std::uint32_t proxy_incarnations = 0;
-  std::uint64_t fed_seq = 0;
-  std::uint64_t route_seq = 0;
+  /// The bus's origin-stamp sequence: a promoted core continues it.
+  std::uint64_t origin_seq = 0;
   std::map<std::uint64_t, ReplMember> members;  ///< keyed by ServiceId::raw.
   /// Standby roster (ServiceId::raw of every admitted standby, self
   /// included). Replicated so each standby knows its arbitration peers:
@@ -137,12 +133,11 @@ class ReplLog {
   /// Appends a routed event to the spool and evicts past the limits.
   /// Returns the evicted entries so the bus can account each one as a
   /// staleness-shed before the record disappears.
-  [[nodiscard]] std::vector<ReplSpoolEntry> spool_append(std::uint64_t epoch,
-                                                         std::uint64_t seq,
+  [[nodiscard]] std::vector<ReplSpoolEntry> spool_append(const Origin& origin,
                                                          Bytes event);
   void counters_changed(std::uint32_t session_base,
                         std::uint32_t proxy_incarnations,
-                        std::uint64_t fed_seq, std::uint64_t route_seq);
+                        std::uint64_t origin_seq);
 
   /// True when mutations are waiting to be streamed.
   [[nodiscard]] bool dirty() const { return pending_ops_ > 0; }

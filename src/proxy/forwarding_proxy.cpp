@@ -41,11 +41,12 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
 
 void ForwardingProxy::deliver_event(const EncodedEvent& event,
                                     const std::vector<std::uint64_t>& matched) {
-  // Encode-once fan-out: only the small per-member header (message type +
-  // matched subscription ids) is built here; the event body rides along as
-  // the publish-wide shared encoding.
-  SharedPayload payload{BusMessage::encode_event_header(matched),
-                        event.shared_bytes()};
+  // Encode-once fan-out: only the small per-member header (message type,
+  // matched subscription ids, origin stamp) is built here; the event body
+  // rides along as the publish-wide shared encoding.
+  SharedPayload payload{
+      BusMessage::encode_event_header(matched, event.event().origin()),
+      event.shared_bytes()};
   if (!channel_->send(std::move(payload))) {
     // The channel counted the drop and fired the shed tap (the bus's
     // notify_shed already ran): accounted, never silent.
@@ -125,7 +126,7 @@ void ForwardingProxy::on_message(BytesView message) {
   }
   switch (m.type) {
     case BusMsgType::kPublish:
-      bus().member_publish(member_id(), freeze(std::move(*m.event)));
+      bus().member_publish(member_id(), std::move(*m.event));
       break;
     case BusMsgType::kSubscribe:
       bus().member_subscribe(member_id(), m.sub_id, std::move(*m.filter));

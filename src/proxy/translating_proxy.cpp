@@ -64,7 +64,7 @@ void TranslatingProxy::on_datagram(BytesView data) {
         return;
       }
       ++stats_.readings_decoded;
-      bus().member_publish(member_id(), freeze(std::move(*event)));
+      bus().member_publish(member_id(), std::move(*event));
       break;
     }
     case DeviceFrameType::kAck: {

@@ -38,7 +38,6 @@ class EncodedEvent {
   }
 
   [[nodiscard]] const Event& event() const { return *event_; }
-  [[nodiscard]] const EventPtr& event_ptr() const { return event_; }
 
   /// The serialised event body — identical to encode_event(event()).
   /// Encoded on first call; every later call (any member of the fan-out,

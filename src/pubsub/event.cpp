@@ -71,6 +71,20 @@ std::string Event::to_string() const {
   return out;
 }
 
+void Origin::encode(Writer& w) const {
+  w.u48(cell.raw());
+  w.u64(epoch);
+  w.u64(seq);
+}
+
+Origin Origin::decode(Reader& r) {
+  Origin o;
+  o.cell = ServiceId(r.u48());
+  o.epoch = r.u64();
+  o.seq = r.u64();
+  return o;
+}
+
 void Event::encode(Writer& w) const {
   w.u48(publisher_.raw());
   w.u64(publisher_seq_);

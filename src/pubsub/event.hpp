@@ -4,8 +4,9 @@
 // "smc.member.new", "vitals.heartrate", "alarm.cardiac" — which obligation
 // policies and simple subscribers key on, while content filters may
 // constrain any attribute. Bus metadata (publisher id, publisher sequence
-// number, timestamp) travels beside the attributes so the event bus can
-// enforce per-sender ordering end to end.
+// number, timestamp, origin stamp) travels beside the attributes so the
+// event bus can enforce per-sender ordering and exactly-once end to end —
+// and so no content filter can ever match on it.
 #pragma once
 
 #include <initializer_list>
@@ -21,6 +22,26 @@
 #include "sim/time.hpp"
 
 namespace amuse {
+
+/// The one origin stamp (DESIGN.md §11, §13): the cell whose bus first
+/// routed the event, that core's promotion epoch, and its routing sequence.
+/// Stamped exactly once, by the origin cell's bus, while federation or HA is
+/// on; immutable afterwards. Buses drop loops and multi-path duplicates on
+/// it, members drop failover re-deliveries on it — always on the full key:
+/// two cells (or two split-brain cores) count sequences independently.
+struct Origin {
+  ServiceId cell;  ///< nil = not stamped
+  std::uint64_t epoch = 0;
+  std::uint64_t seq = 0;
+
+  [[nodiscard]] bool stamped() const { return !cell.is_nil(); }
+  friend bool operator==(const Origin&, const Origin&) = default;
+
+  /// u48 cell, u64 epoch, u64 seq.
+  static constexpr std::size_t kWireSize = 22;
+  void encode(Writer& w) const;
+  [[nodiscard]] static Origin decode(Reader& r);
+};
 
 class Event {
  public:
@@ -58,13 +79,17 @@ class Event {
   }
   [[nodiscard]] std::size_t size() const { return attrs_.size(); }
 
-  // Bus metadata (not attributes; set by the bus client on publish).
+  // Bus metadata (not attributes; set by the bus client on publish and by
+  // the bus on routing). encode()/decode() carry publisher, sequence and
+  // timestamp; the origin travels in the bus frame header (bus/messages).
   [[nodiscard]] ServiceId publisher() const { return publisher_; }
   [[nodiscard]] std::uint64_t publisher_seq() const { return publisher_seq_; }
   [[nodiscard]] TimePoint timestamp() const { return timestamp_; }
+  [[nodiscard]] const Origin& origin() const { return origin_; }
   void set_publisher(ServiceId id) { publisher_ = id; }
   void set_publisher_seq(std::uint64_t seq) { publisher_seq_ = seq; }
   void set_timestamp(TimePoint t) { timestamp_ = t; }
+  void set_origin(const Origin& origin) { origin_ = origin; }
 
   [[nodiscard]] bool operator==(const Event& other) const;
 
@@ -81,6 +106,7 @@ class Event {
   ServiceId publisher_;
   std::uint64_t publisher_seq_ = 0;
   TimePoint timestamp_{};
+  Origin origin_;
 };
 
 /// The delivery pipeline's handle on a published event. Once an event

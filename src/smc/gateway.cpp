@@ -1,6 +1,5 @@
 #include "smc/gateway.hpp"
 
-#include "bus/interest_table.hpp"
 #include "common/log.hpp"
 
 namespace amuse {
@@ -12,6 +11,12 @@ FederationGateway::FederationGateway(SmcMember& from, SmcMember& to)
     : from_(from), to_(to) {
   to_.set_on_interest(
       [this](const FilterSet& interests) { reconcile(interests); });
+}
+
+FederationGateway::~FederationGateway() {
+  to_.set_on_interest(nullptr);
+  for (std::uint64_t sub : static_subs_) from_.unsubscribe(sub);
+  for (const auto& [key, sub] : interest_subs_) from_.unsubscribe(sub);
 }
 
 void FederationGateway::share(const Filter& filter) {
@@ -47,23 +52,22 @@ void FederationGateway::reconcile(const FilterSet& interests) {
 }
 
 void FederationGateway::forward(const Event& e) {
-  auto origin = static_cast<std::uint64_t>(e.get_int(kFedOriginCellAttr, 0));
-  auto seq = static_cast<std::uint64_t>(e.get_int(kFedOriginSeqAttr, 0));
-  if (origin != 0) {
-    if (last_forwarded_ == std::pair{origin, seq}) {
+  const Origin& origin = e.origin();
+  if (origin.stamped()) {
+    if (last_forwarded_ == origin) {
       // Overlapping subscriptions matched the same delivery.
       ++stats_.local_dups_suppressed;
       return;
     }
-    last_forwarded_ = {origin, seq};
+    last_forwarded_ = origin;
     BusClient* dst = to_.client();
-    if (dst != nullptr && origin == dst->bus().raw()) {
+    if (dst != nullptr && origin.cell == dst->bus()) {
       ++stats_.loopback_suppressed;
       return;
     }
   }
-  // One copy end-to-end: the destination client's copy-on-write restamp
-  // assigns our publisher identity; the origin stamp crosses untouched.
+  // One copy end-to-end: the destination client assigns our publisher
+  // identity; the origin stamp crosses untouched.
   if (!to_.publish(Event(e))) {
     ++stats_.dropped_disconnected;
     return;

@@ -1,11 +1,12 @@
-// FederationGateway: peer-to-peer cell composition *over the network*.
+// FederationGateway: peer-to-peer cell composition (§I: "autonomous,
+// self-managed cells must be composable … in peer-to-peer relationships").
 //
-// FederationBridge (smc/federation.hpp) connects two buses in one address
-// space; a gateway is the deployable version — a dual-homed service that
-// is simultaneously an ordinary member of two cells (it discovers, joins,
-// heartbeats and re-joins each like any other member) and forwards events
-// from one cell into the other. Each direction is an independent gateway
-// instance over the same two members.
+// A gateway is a dual-homed service that is simultaneously an ordinary
+// member of two cells (it discovers, joins, heartbeats and re-joins each
+// like any other member) and forwards events from one cell into the other.
+// Each direction is an independent gateway instance over the same two
+// members. It is the one federation path: cells in one process federate
+// the same way, over a SimNetwork or loopback transport.
 //
 // A gateway is a first-class routing peer, not a blind re-publisher: its
 // members join with role "gateway" (kGatewayRole), so each cell's bus
@@ -20,15 +21,14 @@
 // the mirror requests a resync on any divergence) — a rejoined incarnation
 // can never route on a stale table.
 //
-// Loop termination and multi-path dedup ride the immutable origin stamp
+// Loop termination and multi-path dedup ride the immutable Origin stamp
 // each bus puts on routed events (DESIGN.md §11); the gateway forwards the
-// stamp untouched and never mutates the event beyond the destination
-// client's copy-on-write publisher restamp.
+// stamp untouched in the kPublish header — the destination bus trusts it
+// only because the gateway's member joined with the gateway role.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "smc/member.hpp"
@@ -43,6 +43,9 @@ class FederationGateway {
   /// itself as `to`'s interest listener — a member may be the destination
   /// of at most one gateway.
   FederationGateway(SmcMember& from, SmcMember& to);
+  /// Withdraws every subscription in `from` and the interest listener on
+  /// `to`: both capture `this`.
+  ~FederationGateway();
 
   FederationGateway(const FederationGateway&) = delete;
   FederationGateway& operator=(const FederationGateway&) = delete;
@@ -82,10 +85,10 @@ class FederationGateway {
   std::vector<std::uint64_t> static_subs_;
   // Canonical filter encoding → durable subscription id in `from_`.
   std::map<Bytes, std::uint64_t> interest_subs_;
-  // (origin cell, seq) of the last forwarded event: handler invocations
-  // for one delivery are consecutive, so one element dedups overlapping
+  // Origin of the last forwarded event: handler invocations for one
+  // delivery are consecutive, so one element dedups overlapping
   // subscriptions exactly.
-  std::pair<std::uint64_t, std::uint64_t> last_forwarded_{0, 0};
+  Origin last_forwarded_;
   Stats stats_;
 };
 

@@ -73,22 +73,6 @@ bool SmcMember::publish(Event event) {
   return true;
 }
 
-bool SmcMember::publish(const EventPtr& event) {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "SmcMember::publish");
-  if (!event) return false;
-  if (client_ && !client_->pressured()) {
-    return client_->publish(event);
-  }
-  if (offline_.size() >= config_.offline_buffer) {
-    ++stats_.buffer_dropped;
-    return false;
-  }
-  if (client_) ++stats_.pressure_deferrals;
-  offline_.push_back(Event(*event));
-  ++stats_.buffered;
-  return true;
-}
-
 void SmcMember::on_cell_joined(ServiceId bus, std::uint32_t session) {
   ++stats_.joins;
   BusClientConfig cc;
@@ -103,14 +87,19 @@ void SmcMember::on_cell_joined(ServiceId bus, std::uint32_t session) {
   cc.install_receive_handler = false;
   client_ = std::make_unique<BusClient>(executor_, transport_, bus, cc);
   // Exactly-once across core failover: a promoted core re-delivers its
-  // replicated spool to every re-homing member; anything whose (epoch, seq)
-  // origin stamp we already saw under the previous incarnation is dropped
-  // here, before handler dispatch.
+  // replicated spool to every re-homing member; anything whose origin stamp
+  // we already saw under the previous incarnation is dropped here, before
+  // handler dispatch. The key is the full (cell, epoch, seq): events a
+  // gateway relayed from another cell keep that cell's stamp.
+  //
+  // Only an HA core re-delivers. A cell that has never spoken an epoch has
+  // none, and its core, cold-restarted on the same id, stamps (cell, 1)
+  // from seq 1 again: a window kept across this join would drop its fresh
+  // events, so start clean.
+  if (agent_->max_epoch() == 0) origin_dedup_.clear();
   client_->set_delivery_filter([this](const Event& event) {
-    auto epoch = static_cast<std::uint64_t>(event.get_int(kHaEpochAttr, 0));
-    if (epoch == 0) return true;  // not HA-stamped
-    auto seq = static_cast<std::uint64_t>(event.get_int(kHaSeqAttr, 0));
-    if (ha_dedup_.admit(epoch, seq)) return true;
+    if (!event.origin().stamped()) return true;
+    if (origin_dedup_.admit(event.origin())) return true;
     ++stats_.ha_duplicates_dropped;
     return false;
   });

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "bus/bus_client.hpp"
-#include "bus/replication.hpp"
 #include "common/annotations.hpp"
 #include "discovery/discovery_agent.hpp"
 
@@ -53,10 +52,6 @@ class SmcMember {
   /// false when the event was dropped because the buffer is full or the
   /// publish was quenched).
   AMUSE_AFFINITY(member_executor) bool publish(Event event);
-  /// Shared-instance variant for forwarders (federation gateways): the
-  /// client pays exactly one copy-on-write restamp; all other attributes —
-  /// including the federation origin stamp — forward untouched.
-  AMUSE_AFFINITY(member_executor) bool publish(const EventPtr& event);
 
   [[nodiscard]] bool joined() const { return client_ != nullptr; }
   [[nodiscard]] ServiceId id() const { return transport_->local_id(); }
@@ -88,7 +83,7 @@ class SmcMember {
     std::uint64_t buffer_dropped = 0;
     std::uint64_t flushed = 0;
     std::uint64_t pressure_deferrals = 0;  // publishes buffered under pressure
-    std::uint64_t ha_duplicates_dropped = 0;  // HA (epoch, seq) dedup hits —
+    std::uint64_t ha_duplicates_dropped = 0;  // origin dedup hits —
                                               // re-deliveries already seen
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -117,10 +112,10 @@ class SmcMember {
   std::function<void()> on_left_;
   std::function<void(bool)> on_pressure_;
   BusClient::InterestFn on_interest_;
-  // HA re-delivery dedup on the (epoch, seq) origin stamp. Deliberately
-  // *outside* the per-join client: exactly-once across a failover depends
-  // on remembering pre-crash deliveries through the re-home.
-  OriginDedup ha_dedup_;
+  // Re-delivery dedup on the full origin stamp. Deliberately *outside* the
+  // per-join client: exactly-once across a failover depends on remembering
+  // pre-crash deliveries through the re-home.
+  OriginDedup origin_dedup_;
   // Canonical digest of the quench table held at the last leave; presented
   // in the next JOIN_RESP so an unchanged table is not re-pushed.
   Digest256 quench_stash_{};

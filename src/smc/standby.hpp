@@ -24,7 +24,7 @@
 // epoch + 1 on its own pre-provisioned endpoints and starts beaconing.
 // Members re-home via discovery (the higher epoch fences the dead
 // incarnation) and the promoted bus re-delivers its spool, deduped
-// member-side on the (epoch, seq) origin stamp.
+// member-side on the events' origin stamps.
 #pragma once
 
 #include <functional>

@@ -233,39 +233,54 @@ TEST(InterestMirror, ResetForgetsEverything) {
   EXPECT_TRUE(m.interests().empty());
 }
 
-// ---- OriginDedup: first-arrival-wins over (origin cell, seq).
+// ---- OriginDedup: first-arrival-wins over Origin{cell, epoch, seq}.
+
+Origin at(std::uint64_t cell, std::uint64_t seq, std::uint64_t epoch = 1) {
+  return Origin{ServiceId(cell), epoch, seq};
+}
 
 TEST(OriginDedup, FirstArrivalWins) {
   OriginDedup d;
-  EXPECT_TRUE(d.admit(1, 1));
-  EXPECT_FALSE(d.admit(1, 1));  // multipath duplicate
-  EXPECT_TRUE(d.admit(1, 2));
-  EXPECT_TRUE(d.admit(2, 1));  // origins are independent
-  EXPECT_FALSE(d.admit(2, 1));
+  EXPECT_TRUE(d.admit(at(1, 1)));
+  EXPECT_FALSE(d.admit(at(1, 1)));  // multipath duplicate
+  EXPECT_TRUE(d.admit(at(1, 2)));
+  EXPECT_TRUE(d.admit(at(2, 1)));  // origins are independent
+  EXPECT_FALSE(d.admit(at(2, 1)));
+}
+
+TEST(OriginDedup, KeyHoldsCellAndEpoch) {
+  // Two cells — and two epochs of one cell (split-brain cores) — count
+  // sequences independently: the same seq under either is a new event.
+  OriginDedup d;
+  EXPECT_TRUE(d.admit(at(1, 7, 1)));
+  EXPECT_TRUE(d.admit(at(2, 7, 1)));
+  EXPECT_TRUE(d.admit(at(1, 7, 2)));
+  EXPECT_FALSE(d.admit(at(2, 7, 1)));
+  EXPECT_FALSE(d.admit(at(1, 7, 2)));
 }
 
 TEST(OriginDedup, OutOfOrderWithinWindowAdmits) {
   OriginDedup d;
-  EXPECT_TRUE(d.admit(1, 5));
-  EXPECT_TRUE(d.admit(1, 3));  // reordered, never seen — route it
-  EXPECT_FALSE(d.admit(1, 3));
+  EXPECT_TRUE(d.admit(at(1, 5)));
+  EXPECT_TRUE(d.admit(at(1, 3)));  // reordered, never seen — route it
+  EXPECT_FALSE(d.admit(at(1, 3)));
 }
 
 TEST(OriginDedup, EvictedSeqsArePresumedSeen) {
   OriginDedup d(4);
-  for (std::uint64_t s = 1; s <= 5; ++s) EXPECT_TRUE(d.admit(1, s));
+  for (std::uint64_t s = 1; s <= 5; ++s) EXPECT_TRUE(d.admit(at(1, s)));
   // seq 1 fell off the window: dedup over-drops rather than re-routing.
-  EXPECT_FALSE(d.admit(1, 1));
+  EXPECT_FALSE(d.admit(at(1, 1)));
   // In-window stamps keep exact semantics.
-  EXPECT_FALSE(d.admit(1, 5));
-  EXPECT_TRUE(d.admit(1, 6));
+  EXPECT_FALSE(d.admit(at(1, 5)));
+  EXPECT_TRUE(d.admit(at(1, 6)));
 }
 
 TEST(OriginDedup, ClearForgets) {
   OriginDedup d;
-  EXPECT_TRUE(d.admit(1, 1));
+  EXPECT_TRUE(d.admit(at(1, 1)));
   d.clear();
-  EXPECT_TRUE(d.admit(1, 1));
+  EXPECT_TRUE(d.admit(at(1, 1)));
 }
 
 }  // namespace

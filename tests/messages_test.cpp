@@ -127,5 +127,109 @@ TEST(BusMessage, DecodeRejectsTrailingBytes) {
   EXPECT_THROW((void)BusMessage::decode(wire), DecodeError);
 }
 
+// ---- The origin stamp in the kPublish/kEvent header (DESIGN.md §11).
+
+Event golden_event() {
+  Event e("alarm.cardiac", {{"hr", 188}, {"level", "high"}});
+  e.set_publisher(ServiceId(0x0A0000010001ULL));
+  e.set_publisher_seq(7);
+  e.set_timestamp(TimePoint(Duration(123456789)));
+  return e;
+}
+
+// encode_event(golden_event()), byte for byte as the pre-stamp format had it.
+const Bytes kGoldenBody{
+    0x0a, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x07, 0x5b, 0xcd, 0x15, 0x00, 0x03,
+    0x00, 0x02, 0x68, 0x72, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xbc, 0x00, 0x05, 0x6c, 0x65, 0x76, 0x65, 0x6c, 0x04, 0x00, 0x04, 0x68,
+    0x69, 0x67, 0x68, 0x00, 0x04, 0x74, 0x79, 0x70, 0x65, 0x04, 0x00, 0x0d,
+    0x61, 0x6c, 0x61, 0x72, 0x6d, 0x2e, 0x63, 0x61, 0x72, 0x64, 0x69, 0x61,
+    0x63};
+
+Bytes concat(Bytes head, const Bytes& tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
+TEST(FederationOriginCodec, UnstampedFramesAreByteIdenticalToGolden) {
+  // An unstamped frame must not move by a byte: every non-federated,
+  // non-HA cell (the paper's experiments, the benchmark) keeps its wire.
+  Event e = golden_event();
+  EXPECT_EQ(encode_event(e), kGoldenBody);
+  Bytes publish = concat({0x01}, kGoldenBody);
+  Bytes deliver = concat({0x02, 0x00, 0x02, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+                          0, 0, 0, 0, 1},
+                         kGoldenBody);
+  EXPECT_EQ(BusMessage::publish(e).encode(), publish);
+  EXPECT_EQ(BusMessage::encode_publish(e), publish);
+  EXPECT_EQ(BusMessage::deliver(e, {3, 1}).encode(), deliver);
+  EXPECT_EQ(concat(BusMessage::encode_event_header({3, 1}, e.origin()),
+                   encode_event(e)),
+            deliver);
+}
+
+TEST(FederationOriginCodec, StampedFramesRoundTrip) {
+  Event e = golden_event();
+  const Origin origin{ServiceId(0x0A0000020002ULL), 3, 0x0102030405060708ULL};
+  e.set_origin(origin);
+
+  // The stamp rides the header, 22 B, behind the type byte's flag bit;
+  // the body is the same shared encoding.
+  Bytes publish = BusMessage::publish(e).encode();
+  EXPECT_EQ(Origin::kWireSize, 22u);
+  EXPECT_EQ(publish.size(), 1 + Origin::kWireSize + kGoldenBody.size());
+  EXPECT_EQ(publish[0], 0x01 | kOriginFlag);
+  EXPECT_EQ(BusMessage::encode_publish(e), publish);
+  BusMessage back = BusMessage::decode(publish);
+  EXPECT_EQ(back.type, BusMsgType::kPublish);
+  EXPECT_EQ(back.event->origin(), origin);
+  EXPECT_EQ(*back.event, e);
+
+  Bytes deliver = BusMessage::deliver(e, {3, 1}).encode();
+  EXPECT_EQ(deliver, concat(BusMessage::encode_event_header({3, 1}, origin),
+                            kGoldenBody));
+  back = BusMessage::decode(deliver);
+  EXPECT_EQ(back.type, BusMsgType::kEvent);
+  EXPECT_EQ(back.matched, (std::vector<std::uint64_t>{3, 1}));
+  EXPECT_EQ(back.event->origin(), origin);
+  EXPECT_EQ(*back.event, e);
+
+  // The stamp is metadata, not content: no attribute carries it.
+  EXPECT_EQ(back.event->size(), e.size());
+  EXPECT_EQ(encode_event(*back.event), kGoldenBody);
+}
+
+TEST(FederationOriginCodec, FlagRejectedOnEveryOtherType) {
+  std::vector<Bytes> frames{
+      BusMessage::subscribe(1, Filter::for_type("a")).encode(),
+      BusMessage::unsubscribe(1).encode(),
+      BusMessage::quench_update({Filter::for_type("a")}).encode(),
+      BusMessage::flow_control(true).encode(),
+      BusMessage::interest_resync_request().encode(),
+      BusMessage::repl_resync_request().encode(),
+  };
+  for (Bytes& frame : frames) {
+    EXPECT_NO_THROW((void)BusMessage::decode(frame));
+    frame[0] |= kOriginFlag;
+    EXPECT_THROW((void)BusMessage::decode(frame), DecodeError)
+        << static_cast<int>(frame[0]);
+  }
+}
+
+TEST(FederationOriginCodec, StampWithoutCellOrTruncatedIsRejected) {
+  Event e = golden_event();
+  e.set_origin(Origin{ServiceId(9), 1, 1});
+  Bytes wire = BusMessage::publish(e).encode();
+  for (std::size_t len = 1; len < 1 + Origin::kWireSize; ++len) {
+    EXPECT_THROW((void)BusMessage::decode(BytesView(wire.data(), len)),
+                 DecodeError)
+        << len;
+  }
+  // A flagged frame whose stamp names no cell is malformed, not unstamped.
+  for (std::size_t i = 1; i <= 6; ++i) wire[i] = 0;
+  EXPECT_THROW((void)BusMessage::decode(wire), DecodeError);
+}
+
 }  // namespace
 }  // namespace amuse

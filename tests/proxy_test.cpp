@@ -15,8 +15,8 @@ class FakeBus final : public BusPort {
  public:
   explicit FakeBus(Executor& ex) : ex_(ex) {}
 
-  void member_publish(ServiceId member, EventPtr event) override {
-    published.emplace_back(member, *event);
+  void member_publish(ServiceId member, Event event) override {
+    published.emplace_back(member, std::move(event));
   }
   void member_subscribe(ServiceId member, std::uint64_t local_id,
                         Filter filter) override {

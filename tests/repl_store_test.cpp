@@ -49,12 +49,10 @@ struct JournalHistory {
     mark();
     log.standby_admitted(ServiceId(9));
     mark();
-    log.counters_changed(100, 7, 42, 2);
+    log.counters_changed(100, 7, 2);
     mark();
-    Event e("a");
-    e.set(kHaEpochAttr, std::int64_t{1});
-    e.set(kHaSeqAttr, std::int64_t{1});
-    (void)log.spool_append(1, 1, encode_event(e));
+    (void)log.spool_append(Origin{ServiceId(0xC0), 1, 1},
+                           encode_event(Event("a")));
     mark();
     log.sub_removed(ServiceId(5), 1);
     mark();

@@ -19,12 +19,13 @@ namespace {
 Filter fa() { return Filter::for_type("a"); }
 Filter fb() { return Filter::for_type_prefix("b."); }
 
-Bytes event_bytes(const char* type, std::uint64_t epoch, std::uint64_t seq) {
-  Event e(type);
-  e.set(kHaEpochAttr, static_cast<std::int64_t>(epoch));
-  e.set(kHaSeqAttr, static_cast<std::int64_t>(seq));
-  return encode_event(e);
+// A spooled event as the bus appends it: the body, and beside it the
+// origin stamp the bus put on it.
+Origin origin(std::uint64_t epoch, std::uint64_t seq) {
+  return Origin{ServiceId(0xC0), epoch, seq};
 }
+
+Bytes event_bytes(const char* type) { return encode_event(Event(type)); }
 
 // A log with one member and one subscription, pending ops drained — the
 // state a live bus is in between mutations (the bus always drains before
@@ -107,21 +108,24 @@ TEST(ReplState, EncodeDecodeRoundTrip) {
   ReplLog log = seeded_log();
   log.member_admitted(ServiceId(6), "console", "nurse");
   log.sub_added(ServiceId(6), 4, fb());
-  log.counters_changed(100, 7, 42, 13);
-  auto evicted = log.spool_append(1, 13, event_bytes("a", 1, 13));
+  log.counters_changed(100, 7, 13);
+  auto evicted = log.spool_append(origin(1, 13), event_bytes("a"));
   EXPECT_TRUE(evicted.empty());
 
   ReplState back = ReplState::decode(log.state().encode());
   EXPECT_EQ(back.epoch, 1u);
   EXPECT_EQ(back.session_base, 100u);
   EXPECT_EQ(back.proxy_incarnations, 7u);
-  EXPECT_EQ(back.fed_seq, 42u);
-  EXPECT_EQ(back.route_seq, 13u);
+  EXPECT_EQ(back.origin_seq, 13u);
   EXPECT_EQ(back.members.size(), 2u);
   EXPECT_EQ(back.members.at(5).subs.size(), 1u);
   EXPECT_EQ(back.members.at(6).role, "nurse");
   ASSERT_EQ(back.spool.size(), 1u);
-  EXPECT_EQ(back.spool.front().seq, 13u);
+  EXPECT_EQ(back.spool.front().origin, origin(1, 13));
+  // The spooled event decodes with its stamp restored, attribute-free.
+  Event spooled = back.spool.front().decode();
+  EXPECT_EQ(spooled.origin(), origin(1, 13));
+  EXPECT_EQ(spooled, Event("a"));
   EXPECT_TRUE(digest_equal(back.digest(), log.state().digest()));
 }
 
@@ -131,18 +135,18 @@ TEST(ReplState, SpoolEvictionIsBoundedAndReturned) {
   ReplLog log(limits);
   log.set_epoch(1);
   for (std::uint64_t s = 1; s <= 5; ++s) {
-    auto evicted = log.spool_append(1, s, event_bytes("a", 1, s));
+    auto evicted = log.spool_append(origin(1, s), event_bytes("a"));
     if (s <= 3) {
       EXPECT_TRUE(evicted.empty());
     } else {
       // Every entry that falls off the budget is handed back so the bus
       // can account it as a staleness-shed before the record disappears.
       ASSERT_EQ(evicted.size(), 1u);
-      EXPECT_EQ(evicted.front().seq, s - 3);
+      EXPECT_EQ(evicted.front().origin.seq, s - 3);
     }
   }
   EXPECT_EQ(log.state().spool.size(), 3u);
-  EXPECT_EQ(log.state().spool.front().seq, 3u);
+  EXPECT_EQ(log.state().spool.front().origin.seq, 3u);
 }
 
 // ---- ReplLog → ReplMirror: the streaming contract.
@@ -358,7 +362,7 @@ TEST(ResyncThrottle, LossyLinkCostsBoundedResyncs) {
 
 TEST(ReplLog, RestoreSeedsPromotedCore) {
   ReplLog log = seeded_log();
-  log.counters_changed(50, 3, 9, 21);
+  log.counters_changed(50, 3, 21);
   ReplState replica = ReplState::decode(log.state().encode());
 
   // The promoted core restores the replica at its own (higher) epoch.
@@ -367,7 +371,7 @@ TEST(ReplLog, RestoreSeedsPromotedCore) {
   promoted.restore(replica);
   EXPECT_EQ(promoted.state().epoch, 2u);
   EXPECT_EQ(promoted.state().members.size(), 1u);
-  EXPECT_EQ(promoted.state().route_seq, 21u);
+  EXPECT_EQ(promoted.state().origin_seq, 21u);
 
   // A standby admitted to the promoted core starts from its snapshot.
   ReplMirror m;

@@ -83,8 +83,9 @@ class McOracle {
     // (d) origin-stamp discipline: the stamp is immutable and names the
     // true origin cell; a stamp naming the *receiver's* cell on a
     // cross-cell delivery means a federated loop came home.
-    auto stamp = static_cast<std::uint64_t>(e.get_int(kFedOriginCellAttr, 0));
-    if (stamp == 0 || !e.has(kFedOriginSeqAttr)) {
+    const Origin& origin = e.origin();
+    const std::uint64_t stamp = origin.cell.raw();
+    if (!origin.stamped() || origin.seq == 0) {
       fail("missing-origin-stamp",
            "event (m=" + std::to_string(sender) + ", n=" + std::to_string(n) +
                ") delivered without an origin stamp");

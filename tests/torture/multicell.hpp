@@ -19,7 +19,7 @@
 //       overlay has quiesced, every member's publishes must reach every
 //       member in every cell;
 //   (d) origin-stamp discipline — every event delivered across a cell
-//       boundary carries the immutable (origin cell, seq) stamp of its true
+//       boundary carries the immutable Origin{cell, epoch, seq} of its true
 //       origin, and an event stamped with the receiver's own cell can never
 //       be delivered there (a federated loop would have to come home
 //       unstamped or restamped — there is no hop attribute to forge).
