@@ -46,6 +46,13 @@ compiler nor clang-tidy enforce:
       replicated state without journalling it leaves the write-ahead
       store one mutation behind forever — a kill-and-restart would
       recover a replica that silently lacks it
+  I12 one timer path (DESIGN.md §10): outside src/sim/ there is no
+      `TimerId` / `kNoTimer` and no Executor::cancel(id) call. A component
+      owns each scheduled duty as an amuse::Timer (sim/timer.hpp), which
+      binds the callback once and cancels itself on destruction; hand-kept
+      timer ids are how callbacks came to outlive their owners. Timer's
+      own cancel() takes no argument, so a `cancel(` call with one is an
+      executor cancel
 
 `--self-test` rebuilds a scratch tree seeded with one violation per
 invariant and fails unless every invariant fires — proof the checker
@@ -297,6 +304,26 @@ def check_repllog_store_choke_points(path: Path) -> None:
             )
 
 
+# I12: timer ids stay inside src/sim/. Executor::cancel takes the id, so a
+# `.cancel(` / `->cancel(` call with an argument is an executor cancel;
+# Timer::cancel() has none.
+TIMER_ID = re.compile(r"\b(?:TimerId|kNoTimer)\b")
+EXECUTOR_CANCEL = re.compile(r"(?:\.|->)\s*cancel\s*\(\s*[^\s)]")
+
+
+def check_timer_ownership(path: Path) -> None:
+    if str(path.relative_to(ROOT)).startswith("src/sim/"):
+        return
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = strip_comments(raw)
+        if TIMER_ID.search(line):
+            report(path, lineno, "I12: TimerId/kNoTimer outside src/sim/ "
+                   "(own the duty as an amuse::Timer, sim/timer.hpp)")
+        if EXECUTOR_CANCEL.search(line):
+            report(path, lineno, "I12: Executor::cancel(id) outside src/sim/ "
+                   "(own the duty as an amuse::Timer, sim/timer.hpp)")
+
+
 def check_cmake_lists_all_sources() -> None:
     cmake = (SRC / "CMakeLists.txt").read_text()
     listed = set(re.findall(r"([\w/]+\.cpp)", cmake))
@@ -318,6 +345,7 @@ def run_checks() -> list[str]:
         check_channel_send_accounting(f)
         check_repl_control_class(f)
         check_repllog_store_choke_points(f)
+        check_timer_ownership(f)
     torture_files = sorted(TORTURE.rglob("*.hpp")) + sorted(TORTURE.rglob("*.cpp"))
     for f in torture_files:
         check_torture_determinism(f)
@@ -340,6 +368,9 @@ SELFTEST_FILES = {
     "src/repl_plain.cpp": ("I10", "bool r() {\n  return channel_->send(BusMessage::repl_update(u).encode());\n}\n"),
     # A ReplLog mutator that skips the ReplStore choke points.
     "src/repl_mutator.cpp": ("I11", "void ReplLog::standby_admitted(ServiceId id) {\n  state_.standbys.insert(id.raw());\n}\n"),
+    # A hand-kept timer id, and an executor cancel (Timer::cancel() is fine).
+    "src/timer_id.hpp": ("I12", "#pragma once\nstruct Owner {\n  TimerId timer_;\n};\n"),
+    "src/timer_cancel.cpp": ("I12", "void Owner::stop() {\n  beacon_timer_.cancel();\n  executor_.cancel(timer_);\n}\n"),
 }
 
 
@@ -381,7 +412,7 @@ def self_test() -> int:
         print("check_invariants --self-test: FAIL")
         return 1
     print(f"check_invariants --self-test: OK — all {len(SELFTEST_FILES)} "
-          "invariants fire")
+          "seeded violations fire")
     return 0
 
 

@@ -100,10 +100,6 @@ bool BusClient::publish(Event event) {
   return true;
 }
 
-void BusClient::set_unclaimed_handler(Handler handler) {
-  unclaimed_ = std::move(handler);
-}
-
 void BusClient::request_repl_resync() {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "BusClient::request_repl_resync");
   ++stats_.repl_resyncs;
@@ -128,15 +124,14 @@ void BusClient::on_message(BytesView message) {
         ++stats_.deliveries_filtered;
         break;
       }
-      bool claimed = false;
+      // An id unsubscribed while the event was in flight has no handler
+      // any more: the event is dropped for it.
       for (std::uint64_t id : m.matched) {
         auto it = handlers_.find(id);
         if (it == handlers_.end()) continue;
-        claimed = true;
         ++stats_.handler_invocations;
         it->second(*m.event);
       }
-      if (!claimed && unclaimed_) unclaimed_(*m.event);
       break;
     }
     case BusMsgType::kQuenchUpdate:

@@ -68,19 +68,11 @@ class BusClient {
   /// True while the bus's last kFlowControl announced pressure.
   [[nodiscard]] bool pressured() const { return pressured_; }
 
-  /// Handler for events that arrive for an already-unsubscribed id
-  /// (in-flight at unsubscribe time); defaults to dropping them.
-  void set_unclaimed_handler(Handler handler);
-
   /// Invoked after every cleanly applied kInterestUpdate with the current
   /// remote interest table (gateway members only; never fires for plain
   /// members — the bus only pushes interest to gateway-role peers).
   using InterestFn = std::function<void(const FilterSet&)>;
   void set_on_interest(InterestFn fn) { on_interest_ = std::move(fn); }
-  /// The mirror of the interest table the bus last pushed to this peer.
-  [[nodiscard]] const InterestMirror& interest_mirror() const {
-    return mirror_;
-  }
 
   /// Invoked for every kReplUpdate / kReplSnapshot from the bus (standby
   /// members only; never fires for plain members — the bus only streams
@@ -149,7 +141,6 @@ class BusClient {
   std::map<std::uint64_t, Handler> handlers_;
   std::uint64_t next_sub_id_ = 1;
   std::uint64_t next_pub_seq_ = 1;
-  Handler unclaimed_;
   PressureFn on_pressure_;
   InterestFn on_interest_;
   ReplFn on_repl_;

@@ -44,7 +44,8 @@ EventBus::EventBus(Executor& executor, std::shared_ptr<Transport> transport,
       costs_(config_.costs.value_or(config_.engine == BusEngine::kSienaBased
                                         ? profiles::siena_bus_costs()
                                         : profiles::c_bus_costs())),
-      registry_(make_matcher(config_.engine)) {
+      registry_(make_matcher(config_.engine)),
+      lease_timer_(executor, [this] { lease_tick(); }) {
   if (config_.bus_queue_bytes > 0) {
     budget_ = std::make_shared<DeliveryBudget>(config_.bus_queue_bytes);
     // Every proxy channel charges/releases this ledger entry-by-entry;
@@ -151,7 +152,7 @@ void EventBus::add_member(const MemberInfo& info) {
     // newcomer so every mirror (its own included) knows the full quorum.
     repl_.standby_admitted(info.id);
     push_repl_snapshot(*it->second);
-    schedule_lease_tick();
+    lease_timer_.arm_after(config_.repl_lease_interval);
   } else if (ha_) {
     repl_.member_admitted(info.id, info.device_type, info.role);
   }
@@ -323,7 +324,6 @@ void EventBus::step_down() {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::step_down");
   if (deposed_) return;
   deposed_ = true;
-  ++lease_timer_gen_;  // invalidate any scheduled lease tick
   kLog.warn("core ", bus_id().to_string(), " deposed at epoch ",
             std::to_string(config_.epoch), "; stepping down");
   // Whatever is still spooled here the promoted core must cover from its
@@ -701,16 +701,6 @@ void EventBus::repl_flush() {
   enforce_shared_budget();
 }
 
-void EventBus::schedule_lease_tick() {
-  std::uint64_t gen = ++lease_timer_gen_;
-  executor_.schedule_after(config_.repl_lease_interval,
-                           [this, gen, alive = std::weak_ptr<bool>(alive_)] {
-                             if (alive.expired()) return;
-                             if (gen != lease_timer_gen_) return;
-                             lease_tick();
-                           });
-}
-
 void EventBus::lease_tick() {
   if (!ha_ || deposed_ || standby_members_.empty()) return;
   repl_.counters_changed(config_.session, proxy_incarnations_, origin_seq_);
@@ -723,7 +713,7 @@ void EventBus::lease_tick() {
     if (pit != proxies_.end()) pit->second->send_repl_update(update);
   }
   enforce_shared_budget();
-  schedule_lease_tick();
+  lease_timer_.arm_after(config_.repl_lease_interval);
 }
 
 void EventBus::push_repl_snapshot(Proxy& proxy) {

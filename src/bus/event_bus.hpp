@@ -33,6 +33,7 @@
 #include "net/transport.hpp"
 #include "proxy/bootstrap.hpp"
 #include "pubsub/encoded_event.hpp"
+#include "sim/timer.hpp"
 
 namespace amuse {
 
@@ -153,8 +154,6 @@ class EventBus final : public BusPort {
   [[nodiscard]] std::uint64_t epoch() const { return config_.epoch; }
   /// True after step_down(): this core lost the cell to a higher epoch.
   [[nodiscard]] bool deposed() const { return deposed_; }
-  /// The replication log's canonical state (tests / promotion plumbing).
-  [[nodiscard]] const ReplState& repl_state() const { return repl_.state(); }
   /// Split-brain fencing: a revived core that discovers a higher-epoch
   /// rival abdicates — it stops routing (further publishes are accounted
   /// as staleness-shed, never silently dropped), accounts every spooled
@@ -302,7 +301,6 @@ class EventBus final : public BusPort {
   /// Periodic bare-lease renewal (or the pending ops, if any) while HA is
   /// on — the heartbeat the standby's failure detector runs on.
   AMUSE_AFFINITY(core_executor) void lease_tick();
-  void schedule_lease_tick();
   /// Full snapshot to one standby (admission / resync request).
   AMUSE_AFFINITY(core_executor) void push_repl_snapshot(Proxy& proxy);
   /// Re-delivers spooled events matching the member's pre-crash
@@ -349,12 +347,10 @@ class EventBus final : public BusPort {
   std::set<ServiceId> standby_members_;  // ordered: deterministic pushes
   bool ha_ = false;                      // sticky once enabled
   bool deposed_ = false;                 // stepped down to a higher epoch
-  std::uint64_t lease_timer_gen_ = 0;    // invalidates stale lease timers
+  Timer lease_timer_;                    // drives lease_tick()
   // Pre-crash membership from the restored replica: subscription snapshots
   // for spool re-delivery, consumed one-shot as each member re-homes.
   std::unordered_map<std::uint64_t, ReplMember> ha_rehome_;
-  // Keeps `this` captures in lease timers from outliving the bus.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace amuse

@@ -5,6 +5,9 @@
 namespace amuse {
 namespace {
 const Logger kLog("device");
+
+// Each reading retransmission doubles the ack timeout.
+constexpr double kAckBackoff = 2.0;
 }
 
 RawDevice::RawDevice(Executor& executor, std::shared_ptr<Transport> transport,
@@ -12,24 +15,20 @@ RawDevice::RawDevice(Executor& executor, std::shared_ptr<Transport> transport,
     : executor_(executor),
       transport_(std::move(transport)),
       config_(std::move(config)),
-      rto_(config_.ack_timeout) {
+      rto_(config_.ack_timeout),
+      ack_timer_(executor_, [this] { on_ack_timeout(); }),
+      reading_timer_(executor_, [this] { reading_tick(); }) {
   DiscoveryAgentConfig ac = config_.agent;
   ac.install_receive_handler = false;
   agent_ = std::make_unique<DiscoveryAgent>(executor_, transport_, ac);
   agent_->set_on_joined([this](ServiceId, std::uint32_t) {
-    if (config_.reading_interval > Duration{} &&
-        reading_timer_ == kNoTimer) {
-      reading_timer_ = executor_.schedule_after(
-          config_.reading_interval, [this] {
-            reading_timer_ = kNoTimer;
-            reading_tick();
-          });
+    if (config_.reading_interval > Duration{} && !reading_timer_.armed()) {
+      reading_timer_.arm_after(config_.reading_interval);
     }
   });
   agent_->set_on_left([this] {
-    executor_.cancel(reading_timer_);
-    executor_.cancel(ack_timer_);
-    reading_timer_ = ack_timer_ = kNoTimer;
+    reading_timer_.cancel();
+    ack_timer_.cancel();
     pending_.reset();
   });
 
@@ -39,8 +38,6 @@ RawDevice::RawDevice(Executor& executor, std::shared_ptr<Transport> transport,
 }
 
 RawDevice::~RawDevice() {
-  executor_.cancel(reading_timer_);
-  executor_.cancel(ack_timer_);
   transport_->set_receive_handler(nullptr);
 }
 
@@ -52,11 +49,7 @@ void RawDevice::reading_tick() {
   if (!agent_->joined()) return;
   std::optional<Bytes> payload = next_reading();
   if (payload) send_reading(std::move(*payload));
-  reading_timer_ =
-      executor_.schedule_after(config_.reading_interval, [this] {
-        reading_timer_ = kNoTimer;
-        reading_tick();
-      });
+  reading_timer_.arm_after(config_.reading_interval);
 }
 
 void RawDevice::emit_reading(Bytes payload) {
@@ -78,10 +71,8 @@ void RawDevice::send_reading(Bytes payload) {
     pending_ = f;
     retries_ = 0;
     rto_ = config_.ack_timeout;
-    executor_.cancel(ack_timer_);
-    ack_timer_ = kNoTimer;
     transmit_pending();
-    arm_ack_timer();
+    ack_timer_.arm_after(rto_);
   } else {
     ++stats_.readings_sent;
     transport_->send(agent_->bus_id(), f.encode());
@@ -94,23 +85,19 @@ void RawDevice::transmit_pending() {
   transport_->send(agent_->bus_id(), pending_->encode());
 }
 
-void RawDevice::arm_ack_timer() {
-  if (ack_timer_ != kNoTimer || !pending_) return;
-  ack_timer_ = executor_.schedule_after(rto_, [this] {
-    ack_timer_ = kNoTimer;
-    if (!pending_) return;
-    if (retries_ >= config_.max_retries) {
-      ++stats_.readings_dropped;
-      pending_.reset();
-      return;
-    }
-    ++retries_;
-    ++stats_.reading_retransmits;
-    rto_ = Duration(static_cast<std::int64_t>(
-        static_cast<double>(rto_.count()) * config_.ack_backoff));
-    transmit_pending();
-    arm_ack_timer();
-  });
+void RawDevice::on_ack_timeout() {
+  if (!pending_) return;
+  if (retries_ >= config_.max_retries) {
+    ++stats_.readings_dropped;
+    pending_.reset();
+    return;
+  }
+  ++retries_;
+  ++stats_.reading_retransmits;
+  rto_ = Duration(static_cast<std::int64_t>(
+      static_cast<double>(rto_.count()) * kAckBackoff));
+  transmit_pending();
+  ack_timer_.arm_after(rto_);
 }
 
 void RawDevice::on_datagram(ServiceId src, BytesView data) {
@@ -123,8 +110,7 @@ void RawDevice::on_datagram(ServiceId src, BytesView data) {
           if (pending_ && frame->seq == pending_->seq) {
             ++stats_.readings_acked;
             pending_.reset();
-            executor_.cancel(ack_timer_);
-            ack_timer_ = kNoTimer;
+            ack_timer_.cancel();
             retries_ = 0;
             rto_ = config_.ack_timeout;
           }

@@ -15,6 +15,7 @@
 
 #include "discovery/discovery_agent.hpp"
 #include "proxy/device_protocol.hpp"
+#include "sim/timer.hpp"
 
 namespace amuse {
 
@@ -25,8 +26,8 @@ struct RawDeviceConfig {
   /// Whether this device wants its readings acknowledged by the proxy
   /// before it considers them delivered (retransmitting meanwhile).
   bool readings_need_ack = true;
+  /// First ack timeout; it doubles per retransmission, with no cap.
   Duration ack_timeout = milliseconds(300);
-  double ack_backoff = 2.0;
   int max_retries = 6;
 };
 
@@ -71,7 +72,7 @@ class RawDevice {
   void reading_tick();
   void send_reading(Bytes payload);
   void transmit_pending();
-  void arm_ack_timer();
+  void on_ack_timeout();
   void on_datagram(ServiceId src, BytesView data);
 
   Executor& executor_;
@@ -83,8 +84,8 @@ class RawDevice {
   std::optional<DeviceFrame> pending_;  // awaiting ack (stop-and-wait)
   Duration rto_;
   int retries_ = 0;
-  TimerId ack_timer_ = kNoTimer;
-  TimerId reading_timer_ = kNoTimer;
+  Timer ack_timer_;
+  Timer reading_timer_;
 
   std::uint16_t last_cmd_seq_ = 0;
   bool seen_cmd_ = false;

@@ -8,12 +8,10 @@ namespace amuse {
 EcgStreamer::EcgStreamer(Executor& executor,
                          std::shared_ptr<Transport> transport,
                          ServiceId viewer, EcgStreamConfig config)
-    : executor_(executor),
-      transport_(std::move(transport)),
+    : transport_(std::move(transport)),
       viewer_(viewer),
-      config_(config) {}
-
-EcgStreamer::~EcgStreamer() { executor_.cancel(timer_); }
+      config_(config),
+      batch_timer_(executor, [this] { send_batch(); }) {}
 
 void EcgStreamer::start() {
   if (running_) return;
@@ -23,8 +21,7 @@ void EcgStreamer::start() {
 
 void EcgStreamer::stop() {
   running_ = false;
-  executor_.cancel(timer_);
-  timer_ = kNoTimer;
+  batch_timer_.cancel();
 }
 
 void EcgStreamer::send_batch() {
@@ -50,10 +47,7 @@ void EcgStreamer::send_batch() {
 
   Duration interval = from_seconds(
       static_cast<double>(config_.samples_per_packet) / config_.sample_rate_hz);
-  timer_ = executor_.schedule_after(interval, [this] {
-    timer_ = kNoTimer;
-    send_batch();
-  });
+  batch_timer_.arm_after(interval);
 }
 
 EcgViewer::EcgViewer(std::shared_ptr<Transport> transport)

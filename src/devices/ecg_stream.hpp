@@ -16,7 +16,7 @@
 
 #include "common/rng.hpp"
 #include "net/transport.hpp"
-#include "sim/executor.hpp"
+#include "sim/timer.hpp"
 
 namespace amuse {
 
@@ -33,7 +33,6 @@ class EcgStreamer {
  public:
   EcgStreamer(Executor& executor, std::shared_ptr<Transport> transport,
               ServiceId viewer, EcgStreamConfig config = {});
-  ~EcgStreamer();
 
   void start();
   void stop();
@@ -43,14 +42,13 @@ class EcgStreamer {
  private:
   void send_batch();
 
-  Executor& executor_;
   std::shared_ptr<Transport> transport_;
   ServiceId viewer_;
   EcgStreamConfig config_;
   Rng rng_{0xec9, 7};
   std::uint32_t seq_ = 0;
   double phase_ = 0.0;
-  TimerId timer_ = kNoTimer;
+  Timer batch_timer_;
   bool running_ = false;
 };
 

@@ -7,16 +7,16 @@ namespace amuse {
 
 PatientBody::PatientBody(Executor& executor, std::uint64_t seed,
                          VitalsProfile profile, Duration step_interval)
-    : executor_(executor), model_(seed, profile), interval_(step_interval) {
+    : model_(seed, profile),
+      interval_(step_interval),
+      step_timer_(executor, [this] { tick(); }) {
   current_ = model_.step();
-  timer_ = executor_.schedule_after(interval_, [this] { tick(); });
+  step_timer_.arm_after(interval_);
 }
-
-PatientBody::~PatientBody() { executor_.cancel(timer_); }
 
 void PatientBody::tick() {
   current_ = model_.step();
-  timer_ = executor_.schedule_after(interval_, [this] { tick(); });
+  step_timer_.arm_after(interval_);
 }
 
 const VitalKindInfo& vital_kind_info(VitalKind kind) {

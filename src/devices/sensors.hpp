@@ -34,7 +34,6 @@ class PatientBody {
   PatientBody(Executor& executor, std::uint64_t seed,
               VitalsProfile profile = {},
               Duration step_interval = milliseconds(500));
-  ~PatientBody();
 
   PatientBody(const PatientBody&) = delete;
   PatientBody& operator=(const PatientBody&) = delete;
@@ -44,11 +43,10 @@ class PatientBody {
 
  private:
   void tick();
-  Executor& executor_;
   VitalsModel model_;
   VitalsSample current_;
   Duration interval_;
-  TimerId timer_ = kNoTimer;
+  Timer step_timer_;
 };
 
 enum class VitalKind { kHeartRate, kSpO2, kTemperature, kBloodPressure };

@@ -16,7 +16,10 @@ DiscoveryAgent::DiscoveryAgent(Executor& executor,
     : executor_(executor),
       transport_(std::move(transport)),
       config_(std::move(config)),
-      rng_(config_.seed ^ transport_->local_id().raw(), /*stream=*/0xa9e2) {
+      rng_(config_.seed ^ transport_->local_id().raw(), /*stream=*/0xa9e2),
+      heartbeat_timer_(executor, [this] { send_heartbeat(); }),
+      handshake_timer_(executor, [this] { on_handshake_timeout(); }),
+      loss_timer_(executor, [this] { check_loss(); }) {
   if (config_.install_receive_handler) {
     transport_->set_receive_handler([this](ServiceId src, BytesView data) {
       handle_datagram(src, data);
@@ -25,9 +28,6 @@ DiscoveryAgent::DiscoveryAgent(Executor& executor,
 }
 
 DiscoveryAgent::~DiscoveryAgent() {
-  executor_.cancel(heartbeat_timer_);
-  executor_.cancel(handshake_timer_);
-  executor_.cancel(loss_timer_);
   if (config_.install_receive_handler) {
     transport_->set_receive_handler(nullptr);
   }
@@ -46,10 +46,9 @@ void DiscoveryAgent::leave() {
     p.dst = discovery_id_;
     transport_->send(discovery_id_, p.encode());
   }
-  executor_.cancel(heartbeat_timer_);
-  executor_.cancel(handshake_timer_);
-  executor_.cancel(loss_timer_);
-  heartbeat_timer_ = handshake_timer_ = loss_timer_ = kNoTimer;
+  heartbeat_timer_.cancel();
+  handshake_timer_.cancel();
+  loss_timer_.cancel();
   bool was_joined = state_ == State::kJoined;
   state_ = State::kIdle;
   if (was_joined && on_left_) on_left_();
@@ -87,7 +86,7 @@ void DiscoveryAgent::handle_datagram(ServiceId src, BytesView data) {
         out.payload = std::move(w).take();
         transport_->send(discovery_id_, out.encode());
         state_ = State::kWaitAccept;
-        arm_handshake_timeout();
+        handshake_timer_.arm_after(config_.handshake_timeout);
         break;
       }
       case PacketType::kJoinAccept: {
@@ -107,12 +106,11 @@ void DiscoveryAgent::handle_datagram(ServiceId src, BytesView data) {
         last_heard_ = executor_.now();
         session_ = rng_.next_u32() | 1U;  // nonzero
         ++stats_.joins;
-        executor_.cancel(handshake_timer_);
-        handshake_timer_ = kNoTimer;
+        handshake_timer_.cancel();
         kLog.info(id().to_string(), " joined cell via bus ",
                   bus_id_.to_string());
         send_heartbeat();
-        arm_loss_check();
+        loss_timer_.arm_after(config_.cell_lost_after);
         if (on_joined_) on_joined_(bus_id_, session_);
         break;
       }
@@ -121,8 +119,7 @@ void DiscoveryAgent::handle_datagram(ServiceId src, BytesView data) {
           ++stats_.rejections;
           kLog.warn(id().to_string(), " join rejected");
           state_ = State::kSearching;
-          executor_.cancel(handshake_timer_);
-          handshake_timer_ = kNoTimer;
+          handshake_timer_.cancel();
         } else if (state_ == State::kJoined && src == discovery_id_) {
           // Eviction notice: the cell purged us while we were unreachable.
           // Fall back to searching and re-join on the next beacon.
@@ -167,8 +164,7 @@ void DiscoveryAgent::on_beacon(const Packet& p) {
       ++stats_.rehomes;
       kLog.info(id().to_string(), " re-homing to promoted core (epoch ",
                 std::to_string(epoch), ")");
-      executor_.cancel(heartbeat_timer_);
-      heartbeat_timer_ = kNoTimer;
+      heartbeat_timer_.cancel();
       state_ = State::kSearching;
       if (on_left_) on_left_();
       discovery_id_ = p.src;
@@ -200,20 +196,14 @@ void DiscoveryAgent::send_join_request() {
   out.payload = std::move(w).take();
   transport_->send(discovery_id_, out.encode());
   state_ = State::kWaitChallenge;
-  arm_handshake_timeout();
+  handshake_timer_.arm_after(config_.handshake_timeout);
 }
 
-void DiscoveryAgent::arm_handshake_timeout() {
-  executor_.cancel(handshake_timer_);
-  handshake_timer_ =
-      executor_.schedule_after(config_.handshake_timeout, [this] {
-        handshake_timer_ = kNoTimer;
-        if (state_ == State::kWaitChallenge ||
-            state_ == State::kWaitAccept) {
-          // Back to listening; the next beacon restarts the handshake.
-          state_ = State::kSearching;
-        }
-      });
+void DiscoveryAgent::on_handshake_timeout() {
+  if (state_ == State::kWaitChallenge || state_ == State::kWaitAccept) {
+    // Back to listening; the next beacon restarts the handshake.
+    state_ = State::kSearching;
+  }
 }
 
 void DiscoveryAgent::send_heartbeat() {
@@ -224,30 +214,22 @@ void DiscoveryAgent::send_heartbeat() {
   p.dst = discovery_id_;
   transport_->send(discovery_id_, p.encode());
   ++stats_.heartbeats_sent;
-  heartbeat_timer_ = executor_.schedule_after(heartbeat_interval_, [this] {
-    heartbeat_timer_ = kNoTimer;
-    send_heartbeat();
-  });
+  heartbeat_timer_.arm_after(heartbeat_interval_);
 }
 
-void DiscoveryAgent::arm_loss_check() {
-  executor_.cancel(loss_timer_);
-  loss_timer_ = executor_.schedule_after(config_.cell_lost_after, [this] {
-    loss_timer_ = kNoTimer;
-    if (state_ != State::kJoined) return;
-    if (executor_.now() - last_heard_ >= config_.cell_lost_after) {
-      declare_lost();
-    } else {
-      arm_loss_check();
-    }
-  });
+void DiscoveryAgent::check_loss() {
+  if (state_ != State::kJoined) return;
+  if (executor_.now() - last_heard_ >= config_.cell_lost_after) {
+    declare_lost();
+  } else {
+    loss_timer_.arm_after(config_.cell_lost_after);
+  }
 }
 
 void DiscoveryAgent::declare_lost() {
   ++stats_.cell_losses;
   kLog.info(id().to_string(), " lost contact with cell; searching again");
-  executor_.cancel(heartbeat_timer_);
-  heartbeat_timer_ = kNoTimer;
+  heartbeat_timer_.cancel();
   state_ = State::kSearching;
   if (on_left_) on_left_();
 }

@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "net/transport.hpp"
-#include "sim/executor.hpp"
+#include "sim/timer.hpp"
 #include "wire/packet.hpp"
 
 namespace amuse {
@@ -104,8 +104,8 @@ class DiscoveryAgent {
   AMUSE_AFFINITY(member_executor) void on_beacon(const Packet& p);
   AMUSE_AFFINITY(member_executor) void send_join_request();
   AMUSE_AFFINITY(member_executor) void send_heartbeat();
-  void arm_handshake_timeout();
-  void arm_loss_check();
+  void on_handshake_timeout();
+  void check_loss();
   void declare_lost();
 
   Executor& executor_;
@@ -123,9 +123,9 @@ class DiscoveryAgent {
   JoinedFn on_joined_;
   LeftFn on_left_;
   QuenchDigestFn quench_digest_;
-  TimerId heartbeat_timer_ = kNoTimer;
-  TimerId handshake_timer_ = kNoTimer;
-  TimerId loss_timer_ = kNoTimer;
+  Timer heartbeat_timer_;
+  Timer handshake_timer_;
+  Timer loss_timer_;
   Stats stats_;
 };
 

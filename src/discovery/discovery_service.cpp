@@ -36,7 +36,9 @@ DiscoveryService::DiscoveryService(Executor& executor,
       transport_(std::move(transport)),
       bus_id_(bus_id),
       config_(std::move(config)),
-      rng_(config_.seed, /*stream=*/0xd15c) {
+      rng_(config_.seed, /*stream=*/0xd15c),
+      beacon_timer_(executor, [this] { send_beacon(); }),
+      sweep_timer_(executor, [this] { sweep(); }) {
   transport_->set_receive_handler([this](ServiceId src, BytesView data) {
     on_datagram(src, data);
   });
@@ -51,18 +53,13 @@ void DiscoveryService::start() {
   if (running_) return;
   running_ = true;
   send_beacon();
-  sweep_timer_ = executor_.schedule_after(config_.sweep_interval, [this] {
-    sweep_timer_ = kNoTimer;
-    sweep();
-  });
+  sweep_timer_.arm_after(config_.sweep_interval);
 }
 
 void DiscoveryService::stop() {
   running_ = false;
-  executor_.cancel(beacon_timer_);
-  executor_.cancel(sweep_timer_);
-  beacon_timer_ = kNoTimer;
-  sweep_timer_ = kNoTimer;
+  beacon_timer_.cancel();
+  sweep_timer_.cancel();
 }
 
 void DiscoveryService::send_beacon() {
@@ -80,10 +77,7 @@ void DiscoveryService::send_beacon() {
   p.payload = std::move(w).take();
   transport_->broadcast(p.encode());
   ++stats_.beacons_sent;
-  beacon_timer_ = executor_.schedule_after(config_.beacon_interval, [this] {
-    beacon_timer_ = kNoTimer;
-    send_beacon();
-  });
+  beacon_timer_.arm_after(config_.beacon_interval);
 }
 
 void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
@@ -303,10 +297,7 @@ void DiscoveryService::sweep() {
     do_purge(info, "timeout");
   }
 
-  sweep_timer_ = executor_.schedule_after(config_.sweep_interval, [this] {
-    sweep_timer_ = kNoTimer;
-    sweep();
-  });
+  sweep_timer_.arm_after(config_.sweep_interval);
 }
 
 }  // namespace amuse

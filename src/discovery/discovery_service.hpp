@@ -30,7 +30,7 @@
 #include "common/sha256.hpp"
 #include "discovery/membership.hpp"
 #include "net/transport.hpp"
-#include "sim/executor.hpp"
+#include "sim/timer.hpp"
 
 namespace amuse {
 
@@ -185,8 +185,8 @@ class DiscoveryService {
   PublishFn publish_;
   SessionFn session_provider_;
   std::function<void()> on_deposed_;
-  TimerId beacon_timer_ = kNoTimer;
-  TimerId sweep_timer_ = kNoTimer;
+  Timer beacon_timer_;
+  Timer sweep_timer_;
   bool running_ = false;
   bool deposed_ = false;
   Stats stats_;

@@ -7,8 +7,9 @@
 // address:port exactly as the prototype derives its 48-bit IDs). Reliability
 // is layered on top (wire/ReliableChannel), never assumed here.
 //
-// Implementations: LoopbackTransport (in-process), SimTransport (simulated
-// lossy links, the testbed substitute), UdpTransport (real sockets).
+// Implementations: SimTransport (simulated links, the testbed substitute;
+// a zero-cost host with a lossless zero-latency link is the in-process
+// case) and UdpTransport (real sockets).
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,10 @@
 namespace amuse {
 namespace {
 const Logger kLog("proxy.translating");
+
+// Each resend doubles the timeout, up to this cap.
+constexpr double kResendBackoff = 2.0;
+constexpr Duration kResendMax = seconds(4);
 }
 
 TranslatingProxy::TranslatingProxy(BusPort& bus, MemberInfo info,
@@ -13,15 +17,14 @@ TranslatingProxy::TranslatingProxy(BusPort& bus, MemberInfo info,
     : Proxy(bus, std::move(info)),
       codec_(std::move(codec)),
       config_(config),
-      rto_(config.resend_interval) {
+      rto_(config.resend_interval),
+      resend_timer_(this->bus().executor(), [this] { on_timeout(); }) {
   // Register subscriptions on the device's behalf (§III-B).
   std::uint64_t local_id = 1;
   for (const Filter& f : codec_->initial_subscriptions()) {
     this->bus().member_subscribe(member_id(), local_id++, f);
   }
 }
-
-TranslatingProxy::~TranslatingProxy() { bus().executor().cancel(timer_); }
 
 void TranslatingProxy::deliver_event(const EncodedEvent& event,
                                      const std::vector<std::uint64_t>& matched) {
@@ -73,8 +76,10 @@ void TranslatingProxy::on_datagram(BytesView data) {
         stalled_ = false;
         retries_ = 0;
         rto_ = config_.resend_interval;
-        if (head_in_flight_) transmit_head();
-        arm_timer();
+        if (head_in_flight_) {
+          transmit_head();
+          resend_timer_.arm_after(rto_);
+        }
       }
       if (head_in_flight_ && frame->seq == head_seq_) {
         ++stats_.commands_acked;
@@ -82,8 +87,7 @@ void TranslatingProxy::on_datagram(BytesView data) {
         head_in_flight_ = false;
         retries_ = 0;
         rto_ = config_.resend_interval;
-        bus().executor().cancel(timer_);
-        timer_ = kNoTimer;
+        resend_timer_.cancel();
         pump();
       }
       break;
@@ -99,7 +103,7 @@ void TranslatingProxy::pump() {
   head_seq_ = next_cmd_seq_++;
   head_in_flight_ = true;
   transmit_head();
-  arm_timer();
+  resend_timer_.arm_after(rto_);
 }
 
 void TranslatingProxy::transmit_head() {
@@ -109,14 +113,6 @@ void TranslatingProxy::transmit_head() {
   f.payload = queue_.front();
   ++stats_.commands_sent;
   bus().send_datagram(member_id(), f.encode());
-}
-
-void TranslatingProxy::arm_timer() {
-  if (timer_ != kNoTimer || !head_in_flight_ || stalled_) return;
-  timer_ = bus().executor().schedule_after(rto_, [this] {
-    timer_ = kNoTimer;
-    on_timeout();
-  });
 }
 
 void TranslatingProxy::on_timeout() {
@@ -131,15 +127,14 @@ void TranslatingProxy::on_timeout() {
   ++stats_.command_retransmits;
   rto_ = std::min(Duration(static_cast<std::int64_t>(
                       static_cast<double>(rto_.count()) *
-                      config_.resend_backoff)),
-                  config_.resend_max);
+                      kResendBackoff)),
+                  kResendMax);
   transmit_head();
-  arm_timer();
+  resend_timer_.arm_after(rto_);
 }
 
 void TranslatingProxy::on_purge() {
-  bus().executor().cancel(timer_);
-  timer_ = kNoTimer;
+  resend_timer_.cancel();
   queue_.clear();
   head_in_flight_ = false;
   stalled_ = false;

@@ -14,13 +14,13 @@
 #include "proxy/device_codec.hpp"
 #include "proxy/device_protocol.hpp"
 #include "proxy/proxy.hpp"
+#include "sim/timer.hpp"
 
 namespace amuse {
 
 struct TranslatingProxyConfig {
+  /// First resend timeout; it doubles per resend, capped at 4 s.
   Duration resend_interval = milliseconds(250);
-  double resend_backoff = 2.0;
-  Duration resend_max = seconds(4);
   int max_retries = 10;
   std::size_t max_queue = 1024;
 };
@@ -30,7 +30,6 @@ class TranslatingProxy final : public Proxy {
   TranslatingProxy(BusPort& bus, MemberInfo info,
                    std::unique_ptr<DeviceCodec> codec,
                    TranslatingProxyConfig config = {});
-  ~TranslatingProxy() override;
 
   AMUSE_AFFINITY(core_executor)
   void deliver_event(const EncodedEvent& event,
@@ -56,7 +55,6 @@ class TranslatingProxy final : public Proxy {
   // start transmitting the queue head
   AMUSE_AFFINITY(core_executor) void pump();
   AMUSE_AFFINITY(core_executor) void transmit_head();
-  AMUSE_AFFINITY(core_executor) void arm_timer();
   AMUSE_AFFINITY(core_executor) void on_timeout();
 
   std::unique_ptr<DeviceCodec> codec_;
@@ -73,7 +71,7 @@ class TranslatingProxy final : public Proxy {
   std::uint16_t head_seq_ = 0;
   Duration rto_;
   int retries_ = 0;
-  TimerId timer_ = kNoTimer;
+  Timer resend_timer_;
   bool stalled_ = false;
 
   Stats stats_;

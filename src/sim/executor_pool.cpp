@@ -12,15 +12,14 @@
 namespace amuse {
 namespace {
 
-bool pin_current_thread(std::size_t cpu) {
+void pin_current_thread(std::size_t cpu) {
 #if defined(__linux__)
   cpu_set_t set;
   CPU_ZERO(&set);
   CPU_SET(cpu % CPU_SETSIZE, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #else
   (void)cpu;
-  return false;
 #endif
 }
 
@@ -41,10 +40,8 @@ ExecutorPool::ExecutorPool(ExecutorPoolOptions options) {
   for (std::size_t i = 0; i < n; ++i) {
     Shard* s = shards_[i].get();
     bool pin = options.pin_threads;
-    s->thread = std::thread([this, s, i, pin] {
-      if (pin && pin_current_thread(i)) {
-        pinned_.fetch_add(1, std::memory_order_relaxed);
-      }
+    s->thread = std::thread([s, i, pin] {
+      if (pin) pin_current_thread(i);
       s->ex.run();
     });
   }

@@ -35,7 +35,7 @@ struct ExecutorPoolOptions {
   /// Number of shards; 0 = one per hardware thread (at least 1).
   std::size_t shards = 0;
   /// Pin each shard's consumer thread to a CPU (Linux, best-effort: pinning
-  /// failure is recorded, never fatal — containers often mask CPUs).
+  /// failure is ignored, never fatal — containers often mask CPUs).
   bool pin_threads = true;
 };
 
@@ -58,11 +58,6 @@ class ExecutorPool {
     return shard(shard_index(peer));
   }
 
-  /// Number of consumer threads successfully pinned to a CPU.
-  [[nodiscard]] std::size_t pinned_threads() const {
-    return pinned_.load(std::memory_order_relaxed);
-  }
-
   /// Stops every shard's run loop and joins the threads. Idempotent; the
   /// destructor calls it. Tasks already drained by a shard still finish
   /// (RealExecutor::stop() semantics).
@@ -75,7 +70,6 @@ class ExecutorPool {
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> pinned_{0};
   std::atomic<bool> stopped_{false};
 };
 

@@ -6,7 +6,7 @@
 // like any other member) and forwards events from one cell into the other.
 // Each direction is an independent gateway instance over the same two
 // members. It is the one federation path: cells in one process federate
-// the same way, over a SimNetwork or loopback transport.
+// the same way, over a SimNetwork.
 //
 // A gateway is a first-class routing peer, not a blind re-publisher: its
 // members join with role "gateway" (kGatewayRole), so each cell's bus

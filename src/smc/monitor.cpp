@@ -4,24 +4,20 @@ namespace amuse {
 
 SelfMonitor::SelfMonitor(Executor& executor, SelfManagedCell& cell,
                          SelfMonitorConfig config)
-    : executor_(executor), cell_(cell), config_(std::move(config)) {}
-
-SelfMonitor::~SelfMonitor() { executor_.cancel(timer_); }
+    : cell_(cell),
+      config_(std::move(config)),
+      report_timer_(executor, [this] { tick(); }) {}
 
 void SelfMonitor::start() {
   if (running_) return;
   running_ = true;
   last_published_ = cell_.bus().stats().published;
-  timer_ = executor_.schedule_after(config_.interval, [this] {
-    timer_ = kNoTimer;
-    tick();
-  });
+  report_timer_.arm_after(config_.interval);
 }
 
 void SelfMonitor::stop() {
   running_ = false;
-  executor_.cancel(timer_);
-  timer_ = kNoTimer;
+  report_timer_.cancel();
 }
 
 void SelfMonitor::tick() {
@@ -47,10 +43,7 @@ void SelfMonitor::tick() {
   ++reports_;
   cell_.bus().publish_local(std::move(health));
 
-  timer_ = executor_.schedule_after(config_.interval, [this] {
-    timer_ = kNoTimer;
-    tick();
-  });
+  report_timer_.arm_after(config_.interval);
 }
 
 }  // namespace amuse

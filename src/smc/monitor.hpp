@@ -18,6 +18,7 @@
 //   policy_triggers    cumulative obligation-engine triggers
 #pragma once
 
+#include "sim/timer.hpp"
 #include "smc/cell.hpp"
 
 namespace amuse {
@@ -32,7 +33,6 @@ class SelfMonitor {
  public:
   SelfMonitor(Executor& executor, SelfManagedCell& cell,
               SelfMonitorConfig config = {});
-  ~SelfMonitor();
 
   SelfMonitor(const SelfMonitor&) = delete;
   SelfMonitor& operator=(const SelfMonitor&) = delete;
@@ -45,10 +45,9 @@ class SelfMonitor {
  private:
   AMUSE_AFFINITY(core_executor) void tick();
 
-  Executor& executor_;
   SelfManagedCell& cell_;
   SelfMonitorConfig config_;
-  TimerId timer_ = kNoTimer;
+  Timer report_timer_;
   bool running_ = false;
   std::uint64_t last_published_ = 0;
   std::uint64_t reports_ = 0;

@@ -21,6 +21,7 @@ StandbyCore::StandbyCore(Executor& executor,
       promoted_discovery_endpoint_(std::move(promoted_discovery_endpoint)),
       config_(std::move(config)),
       resync_throttle_(config_.resync_min_interval),
+      lease_timer_(executor, [this] { check_lease(); }),
       jitter_(endpoint_->local_id().raw(), 0x57A4DB) {
   DiscoveryAgentConfig ac = config_.agent;
   ac.role = std::string(kStandbyRole);
@@ -54,7 +55,6 @@ StandbyCore::StandbyCore(Executor& executor,
 }
 
 StandbyCore::~StandbyCore() {
-  executor_.cancel(lease_timer_);
   endpoint_->set_receive_handler(nullptr);
 }
 
@@ -66,8 +66,7 @@ void StandbyCore::start() {
 
 void StandbyCore::stop() {
   running_ = false;
-  executor_.cancel(lease_timer_);
-  lease_timer_ = kNoTimer;
+  lease_timer_.cancel();
 }
 
 void StandbyCore::on_joined(ServiceId bus, std::uint32_t session) {
@@ -88,7 +87,6 @@ void StandbyCore::on_joined(ServiceId bus, std::uint32_t session) {
   // The admission snapshot is on its way; give the core a full lease to
   // deliver it.
   lease_deadline_ = executor_.now() + config_.lease_timeout;
-  executor_.cancel(lease_timer_);
   arm_lease_check();
   kLog.info(id().to_string(), " standing by for cell via bus ",
             bus.to_string());
@@ -137,10 +135,7 @@ void StandbyCore::arm_lease_check() {
       std::min<std::int64_t>(std::max<std::int64_t>(base / 2, 1), UINT32_MAX));
   std::int64_t jittered =
       base * 3 / 4 + static_cast<std::int64_t>(jitter_.bounded(spread));
-  lease_timer_ = executor_.schedule_after(Duration(jittered), [this] {
-    lease_timer_ = kNoTimer;
-    check_lease();
-  });
+  lease_timer_.arm_after(Duration(jittered));
 }
 
 std::vector<ServiceId> StandbyCore::peers() const {

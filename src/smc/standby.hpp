@@ -154,7 +154,7 @@ class StandbyCore {
   std::unique_ptr<SelfManagedCell> cell_;
   PromotedFn on_promoted_;
   TimePoint lease_deadline_{};
-  TimerId lease_timer_ = kNoTimer;
+  Timer lease_timer_;
   bool running_ = false;
   Rng jitter_;  ///< seeded from the ServiceId: deterministic, per-standby
   // Claimant state: nonzero claim_epoch_ marks an open round.

@@ -5,6 +5,16 @@
 #include <utility>
 
 namespace amuse {
+namespace {
+
+// Retransmission policy constants: exponential backoff per timeout, capped
+// (the cap also bounds the adaptive timeout), and fast retransmit of the
+// window head after this many duplicate cumulative acks.
+constexpr double kRtoBackoff = 2.0;
+constexpr Duration kRtoMax = seconds(5);
+constexpr int kDupAckThreshold = 3;
+
+}  // namespace
 
 ReliableChannel::ReliableChannel(Executor& executor, ServiceId self,
                                  ServiceId peer, std::uint32_t session,
@@ -19,11 +29,11 @@ ReliableChannel::ReliableChannel(Executor& executor, ServiceId self,
       send_packet_(std::move(send_packet)),
       deliver_(std::move(deliver)),
       on_fail_(std::move(on_fail)),
-      rto_(config.rto_initial) {}
+      rto_(config.rto_initial),
+      retransmit_timer_(executor, [this] { on_timeout(); }),
+      ack_timer_(executor, [this] { send_ack_now(); }) {}
 
 ReliableChannel::~ReliableChannel() {
-  executor_.cancel(timer_);
-  executor_.cancel(ack_timer_);
   // Return retained bytes to the bus-wide ledger. Silent (no shed/pressure
   // callbacks): the owner is tearing the channel down and may itself be
   // mid-destruction.
@@ -285,7 +295,7 @@ void ReliableChannel::pump(bool flush) {
     if (!failed_) {
       transmit_range(frame_start, count);
       // First transmission of a fresh frame: candidate RTT sample.
-      if (config_.adaptive_rto && !rtt_pending_) {
+      if (!rtt_pending_) {
         rtt_pending_ = true;
         rtt_seq_ = window_[frame_start].seq;
         rtt_sent_ = executor_.now();
@@ -355,8 +365,7 @@ void ReliableChannel::send_ack() {
 }
 
 void ReliableChannel::send_ack_now() {
-  executor_.cancel(ack_timer_);
-  ack_timer_ = kNoTimer;
+  ack_timer_.cancel();
   ack_debt_ = 0;
   send_ack();
 }
@@ -371,12 +380,7 @@ void ReliableChannel::note_in_order_frame() {
     return;
   }
   ++stats_.acks_delayed;
-  if (ack_timer_ == kNoTimer) {
-    ack_timer_ = executor_.schedule_after(config_.ack_delay, [this] {
-      ack_timer_ = kNoTimer;
-      send_ack_now();
-    });
-  }
+  if (!ack_timer_.armed()) ack_timer_.arm_after(config_.ack_delay);
 }
 
 void ReliableChannel::note_duplicate_frame() {
@@ -387,20 +391,12 @@ void ReliableChannel::note_duplicate_frame() {
   // A go-back-N burst of stale duplicates (our acks were lost) must not
   // answer datagram-for-datagram: ride one timer, send one ack.
   ++stats_.acks_delayed;
-  if (ack_timer_ == kNoTimer) {
-    ack_timer_ = executor_.schedule_after(config_.ack_delay, [this] {
-      ack_timer_ = kNoTimer;
-      send_ack_now();
-    });
-  }
+  if (!ack_timer_.armed()) ack_timer_.arm_after(config_.ack_delay);
 }
 
 void ReliableChannel::clear_ack_debt() {
   ack_debt_ = 0;
-  if (ack_timer_ != kNoTimer) {
-    executor_.cancel(ack_timer_);
-    ack_timer_ = kNoTimer;
-  }
+  ack_timer_.cancel();
 }
 
 void ReliableChannel::record_wire(std::size_t payload_bytes) {
@@ -409,11 +405,7 @@ void ReliableChannel::record_wire(std::size_t payload_bytes) {
 }
 
 void ReliableChannel::arm_timer() {
-  if (timer_ != kNoTimer) return;
-  timer_ = executor_.schedule_after(rto_, [this] {
-    timer_ = kNoTimer;
-    on_timeout();
-  });
+  if (!retransmit_timer_.armed()) retransmit_timer_.arm_after(rto_);
 }
 
 void ReliableChannel::on_timeout() {
@@ -426,8 +418,8 @@ void ReliableChannel::on_timeout() {
   ++retries_;
   rto_ = std::min(
       Duration(static_cast<std::int64_t>(
-          static_cast<double>(rto_.count()) * config_.rto_backoff)),
-      config_.rto_max);
+          static_cast<double>(rto_.count()) * kRtoBackoff)),
+      kRtoMax);
   // Karn's rule: a retransmitted message cannot yield an RTT sample.
   rtt_pending_ = false;
   // Go-back-N: retransmit the whole window (re-coalesced — the batch
@@ -437,9 +429,9 @@ void ReliableChannel::on_timeout() {
 }
 
 Duration ReliableChannel::base_rto() const {
-  if (!config_.adaptive_rto || !have_srtt_) return config_.rto_initial;
+  if (!have_srtt_) return config_.rto_initial;
   Duration rto(static_cast<std::int64_t>(srtt_ns_ + 4.0 * rttvar_ns_));
-  return std::clamp(rto, config_.rto_min, config_.rto_max);
+  return std::clamp(rto, config_.rto_min, kRtoMax);
 }
 
 void ReliableChannel::take_rtt_sample(Duration sample) {
@@ -465,8 +457,7 @@ void ReliableChannel::poke() {
 }
 
 void ReliableChannel::reset() {
-  executor_.cancel(timer_);
-  timer_ = kNoTimer;
+  retransmit_timer_.cancel();
   for (const Outbound& o : window_) release_entry(o);
   for (const Outbound& o : queue_) release_entry(o);
   window_.clear();
@@ -621,8 +612,7 @@ void ReliableChannel::handle_ack(const Packet& packet) {
     // Duplicate cumulative ack: the peer is receiving our later messages
     // past a hole. Fast-retransmit the window head without waiting for the
     // (possibly heavily backed-off) timer.
-    if (config_.dup_ack_threshold > 0 &&
-        ++dup_acks_ >= config_.dup_ack_threshold) {
+    if (++dup_acks_ >= kDupAckThreshold) {
       dup_acks_ = 0;
       ++stats_.fast_retransmits;
       if (rtt_pending_ && rtt_seq_ == window_.front().seq) {
@@ -654,8 +644,7 @@ void ReliableChannel::handle_ack(const Packet& packet) {
   if (sampled || rto_ < base_rto()) {
     rto_ = base_rto();
   }
-  executor_.cancel(timer_);
-  timer_ = kNoTimer;
+  retransmit_timer_.cancel();
   if (failed_) {
     failed_ = false;  // the peer is evidently alive again
   }

@@ -44,6 +44,7 @@
 #include "common/bytes.hpp"
 #include "common/service_id.hpp"
 #include "sim/executor.hpp"
+#include "sim/timer.hpp"
 #include "wire/delivery_budget.hpp"
 #include "wire/packet.hpp"
 
@@ -62,14 +63,12 @@ enum class MsgClass : std::uint8_t {
 };
 
 struct ReliableChannelConfig {
+  /// First retransmission timeout, used until an RTT sample arrives. The
+  /// timeout then adapts to measured round-trip times (RFC 6298-style
+  /// SRTT/RTTVAR with Karn's rule: samples from retransmitted messages are
+  /// discarded), which matters on slow hosts where end-to-end times vary
+  /// with payload size.
   Duration rto_initial = milliseconds(200);
-  double rto_backoff = 2.0;
-  Duration rto_max = seconds(5);
-  /// Adapt the retransmission timeout to measured round-trip times
-  /// (RFC 6298-style SRTT/RTTVAR with Karn's rule: samples from
-  /// retransmitted messages are discarded). Essential on slow hosts where
-  /// end-to-end times vary with payload size.
-  bool adaptive_rto = true;
   /// Floor for the adaptive timeout. Generous for this domain: end-to-end
   /// times through a PDA-class bus host are tens to hundreds of ms and
   /// grow under load.
@@ -85,9 +84,6 @@ struct ReliableChannelConfig {
   std::size_t max_queue = 4096;
   /// Bound on the receive-side reorder buffer.
   std::size_t max_reorder = 64;
-  /// Duplicate cumulative acks before the window head is retransmitted
-  /// immediately (fast retransmit); 0 disables.
-  int dup_ack_threshold = 3;
   /// Split messages larger than this into fragments of at most this many
   /// bytes (0 = never fragment). Needed on small-MTU transports like
   /// 802.15.4/ZigBee, one of the paper's target radios (§VI): a frame is
@@ -270,8 +266,6 @@ class ReliableChannel {
   /// True between a high-watermark crossing and the low-watermark drain.
   [[nodiscard]] bool under_pressure() const { return pressured_; }
   [[nodiscard]] bool failed() const { return failed_; }
-  /// Current retransmission timeout (for tests and diagnostics).
-  [[nodiscard]] Duration current_rto() const { return rto_; }
   /// Smoothed round-trip time; zero until the first sample.
   [[nodiscard]] Duration srtt() const {
     return Duration(static_cast<std::int64_t>(srtt_ns_));
@@ -374,7 +368,7 @@ class ReliableChannel {
   Duration rto_;
   int retries_ = 0;
   int dup_acks_ = 0;
-  TimerId timer_ = kNoTimer;
+  Timer retransmit_timer_;
   bool failed_ = false;
   std::size_t retained_bytes_ = 0;  // payload bytes in queue_ + window_
   bool pressured_ = false;
@@ -397,7 +391,7 @@ class ReliableChannel {
   // Delayed-ack state: frames delivered since the last ack we sent (ours
   // or piggybacked), and the coalescing timer.
   int ack_debt_ = 0;
-  TimerId ack_timer_ = kNoTimer;
+  Timer ack_timer_;
   Bytes reassembly_;  // accumulated fragments of the in-progress message
   bool reassembling_ = false;
   bool discarding_ = false;  // skipping the rest of an overflowed message

@@ -6,7 +6,8 @@
 // loop, UdpTransport's receive thread racing send/broadcast and
 // set_receive_handler swaps, and the global log sink swap racing emitters.
 // They also pin down two previously-untested RealExecutor paths: cancelling
-// an already-fired timer and stop() racing run_for().
+// an already-fired timer and stop() racing run_for(), and the Timer
+// contract on a live RealExecutor loop.
 //
 // Every test is deterministic in outcome (counters, not timing assertions)
 // so the suite is equally valid in uninstrumented builds.
@@ -14,6 +15,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "net/udp_transport.hpp"
 #include "sim/executor_pool.hpp"
 #include "sim/real_executor.hpp"
+#include "sim/timer.hpp"
 
 namespace amuse {
 namespace {
@@ -132,6 +137,125 @@ TEST(ExecutorStress, CancelUnknownIdIsHarmless) {
   });
   ex.run_for(seconds(10));
   EXPECT_TRUE(ran);
+}
+
+// --------------------------------------------------------------------------
+// Timer on RealExecutor: built and destroyed on the test thread, armed,
+// fired and cancelled on the loop thread.
+// --------------------------------------------------------------------------
+
+/// Runs `ex` on its own consumer thread for the lifetime of the object.
+class LoopThread {
+ public:
+  explicit LoopThread(RealExecutor& ex)
+      : ex_(ex), thread_([&ex] { ex.run(); }) {}
+  ~LoopThread() {
+    ex_.post([this] { ex_.stop(); });
+    thread_.join();
+  }
+  LoopThread(const LoopThread&) = delete;
+  LoopThread& operator=(const LoopThread&) = delete;
+
+  /// Runs `fn` on the loop thread and waits for it to finish.
+  void call(const std::function<void()>& fn) {
+    std::promise<void> done;
+    ex_.post([&] {
+      fn();
+      done.set_value();
+    });
+    done.get_future().wait();
+  }
+
+ private:
+  RealExecutor& ex_;
+  std::thread thread_;
+};
+
+TEST(TimerStress, FiringClearsArmed) {
+  RealExecutor ex;
+  std::promise<bool> armed_in_callback;
+  Timer t(ex, [&] { armed_in_callback.set_value(t.armed()); });
+  LoopThread loop(ex);
+  loop.call([&] { t.arm_after(milliseconds(1)); });
+  EXPECT_FALSE(armed_in_callback.get_future().get());
+  bool armed = true;
+  loop.call([&] { armed = t.armed(); });
+  EXPECT_FALSE(armed);
+}
+
+TEST(TimerStress, RearmReplacesThePendingDeadline) {
+  RealExecutor ex;
+  std::atomic<int> fired{0};
+  std::promise<void> first;
+  Timer t(ex, [&] {
+    if (fired.fetch_add(1) == 0) first.set_value();
+  });
+  LoopThread loop(ex);
+  auto start = std::chrono::steady_clock::now();
+  loop.call([&] {
+    t.arm_after(milliseconds(1));
+    t.arm_after(milliseconds(20));
+  });
+  first.get_future().wait();
+  // Only the replacing deadline fires, so never before it.
+  EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(20));
+  std::this_thread::sleep_for(milliseconds(20));
+  loop.call([] {});
+  EXPECT_EQ(fired.load(), 1);
+}
+
+TEST(TimerStress, CancelIsIdempotent) {
+  RealExecutor ex;
+  std::atomic<int> fired{0};
+  Timer t(ex, [&] { fired.fetch_add(1); });
+  LoopThread loop(ex);
+  loop.call([&] {
+    t.arm_after(milliseconds(1));
+    t.cancel();
+    t.cancel();
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  bool armed = true;
+  loop.call([&] {
+    t.cancel();
+    armed = t.armed();
+  });
+  EXPECT_FALSE(armed);
+  EXPECT_EQ(fired.load(), 0);
+}
+
+TEST(TimerStress, DestroyedBeforeItsDeadlineNeverRuns) {
+  RealExecutor ex;
+  std::atomic<int> fired{0};
+  auto t = std::make_unique<Timer>(ex, [&] { fired.fetch_add(1); });
+  LoopThread loop(ex);
+  loop.call([&] {
+    t->arm_after(milliseconds(1));
+    t.reset();
+  });
+  std::this_thread::sleep_for(milliseconds(20));
+  loop.call([] {});
+  EXPECT_EQ(fired.load(), 0);
+}
+
+TEST(TimerStress, CallbackMayRearmItsOwnTimer) {
+  RealExecutor ex;
+  int fired = 0;  // loop thread only until `done`
+  std::promise<void> done;
+  Timer t(ex, [&] {
+    if (++fired < 3) {
+      t.arm_after(milliseconds(1));
+    } else {
+      done.set_value();
+    }
+  });
+  LoopThread loop(ex);
+  loop.call([&] { t.arm_after(milliseconds(1)); });
+  done.get_future().wait();
+  bool armed = true;
+  loop.call([&] { armed = t.armed(); });
+  EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(armed);
 }
 
 TEST(ExecutorStress, StopRacesRunFor) {

@@ -1,4 +1,4 @@
-// Event-bus tests over an in-process loopback network: the pub/sub contract
+// Event-bus tests over an in-process lossless network: the pub/sub contract
 // (§II-C delivery semantics), authorisation gating, purge behaviour,
 // quenching and engine parity.
 #include "bus/event_bus.hpp"
@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/bus_client.hpp"
-#include "net/loopback.hpp"
+#include "lossless_network.hpp"
 #include "sim/sim_executor.hpp"
 
 namespace amuse {
@@ -29,7 +29,7 @@ struct BusFixture : ::testing::Test {
   }
 
   SimExecutor ex;
-  LoopbackNetwork net;
+  LosslessNetwork net;
 };
 
 TEST_F(BusFixture, SubscribePublishDeliver) {
@@ -288,7 +288,7 @@ class BusEngineParity : public ::testing::TestWithParam<BusEngine> {};
 
 TEST_P(BusEngineParity, EndToEndFlowIdenticalAcrossEngines) {
   SimExecutor ex;
-  LoopbackNetwork net(ex);
+  LosslessNetwork net(ex);
   EventBusConfig cfg;
   cfg.engine = GetParam();
   EventBus bus(ex, net.create_endpoint(), cfg);

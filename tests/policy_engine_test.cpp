@@ -5,7 +5,7 @@
 
 #include "bus/event_bus.hpp"
 #include "discovery/discovery_service.hpp"
-#include "net/loopback.hpp"
+#include "lossless_network.hpp"
 #include "policy/authorisation.hpp"
 #include "policy/deployment.hpp"
 #include "policy/obligation_engine.hpp"
@@ -18,7 +18,7 @@ struct PolicyFixture : ::testing::Test {
   PolicyFixture() : net(ex), bus(ex, net.create_endpoint()) {}
 
   SimExecutor ex;
-  LoopbackNetwork net;
+  LosslessNetwork net;
   EventBus bus;
   PolicyStore store;
 };

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bus/event_bus.hpp"
-#include "net/loopback.hpp"
+#include "lossless_network.hpp"
 #include "sim/sim_executor.hpp"
 #include "typed/typed_client.hpp"
 
@@ -124,7 +124,7 @@ struct TypedFixture : ::testing::Test {
   }
 
   SimExecutor ex;
-  LoopbackNetwork net;
+  LosslessNetwork net;
   EventBus bus;
   TypeRegistry registry;
 };
