@@ -36,10 +36,12 @@ compiler nor clang-tidy enforce:
       lock (DESIGN.md §10)
   I10 replication traffic is control-class (DESIGN.md §13): any channel
       send whose payload is built from BusMessage::repl_update(...) or
-      repl_resync_request() must pass MsgClass::kControl. The repl log is
-      the state failover recovers from — a data-class repl send could be
-      shed under the §9 budgets, silently widening the staleness window
-      the standby believes it has
+      repl_resync_request() must pass MsgClass::kControl, and so must every
+      channel send inside a send_control(...) definition — the proxy's one
+      bus → member control entry point the repl stream and the filter
+      tables go through. The repl log is the state failover recovers
+      from — a data-class repl send could be shed under the §9 budgets,
+      silently widening the staleness window the standby believes it has
   I11 durable-state mutations go through the ReplStore choke points
       (DESIGN.md §13.6): the body of every ReplLog mutator must call
       commit_op(...) or persist_snapshot(...). A mutator that changes
@@ -203,15 +205,35 @@ def check_channel_send_accounting(path: Path) -> None:
 
 
 # I10: replication messages ride the never-shed control class. Any send()
-# whose argument list builds its payload from the repl message factories
-# must also name MsgClass::kControl in that same call.
+# whose argument list builds its payload from the repl message factories —
+# or that sits in the body of a send_control() definition — must also name
+# MsgClass::kControl in that same call.
 SEND_CALL = re.compile(r"\bsend\s*\(")
 REPL_PAYLOAD = re.compile(r"\brepl_(?:update|resync_request)\s*\(")
+CONTROL_ENTRY = re.compile(r"::send_control\s*\([^)]*\)\s*\{")
+
+
+def control_entry_spans(text: str) -> list[tuple[int, int]]:
+    spans = []
+    for m in CONTROL_ENTRY.finditer(text):
+        depth = 0
+        end = m.end() - 1  # at the opening '{'
+        while end < len(text):
+            if text[end] == "{":
+                depth += 1
+            elif text[end] == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            end += 1
+        spans.append((m.end(), end))
+    return spans
 
 
 def check_repl_control_class(path: Path) -> None:
     stripped = [strip_comments(line) for line in path.read_text().splitlines()]
     text = "\n".join(stripped)
+    entries = control_entry_spans(text)
     for m in SEND_CALL.finditer(text):
         depth = 0
         end = m.end() - 1  # at the opening '('
@@ -224,12 +246,14 @@ def check_repl_control_class(path: Path) -> None:
                     break
             end += 1
         call = text[m.start() : end + 1]
-        if REPL_PAYLOAD.search(call) and "MsgClass::kControl" not in call:
+        in_entry = any(lo <= m.start() < hi for lo, hi in entries)
+        if (REPL_PAYLOAD.search(call) or in_entry) and "MsgClass::kControl" not in call:
             report(
                 path,
                 text.count("\n", 0, m.start()) + 1,
-                "I10: replication message sent without MsgClass::kControl "
-                "(repl traffic must never be shed — DESIGN.md §13)",
+                "I10: replication or control-entry send without "
+                "MsgClass::kControl (repl traffic and filter tables must "
+                "never be shed — DESIGN.md §13)",
             )
 
 
@@ -366,6 +390,8 @@ SELFTEST_FILES = {
     "src/locky.cpp": ("I9", "#include <mutex>\nstd::mutex mu;\n"),
     # Consumes the return value so I8 stays quiet; I10 alone must fire.
     "src/repl_plain.cpp": ("I10", "bool r() {\n  return channel_->send(BusMessage::repl_update(u).encode());\n}\n"),
+    # The control entry point sending data-class (return consumed: I8 quiet).
+    "src/control_entry.cpp": ("I10", "void P::send_control(const BusMessage& m) {\n  if (!channel_->send(m.encode())) return;\n}\n"),
     # A ReplLog mutator that skips the ReplStore choke points.
     "src/repl_mutator.cpp": ("I11", "void ReplLog::standby_admitted(ServiceId id) {\n  state_.standbys.insert(id.raw());\n}\n"),
     # A hand-kept timer id, and an executor cancel (Timer::cancel() is fine).

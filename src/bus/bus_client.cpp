@@ -81,7 +81,10 @@ bool BusClient::publish(Event event) {
   if (event.timestamp() == TimePoint{}) {
     event.set_timestamp(executor_.now());
   }
-  if (config_.quench && !quench_.wanted(event)) {
+  // Fail open: while the mirror is unsynced (no table yet, a carried one
+  // not yet confirmed, a resync pending) every event is sent.
+  if (config_.quench && mirror_.synced() &&
+      !mirror_.interests().matches_any(event)) {
     ++stats_.quenched;
     // The sequence number was consumed; per-sender FIFO at receivers is
     // judged on delivered events only, so gaps from quenching are fine.
@@ -134,13 +137,6 @@ void BusClient::on_message(BytesView message) {
       }
       break;
     }
-    case BusMsgType::kQuenchUpdate:
-      quench_.update(m.quench_filters);
-      // Remember the canonical identity of what we hold: a re-join after a
-      // core failover presents it so an unchanged table is not re-pushed.
-      quench_digest_ = FilterSet(m.quench_filters).digest();
-      quench_received_ = true;
-      break;
     case BusMsgType::kInterestUpdate: {
       if (!m.interest || m.interest->request_resync) {
         kLog.warn("nonsense interest message from bus");
@@ -152,8 +148,9 @@ void BusClient::on_message(BytesView message) {
           if (on_interest_) on_interest_(mirror_.interests());
           break;
         case InterestMirror::Apply::kResyncNeeded:
-          // Version gap or digest mismatch: never route on a suspect
-          // table — ask for a full one. Control class, like the push.
+          // Version gap or digest mismatch: never route (or quench) on a
+          // suspect table — ask for a full one. Control class, like the
+          // push.
           ++stats_.interest_resyncs;
           kLog.debug("interest mirror lost sync at v",
                      std::to_string(m.interest->version),

@@ -12,10 +12,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "bus/interest_table.hpp"
 #include "bus/messages.hpp"
-#include "bus/quench.hpp"
 #include "common/annotations.hpp"
 #include "net/transport.hpp"
 #include "wire/reliable_channel.hpp"
@@ -24,7 +24,8 @@ namespace amuse {
 
 struct BusClientConfig {
   ReliableChannelConfig channel;
-  /// Honour quench tables pushed by the bus (suppress unwanted publishes).
+  /// Quench on the filter table the bus pushes (suppress publishes no
+  /// subscription in the cell matches).
   bool quench = false;
   /// Channel incarnation tag; distinct per (re)join. 0 = derive one from
   /// the transport id (fine for tests; SMC membership supplies real ones).
@@ -69,8 +70,8 @@ class BusClient {
   [[nodiscard]] bool pressured() const { return pressured_; }
 
   /// Invoked after every cleanly applied kInterestUpdate with the current
-  /// remote interest table (gateway members only; never fires for plain
-  /// members — the bus only pushes interest to gateway-role peers).
+  /// filter table: a gateway's split-horizon interest table, or the whole
+  /// cell's table when the bus quenches.
   using InterestFn = std::function<void(const FilterSet&)>;
   void set_on_interest(InterestFn fn) { on_interest_ = std::move(fn); }
 
@@ -92,13 +93,21 @@ class BusClient {
     delivery_filter_ = std::move(filter);
   }
 
-  /// Canonical digest of the last quench table the bus pushed (all-zero
-  /// until one arrives). A re-homing member hands this to the discovery
-  /// agent so an unchanged table is not pushed again (DESIGN.md §13).
-  [[nodiscard]] const Digest256& quench_digest() const {
-    return quench_digest_;
+  /// The filter table the bus pushes to this member (quench publishes
+  /// against it while synced).
+  [[nodiscard]] const InterestMirror& mirror() const { return mirror_; }
+  /// Hands the mirror over to a re-homing owner, which carries it into the
+  /// next join (DESIGN.md §13); this client is left with an empty one.
+  [[nodiscard]] InterestMirror release_mirror() {
+    return std::exchange(mirror_, {});
   }
-  [[nodiscard]] bool quench_received() const { return quench_received_; }
+  /// Installs a mirror carried from a previous join. It stays unsynced —
+  /// publishes fail open — until the admission update confirms or
+  /// replaces it: a stale table must never suppress a wanted event.
+  void adopt_mirror(InterestMirror carried) {
+    carried.suspend();
+    mirror_ = std::move(carried);
+  }
 
   /// Feeds one raw datagram (used when install_receive_handler is false).
   AMUSE_AFFINITY(member_executor)
@@ -125,7 +134,6 @@ class BusClient {
   [[nodiscard]] const ReliableChannelStats& channel_stats() const {
     return channel_->stats();
   }
-  [[nodiscard]] const QuenchTable& quench_table() const { return quench_; }
   /// Events queued towards the bus but not yet acknowledged.
   [[nodiscard]] std::size_t backlog() const {
     return channel_->queued() + channel_->in_flight();
@@ -146,9 +154,6 @@ class BusClient {
   ReplFn on_repl_;
   DeliveryFilter delivery_filter_;
   bool pressured_ = false;
-  QuenchTable quench_;
-  Digest256 quench_digest_{};
-  bool quench_received_ = false;
   InterestMirror mirror_;
   Stats stats_;
   Executor& executor_;

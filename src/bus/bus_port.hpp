@@ -29,12 +29,11 @@ struct MemberInfo {
   std::string device_type;
   /// Drives authorisation policies, e.g. "sensor", "nurse", "guest".
   std::string role;
-  /// FilterSet digest of the quench table the member still holds from a
+  /// FilterSet digest of the interest mirror the member still holds from a
   /// previous incarnation (all-zero when it has none). Carried as a
-  /// trailing JOIN_RESP field so a promoted core can skip the quench push
-  /// for members whose table is already current (no quench storm on
-  /// failover).
-  Digest256 quench_digest{};
+  /// trailing JOIN_RESP field so an unchanged (or promoted) core confirms
+  /// the table instead of re-sending it (no table storm on failover).
+  Digest256 table_digest{};
 };
 
 /// Members admitted with this role are federation routing peers: the bus
@@ -99,8 +98,8 @@ class BusPort {
     (void)member;
     (void)under_pressure;
   }
-  /// A gateway member's interest mirror lost sync (version gap or digest
-  /// mismatch) and requests a full interest-table push. Default no-op so
+  /// A member's interest mirror lost sync (version gap or digest mismatch)
+  /// and requests a full interest-table push. Default no-op so
   /// proxy fakes in tests need not care.
   AMUSE_AFFINITY(core_executor)
   virtual void member_interest_resync(ServiceId member) { (void)member; }

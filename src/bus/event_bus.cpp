@@ -41,15 +41,15 @@ EventBus::EventBus(Executor& executor, std::shared_ptr<Transport> transport,
     : executor_(executor),
       transport_(std::move(transport)),
       config_(std::move(config)),
-      costs_(config_.costs.value_or(config_.engine == BusEngine::kSienaBased
-                                        ? profiles::siena_bus_costs()
-                                        : profiles::c_bus_costs())),
+      costs_(config_.engine == BusEngine::kSienaBased
+                 ? profiles::siena_bus_costs()
+                 : profiles::c_bus_costs()),
       registry_(make_matcher(config_.engine)),
       lease_timer_(executor, [this] { lease_tick(); }) {
   if (config_.bus_queue_bytes > 0) {
     budget_ = std::make_shared<DeliveryBudget>(config_.bus_queue_bytes);
     // Every proxy channel charges/releases this ledger entry-by-entry;
-    // the bus enforces the limit after each fan-out and quench push.
+    // the bus enforces the limit after each fan-out and table push.
     config_.channel.shared_budget = budget_;
   }
   repl_ = ReplLog(
@@ -83,10 +83,10 @@ EventBus::EventBus(Executor& executor, std::shared_ptr<Transport> transport,
     repl_.restore(std::move(seeded));
     for (const auto& [raw, member] : replica.members) {
       // Pre-seed the registry with every member's pre-crash subscriptions
-      // so (a) the quench table is byte-identical to the one re-homing
-      // members stashed (no quench storm on a no-change promotion) and
-      // (b) events routed before a member re-homes still match it into
-      // the spool. The snapshot is also the re-delivery filter consumed
+      // so (a) every filter-table view is byte-identical to the one
+      // re-homing members carried (no table storm on a no-change
+      // promotion) and (b) events routed before a member re-homes still
+      // match it into the spool. The snapshot is also the re-delivery filter consumed
       // when that member rejoins.
       if (member.role == kGatewayRole) federation_ = true;
       ha_rehome_.emplace(raw, member);
@@ -114,33 +114,23 @@ void EventBus::add_member(const MemberInfo& info) {
   // The proxy constructor may immediately register subscriptions on the
   // device's behalf, so the info record must exist before creation.
   auto it = proxies_.emplace(info.id, factory_.create(*this, info)).first;
-  // Seed the newcomer with the current quench table — unless the member
-  // told us (trailing JOIN_RESP digest) it still holds exactly this table
-  // from its previous incarnation. The skip is what keeps a failover from
-  // turning into a quench storm: on a no-change promotion every re-homing
-  // member presents the pre-crash digest, the promoted core's registry was
-  // pre-seeded to the same canonical set, and nobody gets a redundant push.
-  if (config_.quench && info.quench_digest != Digest256{}) {
-    table_.rebuild(registry_.filters_by_member());
-    Digest256 current = table_.all().digest();
-    if (digest_equal(current, info.quench_digest)) {
-      quench_pushed_ = true;
-      quench_digest_ = current;
-      ++stats_.quench_skipped;
-    } else {
-      push_quench_table(*it->second);
-    }
-  } else {
-    push_quench_table(*it->second);
-  }
   if (info.role == kGatewayRole) {
     // A routing peer: from here on every routed event carries an origin
-    // stamp, and this link gets the cell's split-horizon interest table.
-    // Admission (first join *and* rejoin) always pushes a full table — a
-    // rejoined incarnation must never route on a stale mirror.
+    // stamp, and this link's filter table is the cell's split-horizon
+    // interest table.
     enable_federation();
     gateway_members_.insert(info.id);
-    push_interest_table(*it->second);
+  }
+  if (info.role == kGatewayRole || config_.quench) {
+    // One filter-table stream per member, seeded at admission (first join
+    // *and* rejoin) with a full table — or, when the member's JOIN_RESP
+    // digest already names its view, a digest-only confirm. The confirm is
+    // what keeps a failover from turning into a table storm: on a no-change
+    // promotion every re-homing member presents the pre-crash digest, the
+    // promoted core's registry was pre-seeded to the same canonical set,
+    // and nobody is re-sent a table. A member holding anything else gets
+    // the full table: a rejoined incarnation never routes on a stale one.
+    push_interest_table(*it->second, info.table_digest);
   }
   if (info.role == kStandbyRole) {
     // A warm standby: switch on HA replication (sticky) and seed the new
@@ -152,7 +142,7 @@ void EventBus::add_member(const MemberInfo& info) {
     // newcomer so every mirror (its own included) knows the full quorum.
     repl_.standby_admitted(info.id);
     push_repl_snapshot(*it->second);
-    lease_timer_.arm_after(config_.repl_lease_interval);
+    lease_timer_.arm_after(kReplLeaseInterval);
   } else if (ha_) {
     repl_.member_admitted(info.id, info.device_type, info.role);
   }
@@ -441,7 +431,8 @@ void EventBus::update_flow_control() {
     ++stats_.flow_control_signals;
     kLog.debug(want ? "flow-control pressure raised"
                     : "flow-control pressure released");
-    for (auto& [id, proxy] : proxies_) proxy->send_flow_control(want);
+    const BusMessage signal = BusMessage::flow_control(want);
+    for (auto& [id, proxy] : proxies_) proxy->send_control(signal);
   }
   broadcasting_flow_ = false;
 }
@@ -511,7 +502,7 @@ void EventBus::route(Event event) {
 
   // The Siena-based engine pays the translation toll on every event: our
   // types → Siena types for matching, Siena types → ours for delivery.
-  if (config_.engine == BusEngine::kSienaBased && config_.real_translation) {
+  if (config_.engine == BusEngine::kSienaBased) {
     Origin origin = event.origin();
     event = siena_round_trip(event);
     event.set_origin(origin);
@@ -611,23 +602,18 @@ void EventBus::fan_out(const EncodedEvent& event,
 void EventBus::interests_changed() {
   bool links = !gateway_members_.empty();
   if (!config_.quench && !links) return;
-  // One canonical table (sorted by wire encoding, deduped — the quench
-  // table is a *set*: order and duplicates carry no information), grouped
-  // by owner so each link gets its split-horizon view.
+  // One canonical table grouped by owner, so each link gets its
+  // split-horizon view and everyone else shares the whole-cell view.
   table_.rebuild(registry_.filters_by_member());
   bool pushed = false;
   if (config_.quench) {
-    Digest256 digest = table_.all().digest();
-    if (quench_pushed_ && digest_equal(digest, quench_digest_)) {
-      // The effective filter set is unchanged (duplicate subscription,
-      // unsubscribe of a duplicated filter, purge of a filterless member…):
-      // pushing the same table to every member would be pure overhead.
-      ++stats_.quench_skipped;
-    } else {
-      quench_pushed_ = true;
-      quench_digest_ = digest;
+    // The cell view and its diff are computed once per change and shared
+    // by every non-gateway member; an unchanged view (duplicate
+    // subscription, purge of a filterless member…) pushes nothing.
+    if (auto update = table_.refresh_link(kCellView)) {
+      const BusMessage push = BusMessage::interest_update(std::move(*update));
       for (auto& [id, proxy] : proxies_) {
-        proxy->send_quench_update(table_.all().filters());
+        if (!gateway_members_.contains(id)) proxy->send_control(push);
       }
       ++stats_.quench_updates;
       pushed = true;
@@ -639,7 +625,7 @@ void EventBus::interests_changed() {
     if (auto update = table_.refresh_link(link)) {
       // Versioned incremental diff (full on the first push); digest lets
       // the mirror detect divergence and ask for a resync.
-      pit->second->send_interest_update(*update);
+      pit->second->send_control(BusMessage::interest_update(std::move(*update)));
       ++stats_.interests_propagated;
       pushed = true;
     }
@@ -649,30 +635,25 @@ void EventBus::interests_changed() {
   if (pushed) enforce_shared_budget();
 }
 
-void EventBus::push_quench_table(Proxy& proxy) {
-  if (!config_.quench) return;
+void EventBus::push_interest_table(Proxy& proxy, const Digest256& held) {
   table_.rebuild(registry_.filters_by_member());
-  quench_pushed_ = true;
-  quench_digest_ = table_.all().digest();
-  proxy.send_quench_update(table_.all().filters());
-  enforce_shared_budget();
-}
-
-void EventBus::push_interest_table(Proxy& proxy) {
-  table_.rebuild(registry_.filters_by_member());
-  proxy.send_interest_update(table_.full_update(proxy.member_id()));
+  ServiceId member = proxy.member_id();
+  InterestUpdate full = table_.full_update(
+      gateway_members_.contains(member) ? member : kCellView, held);
+  if (full.digest_only) ++stats_.tables_elided;
+  proxy.send_control(BusMessage::interest_update(std::move(full)));
   ++stats_.interests_propagated;
   enforce_shared_budget();
 }
 
 void EventBus::member_interest_resync(ServiceId member) {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::member_interest_resync");
-  if (!gateway_members_.contains(member)) return;
+  if (!config_.quench && !gateway_members_.contains(member)) return;
   auto pit = proxies_.find(member);
   if (pit == proxies_.end()) return;
   ++stats_.interest_resyncs;
   kLog.debug("interest resync requested by ", member.to_string());
-  push_interest_table(*pit->second);
+  push_interest_table(*pit->second, {});
 }
 
 void EventBus::member_repl_resync(ServiceId member) {
@@ -694,9 +675,10 @@ void EventBus::repl_flush() {
   // authoritative and a later standby starts from a snapshot anyway.
   if (standby_members_.empty()) return;
   ++stats_.repl_updates;
+  const BusMessage push = BusMessage::repl_update(std::move(update));
   for (ServiceId id : standby_members_) {
     auto pit = proxies_.find(id);
-    if (pit != proxies_.end()) pit->second->send_repl_update(update);
+    if (pit != proxies_.end()) pit->second->send_control(push);
   }
   enforce_shared_budget();
 }
@@ -706,14 +688,14 @@ void EventBus::lease_tick() {
   repl_.counters_changed(config_.session, proxy_incarnations_, origin_seq_);
   // Pending mutations ride the tick; otherwise a bare lease renewal keeps
   // the standby's failure detector fed.
-  ReplUpdate update = repl_.take_update();
+  const BusMessage push = BusMessage::repl_update(repl_.take_update());
   ++stats_.repl_updates;
   for (ServiceId id : standby_members_) {
     auto pit = proxies_.find(id);
-    if (pit != proxies_.end()) pit->second->send_repl_update(update);
+    if (pit != proxies_.end()) pit->second->send_control(push);
   }
   enforce_shared_budget();
-  lease_timer_.arm_after(config_.repl_lease_interval);
+  lease_timer_.arm_after(kReplLeaseInterval);
 }
 
 void EventBus::push_repl_snapshot(Proxy& proxy) {
@@ -722,7 +704,7 @@ void EventBus::push_repl_snapshot(Proxy& proxy) {
   // non-idempotent ones (spool appends) and force a pointless resync.
   repl_flush();
   ++stats_.repl_updates;
-  proxy.send_repl_update(repl_.snapshot());
+  proxy.send_control(BusMessage::repl_update(repl_.snapshot()));
   enforce_shared_budget();
 }
 

@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -49,23 +48,18 @@ enum class AuthAction : std::uint8_t { kPublish, kSubscribe };
 
 struct EventBusConfig {
   BusEngine engine = BusEngine::kCBased;
-  /// Elvin-style quenching (§VI): push the global filter table to members
-  /// so publishers can suppress events nobody wants.
+  /// Elvin-style quenching (§VI): push the cell's filter table to every
+  /// non-gateway member so publishers can suppress events nobody wants.
   bool quench = false;
-  /// Perform the real string round-trip for the Siena engine (genuine
-  /// wall-clock cost); the simulated cost applies regardless via `costs`.
-  bool real_translation = true;
   ReliableChannelConfig channel;
   /// Bus-wide retained-byte budget across every proxy channel (DESIGN.md
   /// §9). Shared event bodies are counted once for the whole fan-out. When
   /// exceeded, the bus sheds the oldest data of the slowest member first.
   /// 0 = no bus-wide ledger (per-member budgets may still apply).
   std::size_t bus_queue_bytes = 0;
-  /// Engine software costs charged to the simulated host; defaults to the
-  /// calibrated profile for the chosen engine.
-  std::optional<BusCostModel> costs;
   /// When set, the publish pipeline charges CPU time to this simulated
-  /// host, which is what shapes Figure 4.
+  /// host — the calibrated software costs of the chosen engine — which is
+  /// what shapes Figure 4.
   SimHost* host = nullptr;
   /// Bus incarnation tag for reliable-channel frames.
   std::uint32_t session = 1;
@@ -85,9 +79,6 @@ struct EventBusConfig {
   /// a staleness-shed, accounted through BusObserver::on_staleness.
   std::size_t ha_spool_events = 512;
   std::size_t ha_spool_bytes = 256 * 1024;
-  /// Lease renewal cadence while a standby is connected; the standby's
-  /// failure detector runs on these (plus ordinary repl traffic).
-  Duration repl_lease_interval = std::chrono::milliseconds(400);
   /// Replica to restore from (standby promotion): seeds the session-floor
   /// counters, the members' subscriptions, and the re-delivery spool.
   std::shared_ptr<const ReplState> restore;
@@ -177,8 +168,8 @@ class EventBus final : public BusPort {
     std::uint64_t no_subscriber = 0;    // matched nobody
     std::uint64_t denied_publish = 0;
     std::uint64_t denied_subscribe = 0;
-    std::uint64_t quench_updates = 0;
-    std::uint64_t quench_skipped = 0;   // no-op table pushes elided
+    std::uint64_t quench_updates = 0;   // cell-view diffs broadcast
+    std::uint64_t tables_elided = 0;    // admissions confirmed digest-only
     std::uint64_t encodes = 0;          // event bodies serialised
     std::uint64_t encode_reuses = 0;    // cached bodies reused by proxies
     std::uint64_t events_shed = 0;      // queued deliveries dropped, counted
@@ -283,12 +274,12 @@ class EventBus final : public BusPort {
   void fan_out(const EncodedEvent& event,
                const SubscriptionRegistry::MatchResult& hit);
   /// Recomputes the interest table from the registry and pushes whatever
-  /// changed: the quench table to every member (when quenching is on) and
-  /// per-link interest diffs to gateway members.
+  /// changed: the cell-view diff to every non-gateway member (when
+  /// quenching is on) and per-link interest diffs to gateway members.
   void interests_changed();
-  void push_quench_table(Proxy& proxy);
-  /// Full interest table to one link (admit / rejoin / resync request).
-  void push_interest_table(Proxy& proxy);
+  /// Full filter table to one member (admit / rejoin / resync request);
+  /// digest-only when `held` already names the member's view.
+  void push_interest_table(Proxy& proxy, const Digest256& held);
   /// Sheds the oldest data of the slowest member (stalled first, then the
   /// largest retained footprint) until the bus-wide ledger fits.
   void enforce_shared_budget();
@@ -331,10 +322,6 @@ class EventBus final : public BusPort {
   std::unordered_set<ServiceId> pressured_members_;
   bool flow_announced_ = false;   // last broadcast state
   bool broadcasting_flow_ = false;  // re-entrancy guard
-  // Digest of the last filter table pushed to members; a (un)subscribe that
-  // leaves the effective set unchanged skips the whole fan-out.
-  bool quench_pushed_ = false;
-  Digest256 quench_digest_{};
   // ---- Origin stamping (DESIGN.md §11, §13): on while federation_ || ha_.
   OriginDedup origin_dedup_;    // stamped arrivals from gateways
   std::uint64_t origin_seq_ = 0;  // sequence of our own stamps

@@ -6,11 +6,6 @@ namespace amuse {
 
 void InterestTable::rebuild(std::map<ServiceId, std::vector<Filter>> by_owner) {
   by_owner_ = std::move(by_owner);
-  std::vector<Filter> all;
-  for (const auto& [owner, filters] : by_owner_) {
-    all.insert(all.end(), filters.begin(), filters.end());
-  }
-  all_ = FilterSet(std::move(all));
 }
 
 FilterSet InterestTable::export_for(ServiceId link) const {
@@ -50,15 +45,19 @@ std::optional<InterestUpdate> InterestTable::refresh_link(ServiceId link) {
   return u;
 }
 
-InterestUpdate InterestTable::full_update(ServiceId link) {
+InterestUpdate InterestTable::full_update(ServiceId link,
+                                          const Digest256& held) {
   LinkState& state = links_[link];
-  state.pushed = export_for(link);
-  ++state.version;
+  if (link != kCellView || state.version == 0) {
+    state.pushed = export_for(link);
+    ++state.version;
+  }
   InterestUpdate u;
   u.version = state.version;
   u.digest = state.pushed.digest();
   u.full = true;
-  u.added = state.pushed.filters();
+  u.digest_only = digest_equal(u.digest, held);
+  if (!u.digest_only) u.added = state.pushed.filters();
   return u;
 }
 
@@ -70,6 +69,14 @@ std::uint64_t InterestTable::link_version(ServiceId link) const {
 }
 
 InterestMirror::Apply InterestMirror::apply(const InterestUpdate& update) {
+  if (update.digest_only) {
+    // Admission confirm: keep the carried table if it is the one named,
+    // otherwise ask for the real one.
+    synced_ = digest_equal(set_.digest(), update.digest);
+    if (!synced_) return Apply::kResyncNeeded;
+    version_ = update.version;
+    return Apply::kApplied;
+  }
   if (update.full) {
     set_ = FilterSet(update.added);
     version_ = update.version;
@@ -92,6 +99,10 @@ InterestMirror::Apply InterestMirror::apply(const InterestUpdate& update) {
     return Apply::kResyncNeeded;
   }
   return Apply::kApplied;
+}
+
+Digest256 InterestMirror::held_digest() const {
+  return version_ == 0 ? Digest256{} : set_.digest();
 }
 
 void InterestMirror::reset() {

@@ -1,26 +1,33 @@
-// Interest tables: the routing state a federated cell exports to its
-// gateway links (Gryphon-style information-flow brokering; ROADMAP
-// "Federated multi-cell routing").
+// Interest tables: the filter tables the bus pushes to its members — one
+// versioned, digest-checked stream per member. It carries the routing state
+// a federated cell exports to its gateway links (Gryphon-style
+// information-flow brokering; ROADMAP "Federated multi-cell routing") and,
+// with quenching on, the Elvin-style quench table every other member
+// suppresses unwanted publishes with (§VI).
 //
 // The bus keeps one InterestTable built from the subscription registry,
-// grouped by owning member. Three views derive from it:
+// grouped by owning member. Two kinds of view derive from it, both compacted
+// by the Siena covering poset (compaction preserves matching exactly):
 //
-//  * quench view — every filter registered anywhere in the cell, the
-//    existing Elvin-style quench table (uncompacted, so the digest stays
-//    identical to the PR 2 canonicalisation).
 //  * export view per link — the *compacted union* of every filter whose
 //    owner is not that link (split horizon: interests a gateway itself
 //    injected never echo back over the same link). This is what crosses
 //    the federation link: the union of downstream interests, collapsed by
 //    the Siena covering poset, never one filter per subscription.
-//  * versioned diffs — each link gets incremental add/remove updates with
-//    a digest of the full table after the update, and a full-table resync
-//    when the peer reports divergence.
+//  * cell view (kCellView) — the compacted union of every filter in the
+//    cell, no split horizon, shared by every quench-enabled member: its
+//    diff is computed once per change and broadcast.
 //
-// The peer side holds an InterestMirror that applies those updates and
+// Each view is pushed as versioned diffs: incremental add/remove updates
+// with a digest of the full table after the update, and a full-table
+// resync when the peer reports divergence.
+//
+// The member side holds an InterestMirror that applies those updates and
 // flags when it has lost sync (version gap or digest mismatch) so the
-// gateway can request a resync — a rejoined incarnation can never route
-// on a stale table.
+// member can request a resync — a rejoined incarnation can never route (or
+// quench) on a stale table. A mirror carried across a re-join presents its
+// digest at admission; the bus confirms it with a digest-only full update
+// when it still names the member's view, and replaces it otherwise.
 //
 // OriginDedup is the companion loop/multipath guard: every routed event is
 // stamped once, at its origin cell, with an immutable Origin{cell, epoch,
@@ -45,17 +52,19 @@
 
 namespace amuse {
 
+/// The view key of the whole cell: no member owns the nil id, so its
+/// split-horizon export excludes nothing.
+inline constexpr ServiceId kCellView{};
+
 class InterestTable {
  public:
   /// Replaces the table with the registry's current (owner → filters)
   /// grouping. Local bus-side subscriptions are owned by the bus id.
   void rebuild(std::map<ServiceId, std::vector<Filter>> by_owner);
 
-  /// The uncompacted union of every filter in the cell (quench view).
-  [[nodiscard]] const FilterSet& all() const { return all_; }
-
   /// The compacted union of every filter whose owner is not `link` —
-  /// what the cell advertises across that federation link.
+  /// what the cell advertises across that federation link (kCellView: the
+  /// whole cell).
   [[nodiscard]] FilterSet export_for(ServiceId link) const;
 
   /// Diffs the link's export view against what was last pushed to it.
@@ -64,8 +73,15 @@ class InterestTable {
   [[nodiscard]] std::optional<InterestUpdate> refresh_link(ServiceId link);
 
   /// A full-table replacement for the link (resync / fresh incarnation).
-  /// Always bumps the link's version so the mirror adopts it.
-  [[nodiscard]] InterestUpdate full_update(ServiceId link);
+  /// Always bumps a gateway link's version so the mirror adopts it. The
+  /// shared cell view is computed here only the first time and never
+  /// bumped — its other mirrors apply its diffs in sequence — so the
+  /// caller keeps it current with refresh_link after every change.
+  /// When `held` (the digest the peer presented at admission) names the
+  /// view, the update is digest-only: it confirms the peer's table instead
+  /// of re-sending it.
+  [[nodiscard]] InterestUpdate full_update(ServiceId link,
+                                           const Digest256& held = {});
 
   /// Forgets per-link push state (the link was purged).
   void drop_link(ServiceId link);
@@ -79,11 +95,10 @@ class InterestTable {
   };
 
   std::map<ServiceId, std::vector<Filter>> by_owner_;
-  FilterSet all_;
   std::unordered_map<ServiceId, LinkState> links_;
 };
 
-/// The gateway-side replica of the export view the bus pushes to it.
+/// The member-side replica of the view the bus pushes to it.
 class InterestMirror {
  public:
   enum class Apply {
@@ -93,11 +108,19 @@ class InterestMirror {
 
   [[nodiscard]] Apply apply(const InterestUpdate& update);
 
-  /// True once a full table has been received and every increment applied
-  /// cleanly since.
+  /// True once a full table has been received (or confirmed) and every
+  /// increment applied cleanly since.
   [[nodiscard]] bool synced() const { return synced_; }
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] const FilterSet& interests() const { return set_; }
+
+  /// What a re-joining member presents at admission: the digest of the
+  /// table it holds, all zero when it never received one.
+  [[nodiscard]] Digest256 held_digest() const;
+
+  /// Keeps the table but stops vouching for it (carried across a re-join):
+  /// unsynced until a full update confirms or replaces it.
+  void suspend() { synced_ = false; }
 
   /// Forgets everything (link lost — the next push must be full).
   void reset();

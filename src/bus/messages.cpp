@@ -10,7 +10,6 @@ const char* to_string(BusMsgType t) {
     case BusMsgType::kEvent: return "EVENT";
     case BusMsgType::kSubscribe: return "SUBSCRIBE";
     case BusMsgType::kUnsubscribe: return "UNSUBSCRIBE";
-    case BusMsgType::kQuenchUpdate: return "QUENCH";
     case BusMsgType::kFlowControl: return "FLOW";
     case BusMsgType::kInterestUpdate: return "INTEREST";
     case BusMsgType::kReplUpdate: return "REPL";
@@ -62,10 +61,6 @@ Bytes BusMessage::encode() const {
     case BusMsgType::kUnsubscribe:
       w.u64(sub_id);
       break;
-    case BusMsgType::kQuenchUpdate:
-      w.u16(static_cast<std::uint16_t>(quench_filters.size()));
-      for (const Filter& f : quench_filters) f.encode(w);
-      break;
     case BusMsgType::kFlowControl:
       w.u8(pressure ? 1 : 0);
       break;
@@ -73,6 +68,7 @@ Bytes BusMessage::encode() const {
       std::uint8_t flags = 0;
       if (interest->full) flags |= 0x01;
       if (interest->request_resync) flags |= 0x02;
+      if (interest->digest_only) flags |= 0x04;
       w.u8(flags);
       w.u64(interest->version);
       w.raw(interest->digest);
@@ -105,7 +101,7 @@ BusMessage BusMessage::decode(BytesView data) {
   auto raw = r.u8();
   const bool stamped = (raw & kOriginFlag) != 0;
   raw &= static_cast<std::uint8_t>(~kOriginFlag);
-  if (raw < 1 || raw > 9) {
+  if (raw < 1 || raw > 9 || raw == 5) {
     throw DecodeError("bad bus message type " + std::to_string(raw));
   }
   m.type = static_cast<BusMsgType>(raw);
@@ -136,14 +132,6 @@ BusMessage BusMessage::decode(BytesView data) {
     case BusMsgType::kUnsubscribe:
       m.sub_id = r.u64();
       break;
-    case BusMsgType::kQuenchUpdate: {
-      std::uint16_t n = r.u16();
-      m.quench_filters.reserve(n);
-      for (std::uint16_t i = 0; i < n; ++i) {
-        m.quench_filters.push_back(Filter::decode(r));
-      }
-      break;
-    }
     case BusMsgType::kFlowControl: {
       std::uint8_t state = r.u8();
       if (state > 1) {
@@ -154,12 +142,13 @@ BusMessage BusMessage::decode(BytesView data) {
     }
     case BusMsgType::kInterestUpdate: {
       std::uint8_t flags = r.u8();
-      if (flags > 3) {
+      if (flags > 7) {
         throw DecodeError("bad interest-update flags " + std::to_string(flags));
       }
       InterestUpdate u;
       u.full = (flags & 0x01) != 0;
       u.request_resync = (flags & 0x02) != 0;
+      u.digest_only = (flags & 0x04) != 0;
       u.version = r.u64();
       BytesView digest = r.raw(u.digest.size());
       std::copy(digest.begin(), digest.end(), u.digest.begin());
@@ -172,6 +161,9 @@ BusMessage BusMessage::decode(BytesView data) {
       u.removed.reserve(n_removed);
       for (std::uint16_t i = 0; i < n_removed; ++i) {
         u.removed.push_back(Filter::decode(r));
+      }
+      if (u.digest_only && (!u.full || !u.added.empty())) {
+        throw DecodeError("digest-only interest update with a table");
       }
       m.interest = std::move(u);
       break;
@@ -247,13 +239,6 @@ BusMessage BusMessage::unsubscribe(std::uint64_t sub_id) {
   BusMessage m;
   m.type = BusMsgType::kUnsubscribe;
   m.sub_id = sub_id;
-  return m;
-}
-
-BusMessage BusMessage::quench_update(std::vector<Filter> filters) {
-  BusMessage m;
-  m.type = BusMsgType::kQuenchUpdate;
-  m.quench_filters = std::move(filters);
   return m;
 }
 

@@ -16,8 +16,6 @@
 //                              origin:   u48 cell u64 epoch u64 seq (22 B)
 // kSubscribe member → bus    local subscription id + content filter
 // kUnsubscribe member → bus  local subscription id
-// kQuenchUpdate bus → member the current global filter set, for Elvin-style
-//                            quenching (§VI future work, implemented here)
 // kFlowControl  bus → member backpressure: a member queue crossed its
 //                            high-water mark (pressure=true) or drained to
 //                            the low-water mark (pressure=false); senders
@@ -25,15 +23,19 @@
 //                            when the bus has watermarks configured, so old
 //                            peers never see the new type (back-compat
 //                            gated like the JoinAccept session field).
-// kInterestUpdate  both ways bus → routing peer: a versioned incremental
-//                            (or full) push of the interest table the peer
-//                            should subscribe with on the far side of a
-//                            federation link; member → bus: a resync
-//                            request after a version gap or digest
-//                            mismatch. Only sent to gateway-role members,
-//                            so old peers never see the new type. Rides
-//                            the control class — interest tables are
-//                            routing state and must never be shed.
+// kInterestUpdate  both ways bus → member: a versioned incremental (or
+//                            full) push of the member's filter table — the
+//                            one filter-table stream. A gateway gets its
+//                            split-horizon interest table, which it
+//                            subscribes with on the far side of a
+//                            federation link; with quenching on, every
+//                            other member gets the whole cell's table for
+//                            Elvin-style quenching (§VI future work).
+//                            member → bus: a resync request after a version
+//                            gap or digest mismatch. Rides the control
+//                            class — filter tables are routing state and
+//                            must never be shed. Type 5 (the retired
+//                            whole-table quench push) is rejected.
 // kReplUpdate   both ways   bus → warm standby: a versioned incremental
 //                            diff (or a bare lease renewal) of the core's
 //                            durable replication state, digest-checked
@@ -63,7 +65,7 @@ enum class BusMsgType : std::uint8_t {
   kEvent = 2,
   kSubscribe = 3,
   kUnsubscribe = 4,
-  kQuenchUpdate = 5,
+  // 5 was the retired whole-table quench push; decode rejects it.
   kFlowControl = 6,
   kInterestUpdate = 7,
   kReplUpdate = 8,
@@ -76,18 +78,23 @@ enum class BusMsgType : std::uint8_t {
 /// Decoding rejects it on every other message type.
 inline constexpr std::uint8_t kOriginFlag = 0x80;
 
-/// The payload of a kInterestUpdate message. Bus → routing peer it carries
-/// either a full table replacement (`full`, after admit or on resync) or an
+/// The payload of a kInterestUpdate message. Bus → member it carries either
+/// a full table replacement (`full`, after admit or on resync) or an
 /// incremental add/remove diff that must apply on top of exactly
 /// `version - 1`; `digest` is always the SHA-256 identity of the complete
 /// table *after* the update, so the receiver can detect divergence and fall
-/// back to a resync. Peer → bus only `request_resync` is meaningful.
+/// back to a resync. A `digest_only` full update confirms the table the
+/// member presented at admission instead of re-sending it. Member → bus
+/// only `request_resync` is meaningful.
 struct InterestUpdate {
   std::uint64_t version = 0;
   /// FilterSet::digest() of the full table after applying this update.
   Digest256 digest{};
   /// True when added holds the complete table and removed is empty.
   bool full = false;
+  /// Full update without the table: the receiver's table already hashes to
+  /// `digest` (it presented that digest at admission) and is kept as is.
+  bool digest_only = false;
   /// Member → bus: the mirror lost sync, push a full table.
   bool request_resync = false;
   std::vector<Filter> added;
@@ -131,8 +138,6 @@ struct BusMessage {
   std::optional<Filter> filter;
   /// kEvent: the member's local subscription ids the event matched.
   std::vector<std::uint64_t> matched;
-  /// kQuenchUpdate: every filter currently registered anywhere in the cell.
-  std::vector<Filter> quench_filters;
   /// kFlowControl: true = queues crossed the high-water mark, pause
   /// publishing; false = drained to the low-water mark, resume.
   bool pressure = false;
@@ -160,7 +165,6 @@ struct BusMessage {
                                           std::vector<std::uint64_t> matched);
   [[nodiscard]] static BusMessage subscribe(std::uint64_t sub_id, Filter f);
   [[nodiscard]] static BusMessage unsubscribe(std::uint64_t sub_id);
-  [[nodiscard]] static BusMessage quench_update(std::vector<Filter> filters);
   [[nodiscard]] static BusMessage flow_control(bool pressure);
   [[nodiscard]] static BusMessage interest_update(InterestUpdate update);
   /// Member → bus: the interest mirror lost sync, request a full table.

@@ -43,6 +43,10 @@ namespace amuse {
 
 class ReplStore;
 
+/// Lease renewal cadence while a standby is connected; the standby's
+/// failure detector runs on these (plus ordinary repl traffic).
+inline constexpr Duration kReplLeaseInterval = std::chrono::milliseconds(400);
+
 /// One spooled (routed but possibly still in-flight) event: the staleness
 /// budget's unit of account. The origin rides beside the body, exactly as
 /// it rides beside it in the kEvent frame header, so a re-delivery carries
@@ -65,8 +69,8 @@ struct ReplMember {
 
 /// The canonical durable state of a bus core. Encoding iterates the ordered
 /// maps, so byte-identical state always yields a byte-identical encoding and
-/// `digest()` is a true identity (the same canonicalisation argument as the
-/// FilterSet quench digest from PR 2).
+/// `digest()` is a true identity (the same canonicalisation argument as
+/// FilterSet::digest()).
 struct ReplState {
   std::uint64_t epoch = 0;
   /// Session-floor counters: the promoted core must hand out channel

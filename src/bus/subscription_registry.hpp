@@ -35,7 +35,7 @@ class SubscriptionRegistry {
   using MatchResult = std::map<ServiceId, std::vector<std::uint64_t>>;
   void match(const Event& e, MatchResult& out) const;
 
-  /// Every registered filter (for quench updates).
+  /// Every registered filter.
   [[nodiscard]] std::vector<Filter> all_filters() const;
 
   /// Every registered filter grouped by owning member — the input to the

@@ -72,6 +72,8 @@ void Sha256::process_block(const std::uint8_t* block) {
 }
 
 void Sha256::update(BytesView data) {
+  // An empty view may carry a null pointer: memcpy from it is undefined.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -135,7 +137,7 @@ Digest256 hmac_sha256(BytesView key, BytesView message) {
   if (key.size() > kBlock) {
     Digest256 kd = Sha256::hash(key);
     std::memcpy(k.data(), kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key may be a null pointer
     std::memcpy(k.data(), key.data(), key.size());
   }
 

@@ -6,7 +6,8 @@ namespace amuse {
 namespace {
 const Logger kLog("device");
 
-// Each reading retransmission doubles the ack timeout.
+// First ack timeout; each reading retransmission doubles it, with no cap.
+constexpr Duration kAckTimeout = milliseconds(300);
 constexpr double kAckBackoff = 2.0;
 }
 
@@ -15,7 +16,7 @@ RawDevice::RawDevice(Executor& executor, std::shared_ptr<Transport> transport,
     : executor_(executor),
       transport_(std::move(transport)),
       config_(std::move(config)),
-      rto_(config_.ack_timeout),
+      rto_(kAckTimeout),
       ack_timer_(executor_, [this] { on_ack_timeout(); }),
       reading_timer_(executor_, [this] { reading_tick(); }) {
   DiscoveryAgentConfig ac = config_.agent;
@@ -70,7 +71,7 @@ void RawDevice::send_reading(Bytes payload) {
     }
     pending_ = f;
     retries_ = 0;
-    rto_ = config_.ack_timeout;
+    rto_ = kAckTimeout;
     transmit_pending();
     ack_timer_.arm_after(rto_);
   } else {
@@ -112,7 +113,7 @@ void RawDevice::on_datagram(ServiceId src, BytesView data) {
             pending_.reset();
             ack_timer_.cancel();
             retries_ = 0;
-            rto_ = config_.ack_timeout;
+            rto_ = kAckTimeout;
           }
           return;
         case DeviceFrameType::kCommand: {

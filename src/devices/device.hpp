@@ -26,8 +26,6 @@ struct RawDeviceConfig {
   /// Whether this device wants its readings acknowledged by the proxy
   /// before it considers them delivered (retransmitting meanwhile).
   bool readings_need_ack = true;
-  /// First ack timeout; it doubles per retransmission, with no cap.
-  Duration ack_timeout = milliseconds(300);
   int max_retries = 6;
 };
 

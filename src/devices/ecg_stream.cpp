@@ -4,6 +4,10 @@
 #include <numbers>
 
 namespace amuse {
+namespace {
+// Beats per minute of the synthetic waveform.
+constexpr double kBpm = 72.0;
+}  // namespace
 
 EcgStreamer::EcgStreamer(Executor& executor,
                          std::shared_ptr<Transport> transport,
@@ -31,7 +35,7 @@ void EcgStreamer::send_batch() {
                   // reach this endpoint and must be distinguishable
   w.u32(seq_++);
   w.u16(static_cast<std::uint16_t>(config_.samples_per_packet));
-  double beat_hz = config_.bpm / 60.0;
+  double beat_hz = kBpm / 60.0;
   for (std::size_t i = 0; i < config_.samples_per_packet; ++i) {
     phase_ += beat_hz / config_.sample_rate_hz;
     if (phase_ >= 1.0) phase_ -= 1.0;

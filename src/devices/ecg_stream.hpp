@@ -25,8 +25,6 @@ struct EcgStreamConfig {
   double sample_rate_hz = 250.0;
   /// Samples batched per datagram.
   std::size_t samples_per_packet = 50;
-  /// Beats per minute of the synthetic waveform.
-  double bpm = 72.0;
 };
 
 class EcgStreamer {

@@ -8,6 +8,9 @@
 namespace amuse {
 namespace {
 const Logger kLog("discovery.agent");
+
+// Give up on a handshake step and wait for the next beacon after this.
+constexpr Duration kHandshakeTimeout = seconds(2);
 }
 
 DiscoveryAgent::DiscoveryAgent(Executor& executor,
@@ -78,15 +81,15 @@ void DiscoveryAgent::handle_datagram(ServiceId src, BytesView data) {
         w.str(config_.device_type);
         w.str(config_.role);
         w.blob16(BytesView(mac.data(), mac.size()));
-        // Trailing, back-compat: digest of the quench table this member
-        // already holds (all zero = none) so an unchanged core skips the
-        // re-push. Old services simply ignore the extra bytes.
-        Digest256 held = quench_digest_ ? quench_digest_() : Digest256{};
+        // Trailing, back-compat: digest of the interest mirror this member
+        // already holds (all zero = none) so an unchanged core confirms it
+        // instead of re-pushing. Old services simply ignore the extra bytes.
+        Digest256 held = table_digest_ ? table_digest_() : Digest256{};
         w.raw(BytesView(held.data(), held.size()));
         out.payload = std::move(w).take();
         transport_->send(discovery_id_, out.encode());
         state_ = State::kWaitAccept;
-        handshake_timer_.arm_after(config_.handshake_timeout);
+        handshake_timer_.arm_after(kHandshakeTimeout);
         break;
       }
       case PacketType::kJoinAccept: {
@@ -196,7 +199,7 @@ void DiscoveryAgent::send_join_request() {
   out.payload = std::move(w).take();
   transport_->send(discovery_id_, out.encode());
   state_ = State::kWaitChallenge;
-  handshake_timer_.arm_after(config_.handshake_timeout);
+  handshake_timer_.arm_after(kHandshakeTimeout);
 }
 
 void DiscoveryAgent::on_handshake_timeout() {

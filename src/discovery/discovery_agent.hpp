@@ -26,8 +26,6 @@ struct DiscoveryAgentConfig {
   Bytes pre_shared_key;
   std::string device_type = "service";
   std::string role = "service";
-  /// Give up on a handshake step and wait for the next beacon after this.
-  Duration handshake_timeout = seconds(2);
   /// Declare the cell lost after this much total silence.
   Duration cell_lost_after = seconds(5);
   std::uint64_t seed = 0xa9e27;
@@ -62,12 +60,12 @@ class DiscoveryAgent {
 
   void set_on_joined(JoinedFn fn) { on_joined_ = std::move(fn); }
   void set_on_left(LeftFn fn) { on_left_ = std::move(fn); }
-  /// Canonical digest of the quench table the member already holds (all
-  /// zero = none); appended to the JOIN_RESP so an unchanged core skips the
-  /// re-push on re-home (DESIGN.md §13).
-  using QuenchDigestFn = std::function<Digest256()>;
-  void set_quench_digest_provider(QuenchDigestFn fn) {
-    quench_digest_ = std::move(fn);
+  /// Canonical digest of the interest mirror the member already holds (all
+  /// zero = none); appended to the JOIN_RESP so an unchanged core confirms
+  /// it instead of re-pushing the table on re-home (DESIGN.md §13).
+  using TableDigestFn = std::function<Digest256()>;
+  void set_table_digest_provider(TableDigestFn fn) {
+    table_digest_ = std::move(fn);
   }
 
   AMUSE_AFFINITY(member_executor)
@@ -122,7 +120,7 @@ class DiscoveryAgent {
   TimePoint last_heard_{};
   JoinedFn on_joined_;
   LeftFn on_left_;
-  QuenchDigestFn quench_digest_;
+  TableDigestFn table_digest_;
   Timer heartbeat_timer_;
   Timer handshake_timer_;
   Timer loss_timer_;

@@ -7,6 +7,9 @@ namespace amuse {
 namespace {
 const Logger kLog("discovery");
 
+// Challenge lifetime for half-open joins.
+constexpr Duration kChallengeTtl = seconds(5);
+
 Event member_event(const char* type, const MemberInfo& info,
                    const std::string& reason = "") {
   Event e(type);
@@ -108,7 +111,7 @@ void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
         Bytes nonce(16);
         for (auto& b : nonce) b = static_cast<std::uint8_t>(rng_.bounded(256));
         pending_[src] =
-            PendingJoin{nonce, executor_.now() + config_.challenge_ttl};
+            PendingJoin{nonce, executor_.now() + kChallengeTtl};
         Packet out;
         out.type = PacketType::kJoinChallenge;
         out.src = id();
@@ -130,12 +133,12 @@ void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
         std::string device_type = r.str();
         std::string role = r.str();
         Bytes mac = r.blob16();
-        // Trailing, back-compat: digest of the quench table the member
+        // Trailing, back-compat: digest of the interest mirror the member
         // already holds (all zero / absent = none).
-        Digest256 quench_digest{};
-        if (r.remaining() >= quench_digest.size()) {
-          BytesView held = r.raw(quench_digest.size());
-          std::copy(held.begin(), held.end(), quench_digest.begin());
+        Digest256 table_digest{};
+        if (r.remaining() >= table_digest.size()) {
+          BytesView held = r.raw(table_digest.size());
+          std::copy(held.begin(), held.end(), table_digest.begin());
         }
         Digest256 want = admission_mac(config_.pre_shared_key,
                                        pit->second.nonce, src, device_type);
@@ -158,7 +161,7 @@ void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
           break;
         }
         pending_.erase(pit);
-        admit(src, device_type, role, quench_digest);
+        admit(src, device_type, role, table_digest);
         break;
       }
       case PacketType::kHeartbeat:
@@ -219,8 +222,8 @@ void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
 
 void DiscoveryService::admit(ServiceId device, const std::string& device_type,
                              const std::string& role,
-                             const Digest256& quench_digest) {
-  MemberInfo info{device, device_type, role, quench_digest};
+                             const Digest256& table_digest) {
+  MemberInfo info{device, device_type, role, table_digest};
   bool rejoin = membership_.contains(device);
   membership_.admit(info, executor_.now());
   ++stats_.joins_accepted;

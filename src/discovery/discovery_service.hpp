@@ -66,8 +66,6 @@ struct DiscoveryConfig {
   Duration purge_after = seconds(10);
   /// Membership sweep cadence.
   Duration sweep_interval = milliseconds(500);
-  /// Challenge lifetime for half-open joins.
-  Duration challenge_ttl = seconds(5);
   std::uint64_t seed = 0x5eed;
   /// Promotion epoch stamped into beacons and JoinAccepts (trailing,
   /// back-compat fields). 0 = legacy cell, no HA fencing. A promoted
@@ -166,7 +164,7 @@ class DiscoveryService {
   AMUSE_AFFINITY(core_executor) void sweep();
   AMUSE_AFFINITY(core_executor)
   void admit(ServiceId device, const std::string& device_type,
-             const std::string& role, const Digest256& quench_digest);
+             const std::string& role, const Digest256& table_digest);
   AMUSE_AFFINITY(core_executor)
   void do_purge(const MemberInfo& info, const std::string& reason);
 

@@ -415,13 +415,14 @@ void UdpTransport::post_to(Executor& executor, std::vector<Inbound> items) {
   if (items.size() >= 2) {
     recv_batches_.fetch_add(1, std::memory_order_relaxed);
   }
-  executor.post([weak_handler, items = std::move(items),
-                 pool = buffers_]() mutable {
+  executor.post([weak_handler, items = std::move(items), pool = buffers_,
+                 stale = dropped_stale_handler_]() mutable {
     auto h = weak_handler.lock();
+    // The handler snapshotted at harvest was replaced (or the transport
+    // died) before this task ran: the batch is dropped, and counted.
+    if (!h) stale->fetch_add(items.size(), std::memory_order_relaxed);
     for (Inbound& item : items) {
-      if (h && *h) {
-        (*h)(item.src, BytesView(item.buffer.data(), item.length));
-      }
+      if (h) (*h)(item.src, BytesView(item.buffer.data(), item.length));
       pool->release(std::move(item.buffer));
     }
   });

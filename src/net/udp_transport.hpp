@@ -77,6 +77,8 @@ struct UdpTransportStats {
   std::uint64_t buffers_recycled = 0;    // receive slots served from the freelist
   std::uint64_t buffers_fresh = 0;       // receive slots newly allocated
   std::uint64_t dropped_no_handler = 0;  // arrived with no handler installed
+  std::uint64_t dropped_stale_handler = 0;  // reached a handler replaced (or
+                                            // cleared) before delivery
 };
 
 /// Small freelist of fixed-size receive slot buffers. The receive thread
@@ -157,6 +159,8 @@ class UdpTransport final : public Transport {
     s.buffers_recycled = buffers_->recycled();
     s.buffers_fresh = buffers_->fresh();
     s.dropped_no_handler = dropped_no_handler_.load(std::memory_order_relaxed);
+    s.dropped_stale_handler =
+        dropped_stale_handler_->load(std::memory_order_relaxed);
     return s;
   }
 
@@ -202,8 +206,8 @@ class UdpTransport final : public Transport {
   // under handler_mu_ (callable from any thread); the receive thread takes
   // a snapshot per harvest and posts a weak reference, so a handler that
   // is replaced — or a transport destroyed — before the posted task runs is
-  // never invoked, while a handler mid-invoke stays alive through the
-  // task's temporary shared_ptr.
+  // never invoked (the batch counts as dropped_stale_handler), while a
+  // handler mid-invoke stays alive through the task's temporary shared_ptr.
   mutable Mutex handler_mu_;
   std::shared_ptr<const ReceiveHandler> handler_ AMUSE_GUARDED_BY(handler_mu_);
   // Hot wire counters: incremented on the receive thread and on whatever
@@ -219,6 +223,9 @@ class UdpTransport final : public Transport {
   std::atomic<std::uint64_t> recv_batches_{0};
   std::atomic<std::uint64_t> max_recv_batch_{0};
   std::atomic<std::uint64_t> dropped_no_handler_{0};
+  // Shared with the delivery tasks, which may run after the transport died.
+  std::shared_ptr<std::atomic<std::uint64_t>> dropped_stale_handler_ =
+      std::make_shared<std::atomic<std::uint64_t>>(0);
   std::atomic<bool> stop_{false};
   std::thread receiver_;
 };

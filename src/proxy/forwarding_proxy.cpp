@@ -64,32 +64,12 @@ void ForwardingProxy::on_datagram(BytesView data) {
 
 void ForwardingProxy::on_purge() { channel_->reset(); }
 
-void ForwardingProxy::send_quench_update(const std::vector<Filter>& filters) {
-  // Control class: a quench table is load-bearing protocol state — a full
-  // data queue must never starve or shed it (a dropped table would
-  // permanently desync the member's publish suppression).
-  (void)channel_->send(BusMessage::quench_update(filters).encode(),
-                       MsgClass::kControl);
-}
-
-void ForwardingProxy::send_flow_control(bool under_pressure) {
-  (void)channel_->send(BusMessage::flow_control(under_pressure).encode(),
-                       MsgClass::kControl);
-}
-
-void ForwardingProxy::send_interest_update(const InterestUpdate& update) {
-  // Control class like the quench table: an interest table is routing
-  // state — shedding one would silently partition the federation.
-  (void)channel_->send(BusMessage::interest_update(update).encode(),
-                       MsgClass::kControl);
-}
-
-void ForwardingProxy::send_repl_update(const ReplUpdate& update) {
-  // Control class like the interest table: replicated core state is what
-  // failover recovers from — shedding it would silently widen the
-  // staleness window past the declared budget (DESIGN.md §13).
-  (void)channel_->send(BusMessage::repl_update(update).encode(),
-                       MsgClass::kControl);
+void ForwardingProxy::send_control(const BusMessage& message) {
+  // Control class: filter tables are routing state (shedding one would
+  // desync a member's quenching or silently partition the federation), and
+  // replicated core state is what failover recovers from (shedding it would
+  // widen the staleness window past the declared budget, DESIGN.md §13).
+  (void)channel_->send(message.encode(), MsgClass::kControl);
 }
 
 void ForwardingProxy::on_shed(BytesView message) {
@@ -153,7 +133,6 @@ void ForwardingProxy::on_message(BytesView message) {
       }
       break;
     case BusMsgType::kEvent:
-    case BusMsgType::kQuenchUpdate:
     case BusMsgType::kFlowControl:
     case BusMsgType::kReplSnapshot:
       // Bus-to-member messages are nonsense coming from a member.

@@ -25,13 +25,7 @@ class ForwardingProxy final : public Proxy {
   AMUSE_AFFINITY(core_executor) void on_datagram(BytesView data) override;
   AMUSE_AFFINITY(core_executor) void on_purge() override;
   AMUSE_AFFINITY(core_executor)
-  void send_quench_update(const std::vector<Filter>& filters) override;
-  AMUSE_AFFINITY(core_executor)
-  void send_flow_control(bool under_pressure) override;
-  AMUSE_AFFINITY(core_executor)
-  void send_interest_update(const InterestUpdate& update) override;
-  AMUSE_AFFINITY(core_executor)
-  void send_repl_update(const ReplUpdate& update) override;
+  void send_control(const BusMessage& message) override;
   [[nodiscard]] std::size_t pending() const override;
   [[nodiscard]] std::size_t retained_bytes() const override {
     return channel_->retained_bytes();

@@ -8,16 +8,6 @@ BusPort::~BusPort() = default;
 Proxy::~Proxy() = default;
 DeviceCodec::~DeviceCodec() = default;
 
-void Proxy::send_quench_update(const std::vector<Filter>& filters) {
-  (void)filters;
-}
-
-void Proxy::send_flow_control(bool under_pressure) { (void)under_pressure; }
-
-void Proxy::send_interest_update(const InterestUpdate& update) {
-  (void)update;
-}
-
-void Proxy::send_repl_update(const ReplUpdate& update) { (void)update; }
+void Proxy::send_control(const BusMessage& message) { (void)message; }
 
 }  // namespace amuse

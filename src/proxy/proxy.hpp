@@ -47,24 +47,12 @@ class Proxy {
   /// timers. The bus destroys the proxy right after calling this.
   AMUSE_AFFINITY(core_executor) virtual void on_purge() = 0;
 
-  /// Quench table changed (default: device cannot use it; ignore).
+  /// Bus → member control message: filter-table pushes (kInterestUpdate),
+  /// flow control (DESIGN.md §9) and the warm-standby replication stream
+  /// (DESIGN.md §13). Always control class: none of it may be shed.
+  /// Default: the device cannot use any of it; ignore.
   AMUSE_AFFINITY(core_executor)
-  virtual void send_quench_update(const std::vector<Filter>& filters);
-
-  /// Bus-wide flow control (DESIGN.md §9): tell the member to pause
-  /// (true) or resume (false) publishing. Default: device cannot use it.
-  AMUSE_AFFINITY(core_executor) virtual void send_flow_control(bool under_pressure);
-
-  /// Interest table changed for this routing peer (gateway members only).
-  /// Default: device is not a routing peer; ignore.
-  AMUSE_AFFINITY(core_executor)
-  virtual void send_interest_update(const InterestUpdate& update);
-
-  /// Replication stream for warm standbys (standby members only; always
-  /// control class, DESIGN.md §13). Default: device is not a standby;
-  /// ignore.
-  AMUSE_AFFINITY(core_executor)
-  virtual void send_repl_update(const ReplUpdate& update);
+  virtual void send_control(const BusMessage& message);
 
   /// Payload bytes this proxy retains for the member (queued + in flight).
   /// Default 0: proxies without a budgeted queue are never shed victims.

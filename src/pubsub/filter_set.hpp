@@ -1,5 +1,6 @@
 // FilterSet: a canonical, digestable *set* of content filters — the value
-// routing peers exchange (quench tables, inter-cell interest tables).
+// routing peers exchange (the filter tables the bus pushes to members:
+// quench tables and inter-cell interest tables).
 //
 // Canonical form: filters sorted by wire encoding with duplicates removed,
 // so two sets with the same effective members digest identically no matter

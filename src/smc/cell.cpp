@@ -49,10 +49,10 @@ SelfManagedCell::SelfManagedCell(Executor& executor,
   });
   discovery_->set_publisher([this](Event e) { bus_->publish_local(std::move(e)); });
 
+  // The policy store's authorisation service gates every publish and
+  // subscribe on the bus.
   auth_ = std::make_unique<AuthorisationService>(store_);
-  if (config_.enforce_authorisation) {
-    bus_->set_authoriser(auth_->authoriser());
-  }
+  bus_->set_authoriser(auth_->authoriser());
   engine_ = std::make_unique<ObligationEngine>(*bus_, store_);
   deployer_ = std::make_unique<PolicyDeployer>(*bus_, store_);
 }

@@ -25,8 +25,6 @@ struct SmcCellConfig {
   EventBusConfig bus;
   /// cell_name and pre_shared_key are overridden from the fields above.
   DiscoveryConfig discovery;
-  /// Install the policy store's authorisation service on the bus.
-  bool enforce_authorisation = true;
 };
 
 class SelfManagedCell {

@@ -1,5 +1,7 @@
 #include "smc/member.hpp"
 
+#include <utility>
+
 namespace amuse {
 
 SmcMember::SmcMember(Executor& executor, std::shared_ptr<Transport> transport,
@@ -14,9 +16,11 @@ SmcMember::SmcMember(Executor& executor, std::shared_ptr<Transport> transport,
     on_cell_joined(bus, session);
   });
   agent_->set_on_left([this] { on_cell_left(); });
-  // Presented in the JOIN_RESP so a core whose quench table matches what we
-  // already hold (a promoted standby, typically) skips the re-push.
-  agent_->set_quench_digest_provider([this] { return quench_stash_; });
+  // Presented in the JOIN_RESP so a core whose view of our filter table
+  // matches the mirror we carry (a promoted standby, typically) confirms it
+  // instead of re-pushing it.
+  agent_->set_table_digest_provider(
+      [this] { return carried_mirror_.held_digest(); });
 
   transport_->set_receive_handler([this](ServiceId src, BytesView data) {
     // Mux: reliable-channel frames go to the bus client, the discovery
@@ -86,6 +90,9 @@ void SmcMember::on_cell_joined(ServiceId bus, std::uint32_t session) {
   cc.session = session;
   cc.install_receive_handler = false;
   client_ = std::make_unique<BusClient>(executor_, transport_, bus, cc);
+  // The filter table survives the re-join, unsynced until the admission
+  // update confirms (digest-only) or replaces it.
+  client_->adopt_mirror(std::exchange(carried_mirror_, {}));
   // Exactly-once across core failover: a promoted core re-delivers its
   // replicated spool to every re-homing member; anything whose origin stamp
   // we already saw under the previous incarnation is dropped here, before
@@ -130,12 +137,10 @@ void SmcMember::flush_offline() {
 }
 
 void SmcMember::on_cell_left() {
-  // Remember the identity of the quench table we hold: the next JOIN_RESP
-  // presents it so an unchanged core (or a warm standby promoted with the
-  // same replicated state) does not push the table again.
-  if (client_ && client_->quench_received()) {
-    quench_stash_ = client_->quench_digest();
-  }
+  // Carry the filter table we hold: the next JOIN_RESP presents its digest
+  // so an unchanged core (or a warm standby promoted with the same
+  // replicated state) confirms it instead of pushing the table again.
+  if (client_) carried_mirror_ = client_->release_mirror();
   client_.reset();
   live_ids_.clear();
   if (on_left_) on_left_();

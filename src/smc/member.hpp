@@ -65,10 +65,11 @@ class SmcMember {
   void set_on_pressure(std::function<void(bool)> fn) {
     on_pressure_ = std::move(fn);
   }
-  /// Forwarded from the bus client: fires with the cell's aggregated
-  /// interest table after every cleanly applied push (gateway members
-  /// only). Survives re-joins — the callback is re-installed on every
-  /// fresh client, and admission always pushes a full table.
+  /// Forwarded from the bus client: fires with the member's filter table
+  /// after every cleanly applied push (for a gateway, the cell's aggregated
+  /// interest table). Survives re-joins — the callback is re-installed on
+  /// every fresh client, and admission always confirms or re-sends the
+  /// full table.
   void set_on_interest(BusClient::InterestFn fn) {
     on_interest_ = std::move(fn);
     if (client_) client_->set_on_interest(on_interest_);
@@ -116,9 +117,9 @@ class SmcMember {
   // per-join client: exactly-once across a failover depends on remembering
   // pre-crash deliveries through the re-home.
   OriginDedup origin_dedup_;
-  // Canonical digest of the quench table held at the last leave; presented
-  // in the next JOIN_RESP so an unchanged table is not re-pushed.
-  Digest256 quench_stash_{};
+  // The filter table held at the last leave, carried into the next join;
+  // its digest rides the JOIN_RESP so an unchanged table is not re-pushed.
+  InterestMirror carried_mirror_;
   Stats stats_;
 };
 

@@ -27,7 +27,7 @@ void SelfMonitor::tick() {
                 to_seconds(config_.interval);
   last_published_ = bus.published;
 
-  Event health(config_.event_type);
+  Event health(kHealthEventType);
   health.set("members",
              static_cast<std::int64_t>(cell_.bus().members().size()));
   health.set("published_total", static_cast<std::int64_t>(bus.published));

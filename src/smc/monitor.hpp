@@ -25,9 +25,10 @@ namespace amuse {
 
 struct SelfMonitorConfig {
   Duration interval = seconds(5);
-  /// Event type published each interval.
-  std::string event_type = "smc.health";
 };
+
+/// Event type the monitor publishes each interval.
+inline constexpr const char* kHealthEventType = "smc.health";
 
 class SelfMonitor {
  public:

@@ -8,7 +8,26 @@
 namespace amuse {
 namespace {
 const Logger kLog("smc.standby");
-}
+
+/// No repl traffic for this long → the active core is presumed dead. Must
+/// comfortably exceed the bus's lease interval (so one lost datagram is not
+/// a failover) and stay below the members' cell_lost_after (so the
+/// promoted core beacons before members give up searching).
+constexpr Duration kLeaseTimeout = milliseconds(1500);
+static_assert(kLeaseTimeout >= 3 * kReplLeaseInterval);
+/// Cadence of the lease expiry check. The actual period is jittered ±25%
+/// (seeded per-standby) so rival claims do not collide tick-for-tick.
+constexpr Duration kLeaseCheckInterval = milliseconds(200);
+/// A granted vote is sticky for this long: the voter refuses rival
+/// claimants at the same epoch until the grantee has had time to promote.
+constexpr Duration kVoteTtl = seconds(2);
+/// After standing down to a better rival, wait this long for its beacons
+/// before re-claiming (covers the rival dying mid-promotion).
+constexpr Duration kYieldTimeout = seconds(2);
+/// Minimum spacing between full-resync requests (ResyncThrottle): a lossy
+/// repl link must not turn every gap into a snapshot storm.
+constexpr Duration kResyncMinInterval = milliseconds(600);
+}  // namespace
 
 StandbyCore::StandbyCore(Executor& executor,
                          std::shared_ptr<Transport> endpoint,
@@ -20,7 +39,7 @@ StandbyCore::StandbyCore(Executor& executor,
       promoted_bus_endpoint_(std::move(promoted_bus_endpoint)),
       promoted_discovery_endpoint_(std::move(promoted_discovery_endpoint)),
       config_(std::move(config)),
-      resync_throttle_(config_.resync_min_interval),
+      resync_throttle_(kResyncMinInterval),
       lease_timer_(executor, [this] { check_lease(); }),
       jitter_(endpoint_->local_id().raw(), 0x57A4DB) {
   DiscoveryAgentConfig ac = config_.agent;
@@ -86,7 +105,7 @@ void StandbyCore::on_joined(ServiceId bus, std::uint32_t session) {
   voted_for_ = 0;
   // The admission snapshot is on its way; give the core a full lease to
   // deliver it.
-  lease_deadline_ = executor_.now() + config_.lease_timeout;
+  lease_deadline_ = executor_.now() + kLeaseTimeout;
   arm_lease_check();
   kLog.info(id().to_string(), " standing by for cell via bus ",
             bus.to_string());
@@ -103,7 +122,7 @@ void StandbyCore::on_repl(const ReplUpdate& update) {
   switch (mirror_.apply(update)) {
     case ReplMirror::Apply::kApplied:
       ++stats_.updates_applied;
-      lease_deadline_ = executor_.now() + config_.lease_timeout;
+      lease_deadline_ = executor_.now() + kLeaseTimeout;
       break;
     case ReplMirror::Apply::kResyncNeeded:
       // The core is alive — it just got ahead of us. Renew the lease and
@@ -111,7 +130,7 @@ void StandbyCore::on_repl(const ReplUpdate& update) {
       // throttle keeps a lossy link from turning every gap into a snapshot
       // storm: at most one request per resync_min_interval, the rest wait
       // for the next update (the core's lease stream guarantees one).
-      lease_deadline_ = executor_.now() + config_.lease_timeout;
+      lease_deadline_ = executor_.now() + kLeaseTimeout;
       if (resync_throttle_.allow(executor_.now())) {
         ++stats_.resyncs;
         if (client_) client_->request_repl_resync();
@@ -130,7 +149,7 @@ void StandbyCore::on_repl(const ReplUpdate& update) {
 void StandbyCore::arm_lease_check() {
   // ±25% jitter, seeded per-standby: rival claim rounds must not stay
   // phase-locked tick-for-tick.
-  std::int64_t base = config_.lease_check_interval.count();
+  std::int64_t base = kLeaseCheckInterval.count();
   std::uint32_t spread = static_cast<std::uint32_t>(
       std::min<std::int64_t>(std::max<std::int64_t>(base / 2, 1), UINT32_MAX));
   std::int64_t jittered =
@@ -173,7 +192,7 @@ void StandbyCore::check_lease() {
     // keep waiting (and count it — this is a deployment error, the lease
     // outran the first snapshot).
     ++stats_.lease_expiries_unsynced;
-    lease_deadline_ = now + config_.lease_timeout;
+    lease_deadline_ = now + kLeaseTimeout;
     arm_lease_check();
     return;
   }
@@ -248,14 +267,14 @@ void StandbyCore::on_claim(ServiceId src, const PromotionClaim& claim) {
     vote.granted = true;
     voted_epoch_ = claim.epoch;
     voted_for_ = src.raw();
-    vote_expires_ = now + config_.vote_ttl;
+    vote_expires_ = now + kVoteTtl;
     ++stats_.promotion_votes;
     if (claim_epoch_ != 0) {
       // Our own round loses to the rival: stand down and wait for its
       // beacons (re-claim after yield_timeout if it dies mid-promotion).
       ++stats_.claims_lost;
       reset_arbitration();
-      yield_until_ = now + config_.yield_timeout;
+      yield_until_ = now + kYieldTimeout;
       kLog.info(id().to_string(), " yielding promotion to ",
                 src.to_string());
     }

@@ -47,29 +47,11 @@ struct StandbyCoreConfig {
   /// kStandbyRole and the receive handler is owned by the StandbyCore.
   DiscoveryAgentConfig agent;
   ReliableChannelConfig channel;
-  /// No repl traffic for this long → the active core is presumed dead.
-  /// Must comfortably exceed the bus's repl_lease_interval (so one lost
-  /// datagram is not a failover) and stay below the members'
-  /// cell_lost_after (so the promoted core beacons before members give
-  /// up searching).
-  Duration lease_timeout = milliseconds(1500);
-  /// Cadence of the lease expiry check. The actual period is jittered
-  /// ±25% (seeded per-standby) so rival claims do not collide tick-for-tick.
-  Duration lease_check_interval = milliseconds(200);
   /// Quorum arbitration (DESIGN.md §13.5). With `require_quorum` false the
   /// pre-quorum behaviour is restored — first synced standby to notice the
   /// lapse promotes unilaterally. Exists only so the sensitivity test can
   /// prove the oracle catches the double-promotion it allows.
   bool require_quorum = true;
-  /// A granted vote is sticky for this long: the voter refuses rival
-  /// claimants at the same epoch until the grantee has had time to promote.
-  Duration vote_ttl = seconds(2);
-  /// After standing down to a better rival, wait this long for its beacons
-  /// before re-claiming (covers the rival dying mid-promotion).
-  Duration yield_timeout = seconds(2);
-  /// Minimum spacing between full-resync requests (ResyncThrottle): a lossy
-  /// repl link must not turn every gap into a snapshot storm.
-  Duration resync_min_interval = milliseconds(600);
   /// Template for the promoted cell (bus limits, quench, authorisation,
   /// ...). name, pre_shared_key, bus.ha/epoch/restore are overridden at
   /// promotion time from the replica.

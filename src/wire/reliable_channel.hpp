@@ -26,7 +26,7 @@
 //
 // Overload: outbound retention is accounted in bytes against a per-peer
 // budget and an optional bus-wide DeliveryBudget ledger. send() takes a
-// message class — control (subscriptions, quench, membership) is never
+// message class — control (subscriptions, filter tables, membership) is never
 // shed and queues ahead of data; data beyond the budget sheds the oldest
 // queued data-class message first, every shed counted and reported through
 // the shed callback. Watermarks on retained bytes drive a pressure
@@ -51,7 +51,7 @@
 namespace amuse {
 
 /// Priority class of an outbound message. Control messages (subscriptions,
-/// unsubscriptions, quench tables, flow control, membership traffic) are
+/// unsubscriptions, filter tables, flow control, membership traffic) are
 /// small, rare, and load-bearing for protocol correctness: they are never
 /// shed, never counted against the queue bounds, and are queued ahead of
 /// data-class traffic (without ever splitting a fragment train or touching

@@ -110,6 +110,15 @@ TEST(HmacSha256, Rfc4231LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// Empty key and empty message: both views may be null pointers, which
+// must not reach memcpy (UBSan flags it) and must not change the result.
+TEST(HmacSha256, EmptyKeyAndMessage) {
+  EXPECT_EQ(hex_digest(hmac_sha256(BytesView{}, BytesView{})),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+  EXPECT_EQ(hex_digest(hmac_sha256(Bytes{}, Bytes{})),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
+}
+
 TEST(HmacSha256, DifferentKeysDiffer) {
   Bytes msg = to_bytes("admission challenge nonce");
   EXPECT_NE(hex_digest(hmac_sha256(to_bytes("key-a"), msg)),

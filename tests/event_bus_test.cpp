@@ -255,13 +255,14 @@ TEST_F(BusFixture, QuenchSuppressesUnwantedPublishes) {
   BusClient pub(ex, std::move(pub_transport), bus->bus_id(), ccfg);
   auto sub = make_client(*bus, "svc", "service");
 
-  // Subscribe to one type; let the quench table propagate.
+  // Subscribe to one type; let the cell's filter table propagate.
   int got = 0;
   sub->subscribe(Filter::for_type("wanted"), [&](const Event&) { ++got; });
-  // Force a table push to the publisher by subscribing (bus pushes on every
-  // subscription change).
+  // The subscription change reaches the publisher as a diff on top of the
+  // full table it was seeded with at admission.
   ex.run();
-  ASSERT_TRUE(pub.quench_table().have_table());
+  ASSERT_TRUE(pub.mirror().synced());
+  EXPECT_TRUE(pub.mirror().interests().contains(Filter::for_type("wanted")));
 
   EXPECT_TRUE(pub.publish(Event("wanted")));
   EXPECT_FALSE(pub.publish(Event("unwanted")));  // suppressed at source
@@ -282,6 +283,73 @@ TEST_F(BusFixture, QuenchFailsOpenBeforeTableArrives) {
   EXPECT_TRUE(pub.publish(Event("anything")));
   ex.run();
   EXPECT_EQ(bus->stats().published, 1u);
+}
+
+TEST_F(BusFixture, CarriedMirrorFailsOpenUntilAdmissionConfirms) {
+  EventBusConfig cfg;
+  cfg.quench = true;
+  auto bus = make_bus(cfg);
+  auto sub = make_client(*bus, "svc", "service");
+  sub->subscribe(Filter::for_type("wanted"), [](const Event&) {});
+  ex.run();
+  // A mirror carried from an earlier join that holds exactly the cell's
+  // current table: its digest rides the admission.
+  InterestMirror carried = sub->mirror();
+  ASSERT_TRUE(carried.synced());
+
+  auto t = net.create_endpoint();
+  bus->add_member(
+      MemberInfo{t->local_id(), "svc", "service", carried.held_digest()});
+  BusClientConfig ccfg;
+  ccfg.quench = true;
+  BusClient pub(ex, std::move(t), bus->bus_id(), ccfg);
+  pub.adopt_mirror(carried);
+
+  // Until the admission update arrives the carried table is not trusted:
+  // the publish goes out.
+  EXPECT_FALSE(pub.mirror().synced());
+  EXPECT_TRUE(pub.publish(Event("unwanted")));
+  ex.run();
+  EXPECT_EQ(bus->stats().published, 1u);
+
+  // The admission confirmed the table without re-sending it.
+  EXPECT_EQ(bus->stats().tables_elided, 1u);
+  ASSERT_TRUE(pub.mirror().synced());
+  EXPECT_FALSE(pub.publish(Event("unwanted")));
+  EXPECT_EQ(pub.stats().quenched, 1u);
+  ex.run();
+  EXPECT_EQ(bus->stats().published, 1u);
+}
+
+TEST_F(BusFixture, StaleCarriedMirrorIsReplacedAtAdmission) {
+  EventBusConfig cfg;
+  cfg.quench = true;
+  auto bus = make_bus(cfg);
+  auto sub = make_client(*bus, "svc", "service");
+  sub->subscribe(Filter::for_type("old"), [](const Event&) {});
+  ex.run();
+  InterestMirror carried = sub->mirror();  // knows only "old"
+  int got = 0;
+  sub->subscribe(Filter::for_type("new"), [&](const Event&) { ++got; });
+  ex.run();
+
+  auto t = net.create_endpoint();
+  bus->add_member(
+      MemberInfo{t->local_id(), "svc", "service", carried.held_digest()});
+  BusClientConfig ccfg;
+  ccfg.quench = true;
+  BusClient pub(ex, std::move(t), bus->bus_id(), ccfg);
+  pub.adopt_mirror(carried);
+  // The stale table would quench this; unsynced, it must not.
+  EXPECT_TRUE(pub.publish(Event("new")));
+  ex.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(bus->stats().tables_elided, 0u);
+  ASSERT_TRUE(pub.mirror().synced());
+  EXPECT_TRUE(pub.mirror().interests().contains(Filter::for_type("new")));
+  EXPECT_TRUE(pub.publish(Event("new")));
+  ex.run();
+  EXPECT_EQ(got, 2);
 }
 
 class BusEngineParity : public ::testing::TestWithParam<BusEngine> {};
@@ -381,25 +449,37 @@ TEST_F(BusFixture, QuenchSkipsNoOpTablePushes) {
   a->subscribe(Filter::for_type("t"), [](const Event&) {});
   ex.run();
   std::uint64_t updates = bus->stats().quench_updates;
-  std::uint64_t skipped = bus->stats().quench_skipped;
+  std::uint64_t applied = a->stats().interest_updates;
+  std::uint64_t version = a->mirror().version();
 
   // The same filter from another member leaves the effective set — and so
-  // the quench table — unchanged: the push is elided.
+  // the cell's view — unchanged: nothing is pushed.
   std::uint64_t dup = b->subscribe(Filter::for_type("t"), [](const Event&) {});
   ex.run();
   EXPECT_EQ(bus->stats().quench_updates, updates);
-  EXPECT_EQ(bus->stats().quench_skipped, skipped + 1);
+  EXPECT_EQ(a->stats().interest_updates, applied);
 
   // Dropping the duplicate is equally a no-op.
   b->unsubscribe(dup);
   ex.run();
   EXPECT_EQ(bus->stats().quench_updates, updates);
-  EXPECT_EQ(bus->stats().quench_skipped, skipped + 2);
+  EXPECT_EQ(a->stats().interest_updates, applied);
+  EXPECT_EQ(a->mirror().version(), version);
 
-  // A genuinely new filter still pushes.
+  // So is a filter the view already covers: compaction keeps the view.
+  a->subscribe(Filter::for_type("t").where("x", Op::kGt, 1),
+               [](const Event&) {});
+  ex.run();
+  EXPECT_EQ(bus->stats().quench_updates, updates);
+
+  // A genuinely new filter still pushes — one diff, to every member.
   a->subscribe(Filter::for_type("u"), [](const Event&) {});
   ex.run();
   EXPECT_EQ(bus->stats().quench_updates, updates + 1);
+  EXPECT_EQ(a->stats().interest_updates, applied + 1);
+  EXPECT_EQ(b->stats().interest_updates, applied + 1);
+  EXPECT_EQ(a->mirror().version(), version + 1);
+  EXPECT_TRUE(b->mirror().interests().contains(Filter::for_type("u")));
 }
 
 }  // namespace

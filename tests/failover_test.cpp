@@ -1,8 +1,8 @@
 // Directed HA failover tests (DESIGN.md §13): active core + warm standby
 // over the simulated network. Covers the crash → lease expiry → promotion →
 // re-home → spool re-delivery pipeline end to end, the split-brain /
-// revived-core fencing paths, and the quench-table no-change skip on a
-// promoted core. The randomized counterpart lives in the torture suite
+// revived-core fencing paths, and the filter-table no-change confirm on a
+// promoted core (quenching keeps working across it). The randomized counterpart lives in the torture suite
 // (TortureFailover.*); these tests pin each mechanism individually.
 #include <gtest/gtest.h>
 
@@ -70,8 +70,10 @@ struct HaFixture : ::testing::Test {
   }
 
   std::unique_ptr<SmcMember> make_member(SimHost& host, const char* type,
-                                         bool fence = true) {
+                                         bool fence = true,
+                                         bool quench = false) {
     SmcMemberConfig mc;
+    mc.quench = quench;
     mc.agent.cell_name = kCell;
     mc.agent.pre_shared_key = kPsk;
     mc.agent.device_type = type;
@@ -84,6 +86,21 @@ struct HaFixture : ::testing::Test {
   }
 
   EventBus& promoted_bus() { return standby->cell()->bus(); }
+
+  /// Rebuilds the core and the standby with bus-side quenching on.
+  void use_quench_cell() {
+    cell = std::make_unique<SelfManagedCell>(
+        ex, net.create_endpoint(*core_host), net.create_endpoint(*core_host),
+        cell_config(/*quench=*/true));
+    StandbyCoreConfig sc;
+    sc.agent.cell_name = kCell;
+    sc.agent.pre_shared_key = kPsk;
+    sc.cell = cell_config(/*quench=*/true);
+    standby = std::make_unique<StandbyCore>(
+        ex, net.create_endpoint(*standby_host),
+        net.create_endpoint(*standby_host), net.create_endpoint(*standby_host),
+        sc);
+  }
 
   SimExecutor ex;
   SimNetwork net;
@@ -332,22 +349,11 @@ TEST_F(HaFixture, FencingDisabledStrandsMemberOnDeadCore) {
   EXPECT_FALSE(promoted_bus().has_member(legacy->id()));
 }
 
-// Satellite: the promoted core rebuilds its quench table from the replica
-// and compares the canonical digest each re-homing member presented in its
-// JOIN_RESP — an unchanged table is never re-pushed.
+// The promoted core rebuilds every filter-table view from the replica and
+// compares the canonical digest each re-homing member presented in its
+// JOIN_RESP — an unchanged table is confirmed digest-only, never re-pushed.
 TEST_F(HaFixture, UnchangedQuenchTableSkippedOnPromotion) {
-  cell = std::make_unique<SelfManagedCell>(ex, net.create_endpoint(*core_host),
-                                           net.create_endpoint(*core_host),
-                                           cell_config(/*quench=*/true));
-  StandbyCoreConfig sc;
-  sc.agent.cell_name = kCell;
-  sc.agent.pre_shared_key = kPsk;
-  sc.cell = cell_config(/*quench=*/true);
-  standby = std::make_unique<StandbyCore>(
-      ex, net.create_endpoint(*standby_host),
-      net.create_endpoint(*standby_host), net.create_endpoint(*standby_host),
-      sc);
-
+  use_quench_cell();
   cell->start();
   standby->start();
   SimHost& pub_host = net.add_host("pub", profiles::ideal_host());
@@ -360,16 +366,82 @@ TEST_F(HaFixture, UnchangedQuenchTableSkippedOnPromotion) {
   ex.run_for(seconds(4));
   ASSERT_TRUE(pub->joined() && sub->joined());
   ASSERT_TRUE(standby->synced());
-  ASSERT_TRUE(pub->client()->quench_received());
+  ASSERT_TRUE(pub->client()->mirror().synced());
 
   core_host->set_up(false);
   ex.run_for(seconds(6));
   ASSERT_TRUE(standby->promoted());
   ASSERT_TRUE(pub->joined() && sub->joined());
 
-  // The subscription set rode over in the replica, so the rebuilt table is
+  // The subscription set rode over in the replica, so the rebuilt view is
   // identical and every re-homing member's held digest matches.
-  EXPECT_GT(promoted_bus().stats().quench_skipped, 0u);
+  EXPECT_GT(promoted_bus().stats().tables_elided, 0u);
+  EXPECT_TRUE(pub->client()->mirror().synced());
+}
+
+// The confirm must leave the re-homed publisher *holding* its table: a
+// quench-enabled publisher that quenched an unwanted event before the
+// failover quenches it after a no-change promotion too.
+TEST_F(HaFixture, QuenchSurvivesNoChangePromotion) {
+  use_quench_cell();
+  cell->start();
+  standby->start();
+  SimHost& pub_host = net.add_host("pub", profiles::ideal_host());
+  SimHost& sub_host = net.add_host("sub", profiles::ideal_host());
+  auto pub = make_member(pub_host, "sensor", /*fence=*/true, /*quench=*/true);
+  auto sub = make_member(sub_host, "console");
+  int got = 0;
+  sub->subscribe(Filter::for_type("seq"), [&](const Event&) { ++got; });
+  pub->start();
+  sub->start();
+  ex.run_for(seconds(4));
+  ASSERT_TRUE(pub->joined() && sub->joined());
+  ASSERT_TRUE(standby->synced());
+  EXPECT_FALSE(pub->publish(Event("unwanted")));
+  EXPECT_EQ(pub->client()->stats().quenched, 1u);
+
+  core_host->set_up(false);
+  ex.run_for(seconds(6));
+  ASSERT_TRUE(standby->promoted());
+  ASSERT_TRUE(pub->joined() && sub->joined());
+  EXPECT_GT(promoted_bus().stats().tables_elided, 0u);
+
+  EXPECT_FALSE(pub->publish(Event("unwanted")));
+  EXPECT_EQ(pub->client()->stats().quenched, 1u);
+  EXPECT_EQ(pub->client()->stats().published, 0u);
+  // Wanted traffic still flows.
+  EXPECT_TRUE(pub->publish(Event("seq")));
+  ex.run_for(seconds(1));
+  EXPECT_EQ(got, 1);
+}
+
+// The same holds for a plain rejoin to an unchanged core: the core confirms
+// the carried table and the publisher keeps quenching.
+TEST_F(HaFixture, QuenchSurvivesPlainRejoin) {
+  use_quench_cell();
+  cell->start();
+  SimHost& pub_host = net.add_host("pub", profiles::ideal_host());
+  SimHost& sub_host = net.add_host("sub", profiles::ideal_host());
+  auto pub = make_member(pub_host, "sensor", /*fence=*/true, /*quench=*/true);
+  auto sub = make_member(sub_host, "console");
+  sub->subscribe(Filter::for_type("seq"), [](const Event&) {});
+  pub->start();
+  sub->start();
+  ex.run_for(seconds(4));
+  ASSERT_TRUE(pub->joined() && sub->joined());
+  EXPECT_FALSE(pub->publish(Event("unwanted")));
+
+  pub->leave();
+  ex.run_for(seconds(1));
+  ASSERT_FALSE(pub->joined());
+  pub->start();
+  ex.run_for(seconds(4));
+  ASSERT_TRUE(pub->joined());
+  EXPECT_GT(cell->bus().stats().tables_elided, 0u);
+
+  EXPECT_FALSE(pub->publish(Event("unwanted")));
+  EXPECT_EQ(pub->client()->stats().quenched, 1u);
+  EXPECT_EQ(pub->client()->stats().published, 0u);
 }
 
 // ---- Multi-standby quorum arbitration (DESIGN.md §13.5).

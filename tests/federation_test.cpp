@@ -578,6 +578,34 @@ TEST_F(GatewayFixture, RejoinResyncsInterestTable) {
   EXPECT_GE(cell_b->bus().stats().interests_propagated, 2u);
 }
 
+// A gateway re-joining a cell whose interests did not change presents the
+// mirror it carried; the cell confirms it digest-only instead of re-sending
+// the table, and the gateway keeps routing on it.
+TEST_F(GatewayFixture, RejoinToUnchangedCellConfirmsInterestTable) {
+  gw_in_a->start();
+  gw_in_b->start();
+  ex.run_for(seconds(3));
+  ASSERT_TRUE(gw_in_a->joined() && gw_in_b->joined());
+  int ecg_in_b = 0;
+  cell_b->bus().subscribe_local(Filter::for_type("vitals.ecg"),
+                                [&](const Event&) { ++ecg_in_b; });
+  ex.run_for(seconds(2));
+
+  gw_host->set_up(false);
+  ex.run_for(seconds(12));
+  EXPECT_FALSE(gw_in_b->joined());
+  gw_host->set_up(true);
+  ex.run_for(seconds(15));
+  ASSERT_TRUE(gw_in_a->joined() && gw_in_b->joined());
+
+  EXPECT_GT(cell_b->bus().stats().tables_elided, 0u);
+  ASSERT_NE(gw_in_b->client(), nullptr);
+  EXPECT_TRUE(gw_in_b->client()->mirror().synced());
+  cell_a->bus().publish_local(Event("vitals.ecg", {{"bpm", 72}}));
+  ex.run_for(seconds(3));
+  EXPECT_EQ(ecg_in_b, 1);
+}
+
 TEST_F(GatewayFixture, DestructionStopsForwarding) {
   // The gateway's subscriptions in cell a and its interest listener on the
   // b-side member both capture it: destroying it must withdraw them, or the

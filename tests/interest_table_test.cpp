@@ -1,6 +1,6 @@
 // InterestTable / InterestMirror / OriginDedup unit tests, plus the
-// kInterestUpdate wire codec — the routing state machine federation rides
-// on (DESIGN.md §11).
+// kInterestUpdate wire codec — the one filter-table stream federation and
+// quenching ride on (DESIGN.md §11).
 #include "bus/interest_table.hpp"
 
 #include <gtest/gtest.h>
@@ -47,6 +47,49 @@ TEST(InterestUpdateCodec, IncrementalRoundTrip) {
   EXPECT_EQ(back.interest->removed, u.removed);
 }
 
+TEST(InterestUpdateCodec, DigestOnlyRoundTrip) {
+  InterestUpdate u;
+  u.version = 4;
+  u.full = true;
+  u.digest_only = true;
+  u.digest = FilterSet({fa()}).digest();
+  BusMessage back = BusMessage::decode(BusMessage::interest_update(u).encode());
+  ASSERT_TRUE(back.interest.has_value());
+  EXPECT_TRUE(back.interest->full);
+  EXPECT_TRUE(back.interest->digest_only);
+  EXPECT_TRUE(back.interest->added.empty());
+  EXPECT_TRUE(digest_equal(back.interest->digest, u.digest));
+}
+
+TEST(InterestUpdateCodec, DigestOnlyNeedsFullAndNoTable) {
+  InterestUpdate partial;
+  partial.digest_only = true;  // without `full`
+  EXPECT_THROW((void)BusMessage::decode(
+                   BusMessage::interest_update(partial).encode()),
+               DecodeError);
+  InterestUpdate with_table;
+  with_table.full = true;
+  with_table.digest_only = true;
+  with_table.added = {fa()};
+  EXPECT_THROW((void)BusMessage::decode(
+                   BusMessage::interest_update(with_table).encode()),
+               DecodeError);
+}
+
+TEST(InterestUpdateCodec, EmptyFullTableIsNotDigestOnly) {
+  // An empty cell's full table carries no filters, just like a confirm;
+  // only the flag tells them apart.
+  InterestUpdate empty;
+  empty.version = 1;
+  empty.full = true;
+  empty.digest = FilterSet().digest();
+  BusMessage back =
+      BusMessage::decode(BusMessage::interest_update(empty).encode());
+  ASSERT_TRUE(back.interest.has_value());
+  EXPECT_TRUE(back.interest->full);
+  EXPECT_FALSE(back.interest->digest_only);
+}
+
 TEST(InterestUpdateCodec, ResyncRequestRoundTrip) {
   BusMessage back =
       BusMessage::decode(BusMessage::interest_resync_request().encode());
@@ -71,8 +114,8 @@ TEST(InterestTable, ExportViewExcludesTheLinkItself) {
   InterestTable t;
   t.rebuild({{member, {fa()}}, {gateway, {fb()}}});
 
-  // The quench view holds everything …
-  EXPECT_EQ(t.all().size(), 2u);
+  // The cell view holds everything …
+  EXPECT_EQ(t.export_for(kCellView).size(), 2u);
   // … but the gateway's export never echoes its own interests back.
   FilterSet for_gateway = t.export_for(gateway);
   EXPECT_EQ(for_gateway.size(), 1u);
@@ -88,7 +131,8 @@ TEST(InterestTable, ExportViewIsCompacted) {
   t.rebuild({{member,
               {Filter::for_type_prefix("alarm."),
                Filter::for_type("alarm.cardiac")}}});
-  EXPECT_EQ(t.all().size(), 2u);  // quench view stays uncompacted
+  // The cell view (quenching) is compacted like every link's view.
+  EXPECT_EQ(t.export_for(kCellView).size(), 1u);
   FilterSet exported = t.export_for(ServiceId(9));
   EXPECT_EQ(exported.size(), 1u);
   EXPECT_TRUE(exported.contains(Filter::for_type_prefix("alarm.")));
@@ -151,7 +195,58 @@ TEST(InterestTable, FullUpdateAlwaysBumpsVersion) {
   EXPECT_EQ(resync.added, std::vector<Filter>{fa()});
 }
 
-// ---- InterestMirror: the gateway-side replica.
+TEST(InterestTable, FullUpdateConfirmsAHeldDigest) {
+  ServiceId member(1);
+  ServiceId link(9);
+  InterestTable t;
+  t.rebuild({{member, {fa(), fc()}}});
+  Digest256 held = t.export_for(link).digest();
+
+  InterestUpdate confirm = t.full_update(link, held);
+  EXPECT_TRUE(confirm.full);
+  EXPECT_TRUE(confirm.digest_only);
+  EXPECT_TRUE(confirm.added.empty());
+  EXPECT_TRUE(digest_equal(confirm.digest, held));
+
+  // Anything else held — or nothing — gets the table itself.
+  InterestUpdate resend = t.full_update(link, FilterSet({fa()}).digest());
+  EXPECT_FALSE(resend.digest_only);
+  EXPECT_EQ(resend.added.size(), 2u);
+  EXPECT_FALSE(t.full_update(link).digest_only);
+}
+
+TEST(InterestTable, CellViewIsSharedAndKeepsItsVersion) {
+  ServiceId a(1);
+  ServiceId b(2);
+  InterestTable t;
+  t.rebuild({{a, {fa()}}, {b, {fb()}}});
+
+  // The first full update seeds the shared view at version 1; serving
+  // another member must not bump it, or every other mirror on the stream
+  // would see a version gap on the next diff.
+  InterestUpdate first = t.full_update(kCellView);
+  InterestUpdate second = t.full_update(kCellView);
+  EXPECT_EQ(first.version, 1u);
+  EXPECT_EQ(second.version, 1u);
+  EXPECT_EQ(first.added.size(), 2u);  // no split horizon
+
+  InterestMirror m1;
+  InterestMirror m2;
+  ASSERT_EQ(m1.apply(first), InterestMirror::Apply::kApplied);
+  ASSERT_EQ(m2.apply(second), InterestMirror::Apply::kApplied);
+  // One diff per change, applied by every mirror on the stream.
+  t.rebuild({{a, {fa(), fc()}}, {b, {fb()}}});
+  auto diff = t.refresh_link(kCellView);
+  ASSERT_TRUE(diff.has_value());
+  EXPECT_FALSE(diff->full);
+  EXPECT_EQ(diff->version, 2u);
+  EXPECT_EQ(m1.apply(*diff), InterestMirror::Apply::kApplied);
+  EXPECT_EQ(m2.apply(*diff), InterestMirror::Apply::kApplied);
+  EXPECT_TRUE(m1.interests().contains(fc()));
+  EXPECT_FALSE(t.refresh_link(kCellView).has_value());
+}
+
+// ---- InterestMirror: the member-side replica.
 
 TEST(InterestMirror, AppliesFullThenIncrements) {
   InterestTable t;
@@ -231,6 +326,79 @@ TEST(InterestMirror, ResetForgetsEverything) {
   EXPECT_FALSE(m.synced());
   EXPECT_EQ(m.version(), 0u);
   EXPECT_TRUE(m.interests().empty());
+}
+
+TEST(InterestMirror, DigestOnlyConfirmsTheHeldTable) {
+  InterestTable t;
+  ServiceId member(1);
+  t.rebuild({{member, {fa(), fb()}}});
+  InterestMirror m;
+  ASSERT_EQ(m.apply(t.full_update(kCellView)), InterestMirror::Apply::kApplied);
+
+  // Carried across a re-join: the table is kept but no longer vouched for.
+  m.suspend();
+  EXPECT_FALSE(m.synced());
+  EXPECT_EQ(m.interests().size(), 2u);
+
+  InterestTable fresh;  // e.g. a promoted core, same canonical set
+  fresh.rebuild({{member, {fa(), fb()}}});
+  InterestUpdate confirm = fresh.full_update(kCellView, m.held_digest());
+  ASSERT_TRUE(confirm.digest_only);
+  EXPECT_EQ(m.apply(confirm), InterestMirror::Apply::kApplied);
+  EXPECT_TRUE(m.synced());
+  EXPECT_EQ(m.interests().size(), 2u);
+  EXPECT_EQ(m.version(), confirm.version);
+}
+
+TEST(InterestMirror, DigestOnlyOnADifferentTableResyncsNeverWedges) {
+  // A confirm naming a table other than the one held (a stale carried
+  // mirror, a confirm meant for someone else): resync → full → synced.
+  InterestMirror m;
+  InterestUpdate held;
+  held.version = 3;
+  held.full = true;
+  held.added = {fa()};
+  held.digest = FilterSet({fa()}).digest();
+  ASSERT_EQ(m.apply(held), InterestMirror::Apply::kApplied);
+
+  InterestTable t;
+  t.rebuild({{ServiceId(1), {fb(), fc()}}});
+  InterestUpdate confirm = t.full_update(kCellView);
+  confirm.digest_only = true;
+  confirm.added.clear();
+  EXPECT_EQ(m.apply(confirm), InterestMirror::Apply::kResyncNeeded);
+  EXPECT_FALSE(m.synced());
+
+  EXPECT_EQ(m.apply(t.full_update(kCellView)), InterestMirror::Apply::kApplied);
+  EXPECT_TRUE(m.synced());
+  EXPECT_EQ(m.interests(), t.export_for(kCellView));
+}
+
+TEST(InterestMirror, EmptyFullTableReplacesRatherThanConfirms) {
+  InterestMirror m;
+  InterestUpdate held;
+  held.version = 1;
+  held.full = true;
+  held.added = {fa()};
+  held.digest = FilterSet({fa()}).digest();
+  ASSERT_EQ(m.apply(held), InterestMirror::Apply::kApplied);
+
+  InterestTable empty_cell;
+  InterestUpdate empty = empty_cell.full_update(kCellView, m.held_digest());
+  ASSERT_FALSE(empty.digest_only);
+  EXPECT_EQ(m.apply(empty), InterestMirror::Apply::kApplied);
+  EXPECT_TRUE(m.synced());
+  EXPECT_TRUE(m.interests().empty());
+}
+
+TEST(InterestMirror, HeldDigestIsZeroUntilATableArrives) {
+  InterestMirror m;
+  EXPECT_TRUE(digest_equal(m.held_digest(), Digest256{}));
+  InterestTable t;  // an empty cell still sends a real (empty) table
+  ASSERT_EQ(m.apply(t.full_update(kCellView)), InterestMirror::Apply::kApplied);
+  EXPECT_TRUE(digest_equal(m.held_digest(), FilterSet().digest()));
+  m.reset();
+  EXPECT_TRUE(digest_equal(m.held_digest(), Digest256{}));
 }
 
 // ---- OriginDedup: first-arrival-wins over Origin{cell, epoch, seq}.

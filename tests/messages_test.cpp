@@ -71,20 +71,17 @@ TEST(BusMessage, UnsubscribeRoundTrip) {
   EXPECT_EQ(back.sub_id, 17u);
 }
 
-TEST(BusMessage, QuenchUpdateRoundTrip) {
-  std::vector<Filter> filters;
-  filters.push_back(Filter::for_type("a"));
-  Filter f2;
-  f2.where("x", Op::kGt, 5);
-  filters.push_back(f2);
-  filters.push_back(Filter());
-  BusMessage back =
-      BusMessage::decode(BusMessage::quench_update(filters).encode());
-  EXPECT_EQ(back.type, BusMsgType::kQuenchUpdate);
-  ASSERT_EQ(back.quench_filters.size(), 3u);
-  EXPECT_EQ(back.quench_filters[0], filters[0]);
-  EXPECT_EQ(back.quench_filters[1], filters[1]);
-  EXPECT_TRUE(back.quench_filters[2].empty());
+TEST(BusMessage, DecodeRejectsRetiredQuenchType) {
+  // Type 5 was the whole-table quench push; quench tables now ride the
+  // versioned kInterestUpdate stream, so a type-5 frame is malformed —
+  // with or without a body.
+  Bytes bare{5};
+  EXPECT_THROW((void)BusMessage::decode(bare), DecodeError);
+  Writer w;
+  w.u8(5);
+  w.u16(1);
+  Filter::for_type("a").encode(w);
+  EXPECT_THROW((void)BusMessage::decode(std::move(w).take()), DecodeError);
 }
 
 TEST(BusMessage, FlowControlRoundTrip) {
@@ -204,7 +201,7 @@ TEST(FederationOriginCodec, FlagRejectedOnEveryOtherType) {
   std::vector<Bytes> frames{
       BusMessage::subscribe(1, Filter::for_type("a")).encode(),
       BusMessage::unsubscribe(1).encode(),
-      BusMessage::quench_update({Filter::for_type("a")}).encode(),
+      BusMessage::interest_update(InterestUpdate{}).encode(),
       BusMessage::flow_control(true).encode(),
       BusMessage::interest_resync_request().encode(),
       BusMessage::repl_resync_request().encode(),

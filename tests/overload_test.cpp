@@ -472,8 +472,8 @@ TEST_F(OverloadFixture, FullDataQueueCannotStarveQuenchUpdates) {
   ex.run_for(seconds(1));
   EXPECT_GT(cell->bus().stats().events_shed, 0u);
 
-  // ...then change the global filter set mid-overload. The quench push to
-  // the stalled member rides the control class: it must survive the full
+  // ...then change the global filter set mid-overload. The filter-table
+  // diff to the stalled member rides the control class: it must survive the full
   // data queue and land after the heal.
   (void)m2->subscribe(Filter::for_type("alarm.extra"), [](const Event&) {});
   ex.run_for(seconds(1));
@@ -483,10 +483,10 @@ TEST_F(OverloadFixture, FullDataQueueCannotStarveQuenchUpdates) {
 
   ASSERT_TRUE(m0->joined());
   ASSERT_NE(m0->client(), nullptr);
-  const QuenchTable& table = m0->client()->quench_table();
-  ASSERT_TRUE(table.have_table());
+  const InterestMirror& table = m0->client()->mirror();
+  ASSERT_TRUE(table.synced());
   Event probe("alarm.extra");
-  EXPECT_TRUE(table.wanted(probe))
+  EXPECT_TRUE(table.interests().matches_any(probe))
       << "the mid-overload quench update never reached the stalled member";
 }
 

@@ -157,6 +157,7 @@ TortureResult run_torture(const Schedule& schedule,
   cc.name = kCellName;
   cc.pre_shared_key = kPsk;
   cc.bus.engine = config.engine;
+  cc.bus.quench = config.quench;
   cc.bus.channel.max_fragment_payload = 512;
   // Dense retransmissions: more protocol events per simulated second means
   // more chances to interleave badly with purges and rejoins.
@@ -206,6 +207,7 @@ TortureResult run_torture(const Schedule& schedule,
     mc.agent.pre_shared_key = kPsk;
     mc.agent.device_type = "torture.m" + std::to_string(i);
     mc.agent.cell_lost_after = seconds(2);
+    mc.quench = config.quench;
     mc.channel.max_fragment_payload = 512;
     mc.channel.rto_initial = milliseconds(120);
     mc.channel.rto_min = milliseconds(80);
@@ -400,6 +402,7 @@ std::string format_trace(const Schedule& schedule,
   os << "torture trace\n"
      << "seed: " << schedule.seed << "\n"
      << "engine: " << amuse::to_string(config.engine) << "\n"
+     << "quench: " << (config.quench ? "on" : "off") << "\n"
      << "members: " << config.members << "\n"
      << "horizon: " << to_seconds(config.horizon) << "s\n"
      << "publishes: " << result.publishes

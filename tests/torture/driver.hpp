@@ -71,6 +71,8 @@ struct Schedule {
 
 struct TortureConfig {
   BusEngine engine = BusEngine::kCBased;
+  /// Bus and members quench on the cell's filter table (DESIGN.md §11).
+  bool quench = false;
   int members = 4;
   int incidents = 12;              // fault/burst incidents to generate
   Duration horizon = seconds(20);  // fault-phase length

@@ -157,6 +157,7 @@ TortureResult run_failover_torture(const Schedule& schedule,
   cc.name = kCellName;
   cc.pre_shared_key = kPsk;
   cc.bus.engine = config.engine;
+  cc.bus.quench = config.quench;
   cc.bus.ha = true;
   cc.bus.epoch = 1;
   cc.bus.ha_spool_events = 64;
@@ -242,6 +243,7 @@ TortureResult run_failover_torture(const Schedule& schedule,
     mc.agent.cell_name = kCellName;
     mc.agent.pre_shared_key = kPsk;
     mc.agent.device_type = "failover.m" + std::to_string(i);
+    mc.quench = config.quench;
     // Re-homing is fence-driven (the promoted epoch on the rival beacon),
     // so the loss timer is parked far out of the way: with the fence
     // reverted, nothing else rescues a stranded member within the run.

@@ -43,6 +43,8 @@ namespace amuse::torture {
 
 struct FailoverConfig {
   BusEngine engine = BusEngine::kCBased;
+  /// Cores and members quench on the cell's filter table (DESIGN.md §11).
+  bool quench = false;
   int members = 4;
   int standbys = 2;                // warm standbys racing for promotion
   int incidents = 8;               // member-level incidents (core incidents

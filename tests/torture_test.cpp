@@ -51,9 +51,8 @@ std::string dump_trace(const Schedule& schedule, const TortureConfig& config,
   return path;
 }
 
-void run_seed(std::uint64_t seed, BusEngine engine) {
-  TortureConfig config;
-  config.engine = engine;
+void run_seed(std::uint64_t seed, const TortureConfig& config) {
+  const BusEngine engine = config.engine;
   Schedule schedule = torture::generate_schedule(seed, config);
   TortureResult result = torture::run_torture(schedule, config);
   if (std::getenv("TORTURE_VERBOSE") != nullptr) {
@@ -85,7 +84,7 @@ void run_seed(std::uint64_t seed, BusEngine engine) {
          << " ctest -R torture.smoke --output-on-failure";
 }
 
-TEST(Torture, Smoke) {
+std::vector<std::uint64_t> smoke_seeds() {
   std::vector<std::uint64_t> seeds;
   if (const char* one = std::getenv("TORTURE_SEED")) {
     seeds.push_back(std::strtoull(one, nullptr, 0));
@@ -98,13 +97,34 @@ TEST(Torture, Smoke) {
       seeds.push_back(kBaseSeed + static_cast<std::uint64_t>(i));
     }
   }
-  for (std::uint64_t seed : seeds) {
+  return seeds;
+}
+
+TEST(Torture, Smoke) {
+  for (std::uint64_t seed : smoke_seeds()) {
     for (BusEngine engine : {BusEngine::kCBased, BusEngine::kSienaBased}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " engine " +
                    std::string(to_string(engine)));
-      run_seed(seed, engine);
+      TortureConfig config;
+      config.engine = engine;
+      run_seed(seed, config);
       if (HasFatalFailure()) return;  // trace dumped; stop at first failure
     }
+  }
+}
+
+// The same schedules with quenching on: every member mirrors the cell's
+// filter table through crashes, purges, re-joins and lossy links (admission
+// confirms, resyncs, diffs racing purges), and every delivery guarantee the
+// oracle checks must still hold. The oracle judges what the bus routed; an
+// event a publisher quenched never reaches it.
+TEST(Torture, SmokeWithQuench) {
+  for (std::uint64_t seed : smoke_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " quench");
+    TortureConfig config;
+    config.quench = true;
+    run_seed(seed, config);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -350,6 +370,7 @@ std::string dump_failover_trace(const Schedule& schedule,
   // the one serialiser.
   TortureConfig shadow;
   shadow.engine = config.engine;
+  shadow.quench = config.quench;
   shadow.members = config.members;
   shadow.horizon = config.horizon;
   std::ofstream out(path);
@@ -357,12 +378,14 @@ std::string dump_failover_trace(const Schedule& schedule,
   return path;
 }
 
-void run_failover_seed(std::uint64_t seed, BusEngine engine) {
+void run_failover_seed(std::uint64_t seed, BusEngine engine,
+                       bool quench = false) {
   if (std::getenv("TORTURE_LOG") != nullptr) {
     set_log_level(LogLevel::kDebug);  // per-event bus/discovery narration
   }
   torture::FailoverConfig config;
   config.engine = engine;
+  config.quench = quench;
   if (const char* standbys = std::getenv("TORTURE_STANDBYS")) {
     config.standbys = std::max(1, std::atoi(standbys));
   }
@@ -393,7 +416,7 @@ void run_failover_seed(std::uint64_t seed, BusEngine engine) {
          << " ctest -R torture.failover --output-on-failure";
 }
 
-TEST(TortureFailover, Smoke) {
+std::vector<std::uint64_t> failover_seeds() {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   int count = 5;
 #else
@@ -410,13 +433,28 @@ TEST(TortureFailover, Smoke) {
       seeds.push_back(0xFA170 + static_cast<std::uint64_t>(i));
     }
   }
-  for (std::uint64_t seed : seeds) {
+  return seeds;
+}
+
+TEST(TortureFailover, Smoke) {
+  for (std::uint64_t seed : failover_seeds()) {
     for (BusEngine engine : {BusEngine::kCBased, BusEngine::kSienaBased}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " engine " +
                    std::string(to_string(engine)));
       run_failover_seed(seed, engine);
       if (HasFatalFailure()) return;  // trace dumped; stop at first failure
     }
+  }
+}
+
+// The failover schedules with quenching on: promotions confirm (or
+// replace) every re-homing member's carried filter table, and every
+// failover guarantee must still hold.
+TEST(TortureFailover, SmokeWithQuench) {
+  for (std::uint64_t seed : failover_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed) + " quench");
+    run_failover_seed(seed, BusEngine::kCBased, /*quench=*/true);
+    if (HasFatalFailure()) return;
   }
 }
 
