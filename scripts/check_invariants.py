@@ -34,14 +34,15 @@ compiler nor clang-tidy enforce:
       outside common/annotations.hpp — use amuse::Mutex / MutexLock /
       CondVar so clang's -Wthread-safety capability analysis can see every
       lock (DESIGN.md §10)
-  I10 replication traffic is control-class (DESIGN.md §13): any channel
-      send whose payload is built from BusMessage::repl_update(...) or
-      repl_resync_request() must pass MsgClass::kControl, and so must every
+  I10 state-stream traffic is control-class (DESIGN.md §11, §13): any
+      channel send whose payload is built from one of the state-stream
+      factories — BusMessage::interest_update(...), repl_update(...) or
+      resync_request(...) — must pass MsgClass::kControl, and so must every
       channel send inside a send_control(...) definition — the proxy's one
-      bus → member control entry point the repl stream and the filter
-      tables go through. The repl log is the state failover recovers
-      from — a data-class repl send could be shed under the §9 budgets,
-      silently widening the staleness window the standby believes it has
+      bus → member control entry point both streams go through. Filter
+      tables are routing state and the repl log is the state failover
+      recovers from — a data-class send of either could be shed under the
+      §9 budgets, silently leaving a mirror on a state the bus never meant
   I11 durable-state mutations go through the ReplStore choke points
       (DESIGN.md §13.6): the body of every ReplLog mutator must call
       commit_op(...) or persist_snapshot(...). A mutator that changes
@@ -204,12 +205,12 @@ def check_channel_send_accounting(path: Path) -> None:
             )
 
 
-# I10: replication messages ride the never-shed control class. Any send()
-# whose argument list builds its payload from the repl message factories —
+# I10: state-stream messages ride the never-shed control class. Any send()
+# whose argument list builds its payload from the state-stream factories —
 # or that sits in the body of a send_control() definition — must also name
 # MsgClass::kControl in that same call.
 SEND_CALL = re.compile(r"\bsend\s*\(")
-REPL_PAYLOAD = re.compile(r"\brepl_(?:update|resync_request)\s*\(")
+STREAM_PAYLOAD = re.compile(r"\b(?:interest_update|repl_update|resync_request)\s*\(")
 CONTROL_ENTRY = re.compile(r"::send_control\s*\([^)]*\)\s*\{")
 
 
@@ -230,7 +231,7 @@ def control_entry_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def check_repl_control_class(path: Path) -> None:
+def check_stream_control_class(path: Path) -> None:
     stripped = [strip_comments(line) for line in path.read_text().splitlines()]
     text = "\n".join(stripped)
     entries = control_entry_spans(text)
@@ -247,13 +248,13 @@ def check_repl_control_class(path: Path) -> None:
             end += 1
         call = text[m.start() : end + 1]
         in_entry = any(lo <= m.start() < hi for lo, hi in entries)
-        if (REPL_PAYLOAD.search(call) or in_entry) and "MsgClass::kControl" not in call:
+        if (STREAM_PAYLOAD.search(call) or in_entry) and "MsgClass::kControl" not in call:
             report(
                 path,
                 text.count("\n", 0, m.start()) + 1,
-                "I10: replication or control-entry send without "
-                "MsgClass::kControl (repl traffic and filter tables must "
-                "never be shed — DESIGN.md §13)",
+                "I10: state-stream or control-entry send without "
+                "MsgClass::kControl (filter tables and repl traffic must "
+                "never be shed — DESIGN.md §11, §13)",
             )
 
 
@@ -367,7 +368,7 @@ def run_checks() -> list[str]:
     for f in headers + sources:
         check_banned_patterns(f)
         check_channel_send_accounting(f)
-        check_repl_control_class(f)
+        check_stream_control_class(f)
         check_repllog_store_choke_points(f)
         check_timer_ownership(f)
     torture_files = sorted(TORTURE.rglob("*.hpp")) + sorted(TORTURE.rglob("*.cpp"))
@@ -390,6 +391,8 @@ SELFTEST_FILES = {
     "src/locky.cpp": ("I9", "#include <mutex>\nstd::mutex mu;\n"),
     # Consumes the return value so I8 stays quiet; I10 alone must fire.
     "src/repl_plain.cpp": ("I10", "bool r() {\n  return channel_->send(BusMessage::repl_update(u).encode());\n}\n"),
+    # A member's resync request sent as data-class traffic.
+    "src/resync_plain.cpp": ("I10", "bool s() {\n  return channel_->send(\n      BusMessage::resync_request(BusMsgType::kInterestUpdate).encode());\n}\n"),
     # The control entry point sending data-class (return consumed: I8 quiet).
     "src/control_entry.cpp": ("I10", "void P::send_control(const BusMessage& m) {\n  if (!channel_->send(m.encode())) return;\n}\n"),
     # A ReplLog mutator that skips the ReplStore choke points.

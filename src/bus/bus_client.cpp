@@ -38,7 +38,7 @@ BusClient::BusClient(Executor& executor, std::shared_ptr<Transport> transport,
   });
   if (config_.install_receive_handler) {
     transport_->set_receive_handler([this](ServiceId src, BytesView data) {
-      handle_datagram(src, data);
+      if (std::optional<Packet> p = Packet::decode(data)) handle_packet(src, *p);
     });
   }
 }
@@ -49,12 +49,10 @@ BusClient::~BusClient() {
   }
 }
 
-void BusClient::handle_datagram(ServiceId src, BytesView data) {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "BusClient::handle_datagram");
+void BusClient::handle_packet(ServiceId src, const Packet& packet) {
+  AMUSE_ASSERT_ON_EXECUTOR(executor_, "BusClient::handle_packet");
   if (src != bus_) return;  // only the bus talks to us on this endpoint
-  std::optional<Packet> p = Packet::decode(data);
-  if (!p) return;
-  channel_->on_packet(*p);
+  channel_->on_packet(packet);
 }
 
 std::uint64_t BusClient::subscribe(const Filter& filter, Handler handler) {
@@ -103,10 +101,10 @@ bool BusClient::publish(Event event) {
   return true;
 }
 
-void BusClient::request_repl_resync() {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "BusClient::request_repl_resync");
-  ++stats_.repl_resyncs;
-  (void)channel_->send(BusMessage::repl_resync_request().encode(),
+void BusClient::request_resync(BusMsgType stream) {
+  AMUSE_ASSERT_ON_EXECUTOR(executor_, "BusClient::request_resync");
+  ++stats_.resyncs;
+  (void)channel_->send(BusMessage::resync_request(stream).encode(),
                        MsgClass::kControl);
 }
 
@@ -142,27 +140,19 @@ void BusClient::on_message(BytesView message) {
         kLog.warn("nonsense interest message from bus");
         break;
       }
-      switch (mirror_.apply(*m.interest)) {
-        case InterestMirror::Apply::kApplied:
-          ++stats_.interest_updates;
-          if (on_interest_) on_interest_(mirror_.interests());
-          break;
-        case InterestMirror::Apply::kResyncNeeded:
-          // Version gap or digest mismatch: never route (or quench) on a
-          // suspect table — ask for a full one. Control class, like the
-          // push.
-          ++stats_.interest_resyncs;
-          kLog.debug("interest mirror lost sync at v",
-                     std::to_string(m.interest->version),
-                     "; requesting resync");
-          (void)channel_->send(BusMessage::interest_resync_request().encode(),
-                               MsgClass::kControl);
-          break;
+      if (mirror_.apply(*m.interest) == InterestMirror::Apply::kApplied) {
+        ++stats_.interest_updates;
+        if (on_interest_) on_interest_(mirror_.interests());
+        break;
       }
+      // The frame did not verify: never route (or quench) on a suspect
+      // table — ask for a full one.
+      kLog.debug("interest mirror lost sync at v",
+                 std::to_string(m.interest->version), "; requesting resync");
+      request_resync(BusMsgType::kInterestUpdate);
       break;
     }
     case BusMsgType::kReplUpdate:
-    case BusMsgType::kReplSnapshot:
       if (!m.repl || m.repl->request_resync || !on_repl_) {
         kLog.warn("unexpected repl message from bus");
         break;

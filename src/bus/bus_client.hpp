@@ -32,7 +32,7 @@ struct BusClientConfig {
   std::uint32_t session = 0;
   /// When false the client does not install the transport's receive
   /// handler; the owner (e.g. SmcMember, which muxes the endpoint between
-  /// discovery agent and bus client) feeds handle_datagram() itself.
+  /// discovery agent and bus client) feeds handle_packet() itself.
   bool install_receive_handler = true;
 };
 
@@ -75,15 +75,15 @@ class BusClient {
   using InterestFn = std::function<void(const FilterSet&)>;
   void set_on_interest(InterestFn fn) { on_interest_ = std::move(fn); }
 
-  /// Invoked for every kReplUpdate / kReplSnapshot from the bus (standby
-  /// members only; never fires for plain members — the bus only streams
-  /// replication to standby-role peers). The receiver owns the ReplMirror
-  /// and decides when to request_repl_resync().
+  /// Invoked for every kReplUpdate from the bus (standby members only;
+  /// never fires for plain members — the bus only streams replication to
+  /// standby-role peers). The receiver owns the ReplMirror and decides when
+  /// to request_resync(kReplUpdate).
   using ReplFn = std::function<void(const ReplUpdate&)>;
   void set_on_repl(ReplFn fn) { on_repl_ = std::move(fn); }
-  /// Standby → bus: the repl mirror lost sync, ask for a full snapshot.
-  /// Control class, like the stream itself.
-  AMUSE_AFFINITY(member_executor) void request_repl_resync();
+  /// The mirror of `stream` (kInterestUpdate or kReplUpdate) lost sync: ask
+  /// the bus for a full frame. Control class, like the stream itself.
+  AMUSE_AFFINITY(member_executor) void request_resync(BusMsgType stream);
 
   /// Pre-dispatch delivery filter: runs once per arriving kEvent, before
   /// any handler; return false to drop the event (counted, not silent).
@@ -109,9 +109,10 @@ class BusClient {
     mirror_ = std::move(carried);
   }
 
-  /// Feeds one raw datagram (used when install_receive_handler is false).
+  /// Feeds one decoded packet (used when install_receive_handler is false:
+  /// the owner's mux has already decoded it).
   AMUSE_AFFINITY(member_executor)
-  void handle_datagram(ServiceId src, BytesView data);
+  void handle_packet(ServiceId src, const Packet& packet);
 
   [[nodiscard]] ServiceId id() const { return transport_->local_id(); }
   [[nodiscard]] ServiceId bus() const { return bus_; }
@@ -124,9 +125,8 @@ class BusClient {
     std::uint64_t events_received = 0;
     std::uint64_t handler_invocations = 0;
     std::uint64_t interest_updates = 0;   // cleanly applied pushes
-    std::uint64_t interest_resyncs = 0;   // resync requests sent
     std::uint64_t repl_updates = 0;       // repl stream messages received
-    std::uint64_t repl_resyncs = 0;       // repl resync requests sent
+    std::uint64_t resyncs = 0;            // resync requests sent, any stream
     std::uint64_t deliveries_filtered = 0;  // dropped by the delivery
                                             // filter (origin dedup hits)
   };

@@ -9,6 +9,7 @@
 #include <string>
 #include <string_view>
 
+#include "bus/messages.hpp"
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/service_id.hpp"
@@ -42,8 +43,8 @@ struct MemberInfo {
 inline constexpr std::string_view kGatewayRole = "gateway";
 
 /// Members admitted with this role are warm standbys: the bus streams them
-/// the replication log (kReplSnapshot on admission, kReplUpdate after every
-/// mutation) instead of treating them as subscribers.
+/// the replication log (a full kReplUpdate on admission, increments after
+/// every mutation) instead of treating them as subscribers.
 inline constexpr std::string_view kStandbyRole = "standby";
 
 class BusPort {
@@ -98,16 +99,14 @@ class BusPort {
     (void)member;
     (void)under_pressure;
   }
-  /// A member's interest mirror lost sync (version gap or digest mismatch)
-  /// and requests a full interest-table push. Default no-op so
+  /// A member's mirror of one state stream (kInterestUpdate or
+  /// kReplUpdate) lost sync and requests a full frame. Default no-op so
   /// proxy fakes in tests need not care.
   AMUSE_AFFINITY(core_executor)
-  virtual void member_interest_resync(ServiceId member) { (void)member; }
-  /// A standby member's replication mirror lost sync (version gap or digest
-  /// mismatch) and requests a full kReplSnapshot. Default no-op so proxy
-  /// fakes in tests need not care.
-  AMUSE_AFFINITY(core_executor)
-  virtual void member_repl_resync(ServiceId member) { (void)member; }
+  virtual void member_resync(ServiceId member, BusMsgType stream) {
+    (void)member;
+    (void)stream;
+  }
 
   [[nodiscard]] virtual Executor& executor() = 0;
   [[nodiscard]] virtual ServiceId bus_id() const = 0;

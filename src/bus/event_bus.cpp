@@ -124,7 +124,7 @@ void EventBus::add_member(const MemberInfo& info) {
   if (info.role == kGatewayRole || config_.quench) {
     // One filter-table stream per member, seeded at admission (first join
     // *and* rejoin) with a full table — or, when the member's JOIN_RESP
-    // digest already names its view, a digest-only confirm. The confirm is
+    // digest already names its view, a confirm. The confirm is
     // what keeps a failover from turning into a table storm: on a no-change
     // promotion every re-homing member presents the pre-crash digest, the
     // promoted core's registry was pre-seeded to the same canonical set,
@@ -640,30 +640,29 @@ void EventBus::push_interest_table(Proxy& proxy, const Digest256& held) {
   ServiceId member = proxy.member_id();
   InterestUpdate full = table_.full_update(
       gateway_members_.contains(member) ? member : kCellView, held);
-  if (full.digest_only) ++stats_.tables_elided;
+  if (full.confirm) ++stats_.tables_elided;
   proxy.send_control(BusMessage::interest_update(std::move(full)));
   ++stats_.interests_propagated;
   enforce_shared_budget();
 }
 
-void EventBus::member_interest_resync(ServiceId member) {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::member_interest_resync");
-  if (!config_.quench && !gateway_members_.contains(member)) return;
+void EventBus::member_resync(ServiceId member, BusMsgType stream) {
+  AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::member_resync");
+  const bool repl = stream == BusMsgType::kReplUpdate;
+  if (repl ? !standby_members_.contains(member)
+           : !config_.quench && !gateway_members_.contains(member)) {
+    return;
+  }
   auto pit = proxies_.find(member);
   if (pit == proxies_.end()) return;
-  ++stats_.interest_resyncs;
-  kLog.debug("interest resync requested by ", member.to_string());
-  push_interest_table(*pit->second, {});
-}
-
-void EventBus::member_repl_resync(ServiceId member) {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::member_repl_resync");
-  if (!standby_members_.contains(member)) return;
-  auto pit = proxies_.find(member);
-  if (pit == proxies_.end()) return;
-  ++stats_.repl_resyncs;
-  kLog.debug("repl resync requested by ", member.to_string());
-  push_repl_snapshot(*pit->second);
+  kLog.debug(to_string(stream), " resync requested by ", member.to_string());
+  if (repl) {
+    ++stats_.repl_resyncs;
+    push_repl_snapshot(*pit->second);
+  } else {
+    ++stats_.interest_resyncs;
+    push_interest_table(*pit->second, {});
+  }
 }
 
 void EventBus::repl_flush() {

@@ -169,7 +169,7 @@ class EventBus final : public BusPort {
     std::uint64_t denied_publish = 0;
     std::uint64_t denied_subscribe = 0;
     std::uint64_t quench_updates = 0;   // cell-view diffs broadcast
-    std::uint64_t tables_elided = 0;    // admissions confirmed digest-only
+    std::uint64_t tables_elided = 0;    // admissions answered with a confirm
     std::uint64_t encodes = 0;          // event bodies serialised
     std::uint64_t encode_reuses = 0;    // cached bodies reused by proxies
     std::uint64_t events_shed = 0;      // queued deliveries dropped, counted
@@ -224,9 +224,7 @@ class EventBus final : public BusPort {
   AMUSE_AFFINITY(core_executor)
   void member_pressure(ServiceId member, bool under_pressure) override;
   AMUSE_AFFINITY(core_executor)
-  void member_interest_resync(ServiceId member) override;
-  AMUSE_AFFINITY(core_executor)
-  void member_repl_resync(ServiceId member) override;
+  void member_resync(ServiceId member, BusMsgType stream) override;
   [[nodiscard]] Executor& executor() override { return executor_; }
   [[nodiscard]] ServiceId bus_id() const override {
     return transport_->local_id();
@@ -278,7 +276,7 @@ class EventBus final : public BusPort {
   /// quenching is on) and per-link interest diffs to gateway members.
   void interests_changed();
   /// Full filter table to one member (admit / rejoin / resync request);
-  /// digest-only when `held` already names the member's view.
+  /// a confirm when `held` already names the member's view.
   void push_interest_table(Proxy& proxy, const Digest256& held);
   /// Sheds the oldest data of the slowest member (stalled first, then the
   /// largest retained footprint) until the bus-wide ledger fits.

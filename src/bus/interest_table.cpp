@@ -55,9 +55,9 @@ InterestUpdate InterestTable::full_update(ServiceId link,
   InterestUpdate u;
   u.version = state.version;
   u.digest = state.pushed.digest();
-  u.full = true;
-  u.digest_only = digest_equal(u.digest, held);
-  if (!u.digest_only) u.added = state.pushed.filters();
+  u.confirm = digest_equal(u.digest, held);
+  u.full = !u.confirm;
+  if (u.full) u.added = state.pushed.filters();
   return u;
 }
 
@@ -69,46 +69,13 @@ std::uint64_t InterestTable::link_version(ServiceId link) const {
 }
 
 InterestMirror::Apply InterestMirror::apply(const InterestUpdate& update) {
-  if (update.digest_only) {
-    // Admission confirm: keep the carried table if it is the one named,
-    // otherwise ask for the real one.
-    synced_ = digest_equal(set_.digest(), update.digest);
-    if (!synced_) return Apply::kResyncNeeded;
-    version_ = update.version;
-    return Apply::kApplied;
-  }
-  if (update.full) {
-    set_ = FilterSet(update.added);
-    version_ = update.version;
-    // A full table that does not hash to its own digest means the two
-    // sides canonicalise differently — stay unsynced and keep asking.
-    synced_ = digest_equal(set_.digest(), update.digest);
-    return synced_ ? Apply::kApplied : Apply::kResyncNeeded;
-  }
-  if (!synced_ || update.version != version_ + 1) {
-    // Version gap (or no full table yet): the local replica is stale and
-    // must not be routed on until a full table arrives.
-    synced_ = false;
-    return Apply::kResyncNeeded;
-  }
-  for (const Filter& f : update.removed) set_.erase(f);
-  for (const Filter& f : update.added) set_.insert(f);
-  version_ = update.version;
-  if (!digest_equal(set_.digest(), update.digest)) {
-    synced_ = false;
-    return Apply::kResyncNeeded;
-  }
-  return Apply::kApplied;
-}
-
-Digest256 InterestMirror::held_digest() const {
-  return version_ == 0 ? Digest256{} : set_.digest();
-}
-
-void InterestMirror::reset() {
-  synced_ = false;
-  version_ = 0;
-  set_ = FilterSet();
+  return StreamMirror::apply(update, [&](const FilterSet& held) {
+    if (update.full) return std::optional<FilterSet>(FilterSet(update.added));
+    std::optional<FilterSet> next(held);
+    for (const Filter& f : update.removed) next->erase(f);
+    for (const Filter& f : update.added) next->insert(f);
+    return next;
+  });
 }
 
 bool OriginDedup::admit(const Origin& origin) {

@@ -22,12 +22,13 @@
 // with a digest of the full table after the update, and a full-table
 // resync when the peer reports divergence.
 //
-// The member side holds an InterestMirror that applies those updates and
-// flags when it has lost sync (version gap or digest mismatch) so the
-// member can request a resync — a rejoined incarnation can never route (or
-// quench) on a stale table. A mirror carried across a re-join presents its
-// digest at admission; the bus confirms it with a digest-only full update
-// when it still names the member's view, and replaces it otherwise.
+// The member side holds an InterestMirror — the state-stream mirror
+// (bus/state_stream.hpp) over a FilterSet — that applies those updates and
+// flags when it has lost sync so the member can request a resync: a
+// rejoined incarnation can never route (or quench) on a stale table. A
+// mirror carried across a re-join presents its digest at admission; the
+// bus confirms it when it still names the member's view, and replaces it
+// otherwise.
 //
 // OriginDedup is the companion loop/multipath guard: every routed event is
 // stamped once, at its origin cell, with an immutable Origin{cell, epoch,
@@ -78,8 +79,8 @@ class InterestTable {
   /// bumped — its other mirrors apply its diffs in sequence — so the
   /// caller keeps it current with refresh_link after every change.
   /// When `held` (the digest the peer presented at admission) names the
-  /// view, the update is digest-only: it confirms the peer's table instead
-  /// of re-sending it.
+  /// view, the update is a confirm: it names the peer's table instead of
+  /// re-sending it.
   [[nodiscard]] InterestUpdate full_update(ServiceId link,
                                            const Digest256& held = {});
 
@@ -99,36 +100,10 @@ class InterestTable {
 };
 
 /// The member-side replica of the view the bus pushes to it.
-class InterestMirror {
+class InterestMirror : public StreamMirror<FilterSet> {
  public:
-  enum class Apply {
-    kApplied,       // table updated, interests() is current
-    kResyncNeeded,  // version gap or digest mismatch — request a full table
-  };
-
   [[nodiscard]] Apply apply(const InterestUpdate& update);
-
-  /// True once a full table has been received (or confirmed) and every
-  /// increment applied cleanly since.
-  [[nodiscard]] bool synced() const { return synced_; }
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-  [[nodiscard]] const FilterSet& interests() const { return set_; }
-
-  /// What a re-joining member presents at admission: the digest of the
-  /// table it holds, all zero when it never received one.
-  [[nodiscard]] Digest256 held_digest() const;
-
-  /// Keeps the table but stops vouching for it (carried across a re-join):
-  /// unsynced until a full update confirms or replaces it.
-  void suspend() { synced_ = false; }
-
-  /// Forgets everything (link lost — the next push must be full).
-  void reset();
-
- private:
-  bool synced_ = false;
-  std::uint64_t version_ = 0;
-  FilterSet set_;
+  [[nodiscard]] const FilterSet& interests() const { return state(); }
 };
 
 /// Bounded first-arrival-wins window over origin stamps: one sequence

@@ -13,7 +13,6 @@ const char* to_string(BusMsgType t) {
     case BusMsgType::kFlowControl: return "FLOW";
     case BusMsgType::kInterestUpdate: return "INTEREST";
     case BusMsgType::kReplUpdate: return "REPL";
-    case BusMsgType::kReplSnapshot: return "REPL-SNAPSHOT";
   }
   return "?";
 }
@@ -33,6 +32,36 @@ Origin read_origin(Reader& r) {
 std::uint8_t type_byte(BusMsgType type, const Origin& origin) {
   auto raw = static_cast<std::uint8_t>(type);
   return origin.stamped() ? static_cast<std::uint8_t>(raw | kOriginFlag) : raw;
+}
+
+// The state-stream header (bus/state_stream.hpp), shared by kInterestUpdate
+// and kReplUpdate.
+constexpr std::uint8_t kStreamFull = 0x01;
+constexpr std::uint8_t kStreamResync = 0x02;
+constexpr std::uint8_t kStreamConfirm = 0x04;
+
+void write_stream(Writer& w, const StreamHeader& h) {
+  std::uint8_t flags = 0;
+  if (h.full) flags |= kStreamFull;
+  if (h.request_resync) flags |= kStreamResync;
+  if (h.confirm) flags |= kStreamConfirm;
+  w.u8(flags);
+  w.u64(h.version);
+  w.raw(h.digest);
+}
+
+void read_stream(Reader& r, StreamHeader& h) {
+  std::uint8_t flags = r.u8();
+  if (flags > (kStreamFull | kStreamResync | kStreamConfirm) ||
+      ((flags & kStreamConfirm) != 0 && flags != kStreamConfirm)) {
+    throw DecodeError("bad state-stream flags " + std::to_string(flags));
+  }
+  h.full = (flags & kStreamFull) != 0;
+  h.request_resync = (flags & kStreamResync) != 0;
+  h.confirm = flags == kStreamConfirm;
+  h.version = r.u64();
+  BytesView digest = r.raw(h.digest.size());
+  std::copy(digest.begin(), digest.end(), h.digest.begin());
 }
 
 }  // namespace
@@ -64,33 +93,19 @@ Bytes BusMessage::encode() const {
     case BusMsgType::kFlowControl:
       w.u8(pressure ? 1 : 0);
       break;
-    case BusMsgType::kInterestUpdate: {
-      std::uint8_t flags = 0;
-      if (interest->full) flags |= 0x01;
-      if (interest->request_resync) flags |= 0x02;
-      if (interest->digest_only) flags |= 0x04;
-      w.u8(flags);
-      w.u64(interest->version);
-      w.raw(interest->digest);
+    case BusMsgType::kInterestUpdate:
+      write_stream(w, *interest);
+      if (interest->confirm) break;
       w.u16(static_cast<std::uint16_t>(interest->added.size()));
       for (const Filter& f : interest->added) f.encode(w);
       w.u16(static_cast<std::uint16_t>(interest->removed.size()));
       for (const Filter& f : interest->removed) f.encode(w);
       break;
-    }
     case BusMsgType::kReplUpdate:
-    case BusMsgType::kReplSnapshot: {
-      std::uint8_t flags = 0;
-      if (repl->full) flags |= 0x01;
-      if (repl->request_resync) flags |= 0x02;
-      if (repl->lease) flags |= 0x04;
-      w.u8(flags);
-      w.u64(repl->version);
-      w.raw(repl->digest);
+      write_stream(w, *repl);
       w.u64(repl->epoch);
-      w.blob32(repl->ops);
+      if (!repl->confirm) w.blob32(repl->ops);
       break;
-    }
   }
   return std::move(w).take();
 }
@@ -101,7 +116,7 @@ BusMessage BusMessage::decode(BytesView data) {
   auto raw = r.u8();
   const bool stamped = (raw & kOriginFlag) != 0;
   raw &= static_cast<std::uint8_t>(~kOriginFlag);
-  if (raw < 1 || raw > 9 || raw == 5) {
+  if (raw < 1 || raw > 8 || raw == 5) {
     throw DecodeError("bad bus message type " + std::to_string(raw));
   }
   m.type = static_cast<BusMsgType>(raw);
@@ -141,17 +156,9 @@ BusMessage BusMessage::decode(BytesView data) {
       break;
     }
     case BusMsgType::kInterestUpdate: {
-      std::uint8_t flags = r.u8();
-      if (flags > 7) {
-        throw DecodeError("bad interest-update flags " + std::to_string(flags));
-      }
-      InterestUpdate u;
-      u.full = (flags & 0x01) != 0;
-      u.request_resync = (flags & 0x02) != 0;
-      u.digest_only = (flags & 0x04) != 0;
-      u.version = r.u64();
-      BytesView digest = r.raw(u.digest.size());
-      std::copy(digest.begin(), digest.end(), u.digest.begin());
+      InterestUpdate& u = m.interest.emplace();
+      read_stream(r, u);
+      if (u.confirm) break;
       std::uint16_t n_added = r.u16();
       u.added.reserve(n_added);
       for (std::uint16_t i = 0; i < n_added; ++i) {
@@ -162,36 +169,25 @@ BusMessage BusMessage::decode(BytesView data) {
       for (std::uint16_t i = 0; i < n_removed; ++i) {
         u.removed.push_back(Filter::decode(r));
       }
-      if (u.digest_only && (!u.full || !u.added.empty())) {
-        throw DecodeError("digest-only interest update with a table");
-      }
-      m.interest = std::move(u);
       break;
     }
-    case BusMsgType::kReplUpdate:
-    case BusMsgType::kReplSnapshot: {
-      std::uint8_t flags = r.u8();
-      if (flags > 7) {
-        throw DecodeError("bad repl-update flags " + std::to_string(flags));
-      }
-      ReplUpdate u;
-      u.full = (flags & 0x01) != 0;
-      u.request_resync = (flags & 0x02) != 0;
-      u.lease = (flags & 0x04) != 0;
-      u.version = r.u64();
-      BytesView digest = r.raw(u.digest.size());
-      std::copy(digest.begin(), digest.end(), u.digest.begin());
+    case BusMsgType::kReplUpdate: {
+      ReplUpdate& u = m.repl.emplace();
+      read_stream(r, u);
       u.epoch = r.u64();
-      u.ops = r.blob32();
-      if (m.type == BusMsgType::kReplSnapshot && !u.full) {
-        throw DecodeError("repl snapshot without full flag");
-      }
-      m.repl = std::move(u);
+      if (!u.confirm) u.ops = r.blob32();
       break;
     }
   }
+  // Also what rejects a confirm that carries a body.
   if (!r.done()) throw DecodeError("trailing bytes in bus message");
   return m;
+}
+
+const StreamHeader* BusMessage::stream() const {
+  if (interest) return &*interest;
+  if (repl) return &*repl;
+  return nullptr;
 }
 
 Bytes BusMessage::encode_event_header(
@@ -256,26 +252,21 @@ BusMessage BusMessage::interest_update(InterestUpdate update) {
   return m;
 }
 
-BusMessage BusMessage::interest_resync_request() {
-  BusMessage m;
-  m.type = BusMsgType::kInterestUpdate;
-  m.interest.emplace();
-  m.interest->request_resync = true;
-  return m;
-}
-
 BusMessage BusMessage::repl_update(ReplUpdate update) {
   BusMessage m;
-  m.type = update.full ? BusMsgType::kReplSnapshot : BusMsgType::kReplUpdate;
+  m.type = BusMsgType::kReplUpdate;
   m.repl = std::move(update);
   return m;
 }
 
-BusMessage BusMessage::repl_resync_request() {
+BusMessage BusMessage::resync_request(BusMsgType stream) {
   BusMessage m;
-  m.type = BusMsgType::kReplUpdate;
-  m.repl.emplace();
-  m.repl->request_resync = true;
+  m.type = stream;
+  if (stream == BusMsgType::kReplUpdate) {
+    m.repl.emplace().request_resync = true;
+  } else {
+    m.interest.emplace().request_resync = true;
+  }
   return m;
 }
 

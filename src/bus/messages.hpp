@@ -23,38 +23,43 @@
 //                            when the bus has watermarks configured, so old
 //                            peers never see the new type (back-compat
 //                            gated like the JoinAccept session field).
-// kInterestUpdate  both ways bus → member: a versioned incremental (or
-//                            full) push of the member's filter table — the
-//                            one filter-table stream. A gateway gets its
-//                            split-horizon interest table, which it
-//                            subscribes with on the far side of a
+// kInterestUpdate  both ways the filter-table state stream. bus → member:
+//                            a gateway's split-horizon interest table,
+//                            which it subscribes with on the far side of a
 //                            federation link; with quenching on, every
 //                            other member gets the whole cell's table for
 //                            Elvin-style quenching (§VI future work).
-//                            member → bus: a resync request after a version
-//                            gap or digest mismatch. Rides the control
-//                            class — filter tables are routing state and
-//                            must never be shed. Type 5 (the retired
-//                            whole-table quench push) is rejected.
-// kReplUpdate   both ways   bus → warm standby: a versioned incremental
-//                            diff (or a bare lease renewal) of the core's
-//                            durable replication state, digest-checked
-//                            exactly like kInterestUpdate; standby → bus:
-//                            a resync request after a version gap or
-//                            digest mismatch. Only sent to standby-role
-//                            members, so old peers never see the new
-//                            type. Always control class — replicated core
-//                            state must never be shed (DESIGN.md §13).
-// kReplSnapshot bus → standby a full replication-state replacement
-//                            (admission or resync), the warm standby's
-//                            "full table" counterpart of an incremental
-//                            kReplUpdate. Control class, same gating.
+//                            Body: u16 n, filter×n added; u16 n, filter×n
+//                            removed. Rides the control class — filter
+//                            tables are routing state and must never be
+//                            shed. Type 5 (the retired whole-table quench
+//                            push) is rejected.
+// kReplUpdate   both ways   the replication state stream. bus → warm
+//                            standby: the core's durable replication state
+//                            (DESIGN.md §13). Body: u64 epoch (the fence,
+//                            present on every frame), then blob32 ops — an
+//                            encoded ReplState when full, an op log when
+//                            incremental, absent on a confirm (the lease).
+//                            Only sent to standby-role members, so old
+//                            peers never see the type. Always control
+//                            class. Type 9 (the retired snapshot type) is
+//                            rejected: a snapshot is a full kReplUpdate.
+//
+// Both state streams start with one header (bus/state_stream.hpp):
+//   u8 flags    0x01 full     body replaces the state wholesale
+//               0x02 resync   member → bus: mirror lost sync, send full
+//               0x04 confirm  no body; held state must hash to `digest`
+//   u64 version
+//   u8[32] digest             SHA-256 of the whole state after the frame
+// A confirm stands alone: decode rejects it with another flag or a body.
+// Member → bus the only state-stream frame is a resync request.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "bus/state_stream.hpp"
 #include "common/sha256.hpp"
 #include "pubsub/codec.hpp"
 
@@ -69,7 +74,7 @@ enum class BusMsgType : std::uint8_t {
   kFlowControl = 6,
   kInterestUpdate = 7,
   kReplUpdate = 8,
-  kReplSnapshot = 9,
+  // 9 was the retired replication snapshot; decode rejects it.
 };
 
 [[nodiscard]] const char* to_string(BusMsgType t);
@@ -78,53 +83,24 @@ enum class BusMsgType : std::uint8_t {
 /// Decoding rejects it on every other message type.
 inline constexpr std::uint8_t kOriginFlag = 0x80;
 
-/// The payload of a kInterestUpdate message. Bus → member it carries either
-/// a full table replacement (`full`, after admit or on resync) or an
-/// incremental add/remove diff that must apply on top of exactly
-/// `version - 1`; `digest` is always the SHA-256 identity of the complete
-/// table *after* the update, so the receiver can detect divergence and fall
-/// back to a resync. A `digest_only` full update confirms the table the
-/// member presented at admission instead of re-sending it. Member → bus
-/// only `request_resync` is meaningful.
-struct InterestUpdate {
-  std::uint64_t version = 0;
-  /// FilterSet::digest() of the full table after applying this update.
-  Digest256 digest{};
-  /// True when added holds the complete table and removed is empty.
-  bool full = false;
-  /// Full update without the table: the receiver's table already hashes to
-  /// `digest` (it presented that digest at admission) and is kept as is.
-  bool digest_only = false;
-  /// Member → bus: the mirror lost sync, push a full table.
-  bool request_resync = false;
+/// The payload of a kInterestUpdate message: a state-stream frame whose
+/// state is the member's filter table (FilterSet::digest()). A full frame
+/// carries the complete table in `added`; an increment carries the diff.
+struct InterestUpdate : StreamHeader {
   std::vector<Filter> added;
   std::vector<Filter> removed;
 };
 
-/// The payload of a kReplUpdate / kReplSnapshot message (DESIGN.md §13).
-/// Bus → standby it carries either a full state replacement (`full`, on
-/// admission or resync — sent as kReplSnapshot), an incremental op log that
-/// must apply on top of exactly `version - 1`, or a bare lease renewal
-/// (`lease`, no ops, version unchanged); `digest` is always the SHA-256
-/// identity of the complete replication state *after* the update, so the
-/// standby can detect divergence and fall back to a resync. `epoch` is the
-/// promotion epoch of the sending core: a standby refuses updates from a
-/// core whose epoch it has already seen superseded (split-brain fencing).
-/// Standby → bus only `request_resync` is meaningful.
-struct ReplUpdate {
-  std::uint64_t version = 0;
-  /// ReplState::digest() of the full state after applying this update.
-  Digest256 digest{};
-  /// Promotion epoch of the sending core.
+/// The payload of a kReplUpdate message (DESIGN.md §13): a state-stream
+/// frame whose state is the core's ReplState (ReplState::digest()). A full
+/// frame (the snapshot) carries the encoded ReplState in `ops`; an
+/// increment the encoded op log; a confirm is the bare lease renewal.
+/// `epoch` is the promotion epoch of the sending core: a standby refuses
+/// frames from a core whose epoch it has already seen superseded
+/// (split-brain fencing).
+struct ReplUpdate : StreamHeader {
   std::uint64_t epoch = 0;
-  /// True when `ops` holds a complete encoded ReplState (kReplSnapshot).
-  bool full = false;
-  /// True for a bare lease renewal: no ops, version must match the mirror.
-  bool lease = false;
-  /// Standby → bus: the mirror lost sync, push a full snapshot.
-  bool request_resync = false;
-  /// Encoded ReplState (full) or encoded op log (incremental); see
-  /// bus/replication.hpp for the codec.
+  /// See bus/replication.hpp for the codec.
   Bytes ops;
 };
 
@@ -143,8 +119,11 @@ struct BusMessage {
   bool pressure = false;
   /// kInterestUpdate.
   std::optional<InterestUpdate> interest;
-  /// kReplUpdate / kReplSnapshot.
+  /// kReplUpdate.
   std::optional<ReplUpdate> repl;
+
+  /// The state-stream header of a kInterestUpdate / kReplUpdate, else null.
+  [[nodiscard]] const StreamHeader* stream() const;
 
   [[nodiscard]] Bytes encode() const;
   /// Throws DecodeError on malformed input.
@@ -167,12 +146,10 @@ struct BusMessage {
   [[nodiscard]] static BusMessage unsubscribe(std::uint64_t sub_id);
   [[nodiscard]] static BusMessage flow_control(bool pressure);
   [[nodiscard]] static BusMessage interest_update(InterestUpdate update);
-  /// Member → bus: the interest mirror lost sync, request a full table.
-  [[nodiscard]] static BusMessage interest_resync_request();
-  /// Bus → standby: kReplSnapshot when update.full, else kReplUpdate.
   [[nodiscard]] static BusMessage repl_update(ReplUpdate update);
-  /// Standby → bus: the repl mirror lost sync, request a full snapshot.
-  [[nodiscard]] static BusMessage repl_resync_request();
+  /// Member → bus: the mirror of `stream` (kInterestUpdate or kReplUpdate)
+  /// lost sync, request a full frame.
+  [[nodiscard]] static BusMessage resync_request(BusMsgType stream);
 };
 
 }  // namespace amuse

@@ -177,6 +177,7 @@ void ReplState::apply_ops(BytesView ops) {
 void ReplLog::restore(ReplState state) {
   state_ = std::move(state);
   version_ = 0;
+  digest_ = state_.digest();
   ops_ = Writer();
   pending_ops_ = 0;
   spool_bytes_ = 0;
@@ -206,6 +207,7 @@ void ReplLog::persist_snapshot() {
 
 void ReplLog::set_epoch(std::uint64_t epoch) {
   state_.epoch = epoch;
+  digest_ = state_.digest();
   persist_snapshot();
 }
 
@@ -319,17 +321,18 @@ ReplUpdate ReplLog::take_update() {
   ReplUpdate u;
   u.epoch = state_.epoch;
   if (pending_ops_ == 0) {
-    // Bare lease renewal: proves the core is alive and that the standby's
-    // version still matches, without re-hashing any state into the stream.
-    u.lease = true;
+    // Bare lease renewal: proves the core is alive and that the standby
+    // still holds its state, without re-hashing any state into the stream.
+    u.confirm = true;
     u.version = version_;
+    u.digest = digest_;
     return u;
   }
   u.version = ++version_;
   u.ops = std::move(ops_).take();
   ops_ = Writer();
   pending_ops_ = 0;
-  u.digest = state_.digest();
+  u.digest = digest_ = state_.digest();
   return u;
 }
 
@@ -339,63 +342,24 @@ ReplUpdate ReplLog::snapshot() const {
   u.epoch = state_.epoch;
   u.version = version_;
   u.ops = state_.encode();
-  u.digest = state_.digest();
+  u.digest = Sha256::hash(u.ops);
   return u;
 }
 
 ReplMirror::Apply ReplMirror::apply(const ReplUpdate& update) {
   if (update.epoch < max_epoch_) return Apply::kStaleEpoch;
   max_epoch_ = update.epoch;
-
-  if (update.full) {
-    ReplState incoming;
-    try {
-      incoming = ReplState::decode(update.ops);
-    } catch (const DecodeError&) {
-      synced_ = false;
-      return Apply::kResyncNeeded;
-    }
-    // A snapshot that does not hash to its own digest is corrupt; refuse
-    // it rather than silently diverging from the active core.
-    if (!digest_equal(incoming.digest(), update.digest)) {
-      synced_ = false;
-      return Apply::kResyncNeeded;
-    }
-    state_ = std::move(incoming);
-    version_ = update.version;
-    synced_ = true;
-    return Apply::kApplied;
-  }
-
-  if (update.lease) {
-    if (!synced_ || update.version != version_) return Apply::kResyncNeeded;
-    return Apply::kApplied;
-  }
-
-  // Incremental: only on top of exactly version - 1, only once synced.
-  if (!synced_ || update.version != version_ + 1) {
-    synced_ = false;
-    return Apply::kResyncNeeded;
-  }
-  ReplState next = state_;
-  try {
-    next.apply_ops(update.ops);
-  } catch (const DecodeError&) {
-    synced_ = false;
-    return Apply::kResyncNeeded;
-  }
-  if (!digest_equal(next.digest(), update.digest)) {
-    synced_ = false;
-    return Apply::kResyncNeeded;
-  }
-  state_ = std::move(next);
-  version_ = update.version;
-  return Apply::kApplied;
-}
-
-ReplState ReplMirror::take_state() {
-  synced_ = false;
-  return std::move(state_);
+  return StreamMirror::apply(
+      update, [&](const ReplState& held) -> std::optional<ReplState> {
+        try {
+          if (update.full) return ReplState::decode(update.ops);
+          ReplState next = held;
+          next.apply_ops(update.ops);
+          return next;
+        } catch (const DecodeError&) {
+          return std::nullopt;
+        }
+      });
 }
 
 }  // namespace amuse

@@ -5,17 +5,13 @@
 // recently routed events) plus a pending op buffer. After every mutation the
 // bus drains the buffer into a versioned, digest-checked ReplUpdate and
 // streams it to standby-role members over the reliable channel's control
-// class (kReplUpdate / kReplSnapshot — never shed, like interest tables).
+// class (kReplUpdate — never shed, like interest tables).
 //
-// The standby keeps a ReplMirror with exactly the InterestMirror contract:
-//   * increments only apply on top of `version - 1`; a gap → kResyncNeeded
-//   * `digest` is the SHA-256 of the canonical full state *after* the
-//     update; a mismatch → refuse and kResyncNeeded
-//   * an increment before any full snapshot → kResyncNeeded
-//   * a full snapshot replaces the state wholesale and is idempotent
-//   * an update whose epoch is below one already seen → kStaleEpoch
-//     (split-brain fencing: a deposed core's stream must not roll the
-//     mirror back)
+// The standby keeps a ReplMirror: the state-stream mirror of
+// bus/state_stream.hpp — the same machine the InterestMirror runs — over a
+// ReplState, with one addition in front of it: an update whose epoch is
+// below one already seen → kStaleEpoch (split-brain fencing: a deposed
+// core's stream must not roll the mirror back).
 //
 // The spool is the bounded-staleness budget: every routed event enters it,
 // eviction past the byte/count bounds is a staleness-shed (accounted via
@@ -149,9 +145,9 @@ class ReplLog {
   [[nodiscard]] const ReplState& state() const { return state_; }
 
   /// Drains the pending op buffer into an incremental update (bumps the
-  /// version). With no pending ops it returns a bare lease renewal instead
-  /// (version unchanged, no ops) — the heartbeat the standby's lease runs
-  /// on.
+  /// version). With no pending ops it returns a bare lease renewal instead:
+  /// a confirm of the current version and digest — the heartbeat the
+  /// standby's lease runs on.
   [[nodiscard]] ReplUpdate take_update();
   /// A full snapshot at the current version (admission / resync).
   [[nodiscard]] ReplUpdate snapshot() const;
@@ -167,6 +163,8 @@ class ReplLog {
   Limits limits_;
   ReplState state_;
   std::uint64_t version_ = 0;
+  /// state_.digest() at version_ (what a lease confirms).
+  Digest256 digest_ = state_.digest();
   Writer ops_;
   std::size_t pending_ops_ = 0;
   std::size_t spool_bytes_ = 0;
@@ -204,33 +202,14 @@ class ResyncThrottle {
   std::uint64_t suppressed_ = 0;
 };
 
-/// Standby side: applies the stream, refuses anything out of order.
-class ReplMirror {
+/// Standby side: the epoch fence, then the state-stream mirror.
+class ReplMirror : public StreamMirror<ReplState> {
  public:
-  enum class Apply {
-    kApplied,
-    /// Version gap, digest mismatch, increment-before-full, or a lease for
-    /// a version we do not hold: send repl_resync_request().
-    kResyncNeeded,
-    /// The sender's epoch is below one this mirror has already seen — a
-    /// deposed core still streaming. Ignore it (do NOT resync from it).
-    kStaleEpoch,
-  };
-
   [[nodiscard]] Apply apply(const ReplUpdate& update);
-
-  [[nodiscard]] bool synced() const { return synced_; }
-  [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] std::uint64_t epoch() const { return max_epoch_; }
-  [[nodiscard]] const ReplState& state() const { return state_; }
-  /// Moves the replica out (promotion consumes the mirror).
-  [[nodiscard]] ReplState take_state();
 
  private:
-  ReplState state_;
-  std::uint64_t version_ = 0;
   std::uint64_t max_epoch_ = 0;
-  bool synced_ = false;
 };
 
 }  // namespace amuse

@@ -52,13 +52,6 @@ void SubscriptionRegistry::match(const Event& e, MatchResult& out) const {
   }
 }
 
-std::vector<Filter> SubscriptionRegistry::all_filters() const {
-  std::vector<Filter> out;
-  out.reserve(by_sub_.size());
-  for (const auto& [id, rec] : by_sub_) out.push_back(rec.filter);
-  return out;
-}
-
 std::map<ServiceId, std::vector<Filter>>
 SubscriptionRegistry::filters_by_member() const {
   std::map<ServiceId, std::vector<Filter>> out;

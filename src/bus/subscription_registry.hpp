@@ -35,9 +35,6 @@ class SubscriptionRegistry {
   using MatchResult = std::map<ServiceId, std::vector<std::uint64_t>>;
   void match(const Event& e, MatchResult& out) const;
 
-  /// Every registered filter.
-  [[nodiscard]] std::vector<Filter> all_filters() const;
-
   /// Every registered filter grouped by owning member — the input to the
   /// interest table's per-link split-horizon views.
   [[nodiscard]] std::map<ServiceId, std::vector<Filter>> filters_by_member()

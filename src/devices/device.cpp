@@ -19,9 +19,8 @@ RawDevice::RawDevice(Executor& executor, std::shared_ptr<Transport> transport,
       rto_(kAckTimeout),
       ack_timer_(executor_, [this] { on_ack_timeout(); }),
       reading_timer_(executor_, [this] { reading_tick(); }) {
-  DiscoveryAgentConfig ac = config_.agent;
-  ac.install_receive_handler = false;
-  agent_ = std::make_unique<DiscoveryAgent>(executor_, transport_, ac);
+  agent_ = std::make_unique<DiscoveryAgent>(executor_, transport_,
+                                            config_.agent);
   agent_->set_on_joined([this](ServiceId, std::uint32_t) {
     if (config_.reading_interval > Duration{} && !reading_timer_.armed()) {
       reading_timer_.arm_after(config_.reading_interval);
@@ -135,7 +134,9 @@ void RawDevice::on_datagram(ServiceId src, BytesView data) {
     }
   }
   // Everything else is discovery traffic.
-  agent_->handle_datagram(src, data);
+  if (std::optional<Packet> p = Packet::decode(data)) {
+    agent_->handle_packet(src, *p);
+  }
 }
 
 }  // namespace amuse

@@ -22,19 +22,7 @@ DiscoveryAgent::DiscoveryAgent(Executor& executor,
       rng_(config_.seed ^ transport_->local_id().raw(), /*stream=*/0xa9e2),
       heartbeat_timer_(executor, [this] { send_heartbeat(); }),
       handshake_timer_(executor, [this] { on_handshake_timeout(); }),
-      loss_timer_(executor, [this] { check_loss(); }) {
-  if (config_.install_receive_handler) {
-    transport_->set_receive_handler([this](ServiceId src, BytesView data) {
-      handle_datagram(src, data);
-    });
-  }
-}
-
-DiscoveryAgent::~DiscoveryAgent() {
-  if (config_.install_receive_handler) {
-    transport_->set_receive_handler(nullptr);
-  }
-}
+      loss_timer_(executor, [this] { check_loss(); }) {}
 
 void DiscoveryAgent::start() {
   if (state_ != State::kIdle) return;
@@ -57,19 +45,16 @@ void DiscoveryAgent::leave() {
   if (was_joined && on_left_) on_left_();
 }
 
-void DiscoveryAgent::handle_datagram(ServiceId src, BytesView data) {
-  AMUSE_ASSERT_ON_EXECUTOR(executor_, "DiscoveryAgent::handle_datagram");
-  std::optional<Packet> packet = Packet::decode(data);
-  if (!packet) return;
-
+void DiscoveryAgent::handle_packet(ServiceId src, const Packet& packet) {
+  AMUSE_ASSERT_ON_EXECUTOR(executor_, "DiscoveryAgent::handle_packet");
   try {
-    switch (packet->type) {
+    switch (packet.type) {
       case PacketType::kBeacon:
-        on_beacon(*packet);
+        on_beacon(packet);
         break;
       case PacketType::kJoinChallenge: {
         if (state_ != State::kWaitChallenge || src != discovery_id_) break;
-        Reader r(packet->payload);
+        Reader r(packet.payload);
         Bytes nonce = r.blob16();
         Digest256 mac = admission_mac(config_.pre_shared_key, nonce, id(),
                                       config_.device_type);
@@ -94,7 +79,7 @@ void DiscoveryAgent::handle_datagram(ServiceId src, BytesView data) {
       }
       case PacketType::kJoinAccept: {
         if (state_ != State::kWaitAccept || src != discovery_id_) break;
-        Reader r(packet->payload);
+        Reader r(packet.payload);
         heartbeat_interval_ = Duration(static_cast<std::int64_t>(r.u64()));
         (void)r.u64();  // cell's purge_after: informational
         bus_id_ = ServiceId(r.u48());

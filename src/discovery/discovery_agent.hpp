@@ -29,8 +29,6 @@ struct DiscoveryAgentConfig {
   /// Declare the cell lost after this much total silence.
   Duration cell_lost_after = seconds(5);
   std::uint64_t seed = 0xa9e27;
-  /// When false the owner feeds handle_datagram() itself (endpoint muxing).
-  bool install_receive_handler = true;
   /// Honour promotion epochs in beacons (DESIGN.md §13): never follow a
   /// beacon whose epoch is below the highest seen (a deposed core still
   /// beaconing after a split brain), and re-home immediately when a
@@ -48,7 +46,6 @@ class DiscoveryAgent {
 
   DiscoveryAgent(Executor& executor, std::shared_ptr<Transport> transport,
                  DiscoveryAgentConfig config);
-  ~DiscoveryAgent();
 
   DiscoveryAgent(const DiscoveryAgent&) = delete;
   DiscoveryAgent& operator=(const DiscoveryAgent&) = delete;
@@ -68,8 +65,10 @@ class DiscoveryAgent {
     table_digest_ = std::move(fn);
   }
 
+  /// Feeds one decoded packet. The agent never owns the endpoint: its
+  /// owner's receive handler decodes each datagram once and muxes it.
   AMUSE_AFFINITY(member_executor)
-  void handle_datagram(ServiceId src, BytesView data);
+  void handle_packet(ServiceId src, const Packet& packet);
 
   enum class State { kIdle, kSearching, kWaitChallenge, kWaitAccept, kJoined };
   [[nodiscard]] State state() const { return state_; }

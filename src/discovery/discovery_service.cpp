@@ -197,7 +197,7 @@ void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
         // were deposed while partitioned (a standby promoted past us).
         // Step down exactly once — stop beaconing and let the composition
         // fence the bus (DESIGN.md §13).
-        if (!config_.step_down_on_rival || !running_ || src == id()) break;
+        if (config_.epoch == 0 || !running_ || src == id()) break;
         Reader r(packet->payload);
         std::string cell = r.str();
         (void)r.u48();  // rival's bus id

@@ -69,13 +69,11 @@ struct DiscoveryConfig {
   std::uint64_t seed = 0x5eed;
   /// Promotion epoch stamped into beacons and JoinAccepts (trailing,
   /// back-compat fields). 0 = legacy cell, no HA fencing. A promoted
-  /// standby runs at its predecessor's epoch + 1.
+  /// standby runs at its predecessor's epoch + 1. A cell that speaks an
+  /// epoch also steps down (stops beaconing, fires on_deposed) when a
+  /// rival core beacons this cell's name with a higher one — the
+  /// split-brain resolution of DESIGN.md §13.
   std::uint64_t epoch = 0;
-  /// Step down (stop beaconing, fire on_deposed) when a rival core beacons
-  /// this cell's name with a higher epoch — the split-brain resolution of
-  /// DESIGN.md §13. Off = legacy behaviour; the torture suite's
-  /// sensitivity proof reverts exactly this flag.
-  bool step_down_on_rival = false;
 };
 
 /// Builds the admission MAC: HMAC-SHA256(psk, nonce ‖ id(48-bit BE) ‖ type).
@@ -122,7 +120,7 @@ class DiscoveryService {
     observer_ = std::move(observer);
   }
   /// Fired once when a rival core with a higher epoch deposes this one
-  /// (step_down_on_rival only). The SMC composition wires it to
+  /// (nonzero epoch only). The SMC composition wires it to
   /// EventBus::step_down().
   void set_on_deposed(std::function<void()> fn) {
     on_deposed_ = std::move(fn);

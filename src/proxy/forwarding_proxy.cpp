@@ -115,26 +115,17 @@ void ForwardingProxy::on_message(BytesView message) {
       bus().member_unsubscribe(member_id(), m.sub_id);
       break;
     case BusMsgType::kInterestUpdate:
-      // The only member → bus interest message is a resync request.
-      if (m.interest && m.interest->request_resync) {
-        bus().member_interest_resync(member_id());
-      } else {
-        kLog.warn("unexpected interest push from member ",
-                  member_id().to_string());
-      }
-      break;
     case BusMsgType::kReplUpdate:
-      // The only standby → bus repl message is a resync request.
-      if (m.repl && m.repl->request_resync) {
-        bus().member_repl_resync(member_id());
+      // The only member → bus state-stream frame is a resync request.
+      if (m.stream()->request_resync) {
+        bus().member_resync(member_id(), m.type);
       } else {
-        kLog.warn("unexpected repl push from member ",
+        kLog.warn("unexpected ", to_string(m.type), " push from member ",
                   member_id().to_string());
       }
       break;
     case BusMsgType::kEvent:
     case BusMsgType::kFlowControl:
-    case BusMsgType::kReplSnapshot:
       // Bus-to-member messages are nonsense coming from a member.
       kLog.warn("unexpected ", to_string(m.type), " from member ",
                 member_id().to_string());

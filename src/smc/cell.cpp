@@ -17,9 +17,8 @@ SelfManagedCell::SelfManagedCell(Executor& executor,
   dc.pre_shared_key = config_.pre_shared_key;
   if (bus_->ha_enabled()) {
     // HA cell: discovery speaks the bus's promotion epoch (beacon and
-    // JoinAccept fencing stamps) and yields to a higher-epoch rival.
+    // JoinAccept fencing stamps) and so yields to a higher-epoch rival.
     dc.epoch = bus_->epoch();
-    dc.step_down_on_rival = true;
   }
   discovery_ = std::make_unique<DiscoveryService>(
       executor, std::move(discovery_endpoint), bus_->bus_id(), dc);

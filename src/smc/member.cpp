@@ -9,9 +9,8 @@ SmcMember::SmcMember(Executor& executor, std::shared_ptr<Transport> transport,
     : executor_(executor),
       transport_(std::move(transport)),
       config_(std::move(config)) {
-  DiscoveryAgentConfig ac = config_.agent;
-  ac.install_receive_handler = false;  // we own the endpoint and mux
-  agent_ = std::make_unique<DiscoveryAgent>(executor_, transport_, ac);
+  agent_ = std::make_unique<DiscoveryAgent>(executor_, transport_,
+                                            config_.agent);
   agent_->set_on_joined([this](ServiceId bus, std::uint32_t session) {
     on_cell_joined(bus, session);
   });
@@ -28,9 +27,9 @@ SmcMember::SmcMember(Executor& executor, std::shared_ptr<Transport> transport,
     std::optional<Packet> p = Packet::decode(data);
     if (!p) return;
     if (p->type == PacketType::kData || p->type == PacketType::kAck) {
-      if (client_) client_->handle_datagram(src, data);
+      if (client_) client_->handle_packet(src, *p);
     } else {
-      agent_->handle_datagram(src, data);
+      agent_->handle_packet(src, *p);
     }
   });
 }
@@ -91,7 +90,7 @@ void SmcMember::on_cell_joined(ServiceId bus, std::uint32_t session) {
   cc.install_receive_handler = false;
   client_ = std::make_unique<BusClient>(executor_, transport_, bus, cc);
   // The filter table survives the re-join, unsynced until the admission
-  // update confirms (digest-only) or replaces it.
+  // update confirms or replaces it.
   client_->adopt_mirror(std::exchange(carried_mirror_, {}));
   // Exactly-once across core failover: a promoted core re-delivers its
   // replicated spool to every re-homing member; anything whose origin stamp

@@ -44,7 +44,6 @@ StandbyCore::StandbyCore(Executor& executor,
       jitter_(endpoint_->local_id().raw(), 0x57A4DB) {
   DiscoveryAgentConfig ac = config_.agent;
   ac.role = std::string(kStandbyRole);
-  ac.install_receive_handler = false;  // we own the endpoint and mux
   agent_ = std::make_unique<DiscoveryAgent>(executor_, endpoint_, ac);
   agent_->set_on_joined([this](ServiceId bus, std::uint32_t session) {
     on_joined(bus, session);
@@ -58,7 +57,7 @@ StandbyCore::StandbyCore(Executor& executor,
     std::optional<Packet> p = Packet::decode(data);
     if (!p) return;
     if (p->type == PacketType::kData || p->type == PacketType::kAck) {
-      if (client_) client_->handle_datagram(src, data);
+      if (client_) client_->handle_packet(src, *p);
     } else if (p->type == PacketType::kPromotionClaim) {
       if (auto claim = PromotionClaim::decode(p->payload)) {
         on_claim(p->src, *claim);
@@ -68,7 +67,7 @@ StandbyCore::StandbyCore(Executor& executor,
         on_vote(p->src, *vote);
       }
     } else {
-      agent_->handle_datagram(src, data);
+      agent_->handle_packet(src, *p);
     }
   });
 }
@@ -133,7 +132,7 @@ void StandbyCore::on_repl(const ReplUpdate& update) {
       lease_deadline_ = executor_.now() + kLeaseTimeout;
       if (resync_throttle_.allow(executor_.now())) {
         ++stats_.resyncs;
-        if (client_) client_->request_repl_resync();
+        if (client_) client_->request_resync(BusMsgType::kReplUpdate);
       } else {
         ++stats_.resyncs_suppressed;
       }

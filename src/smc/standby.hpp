@@ -17,7 +17,7 @@
 // only claimants that beat its own position (higher version, ties to the
 // smaller ServiceId), so the best-synced standby always wins. Losers stand
 // down, keep their mirror, and re-home to the winner's higher-epoch beacon,
-// where re-admission streams them a fresh kReplSnapshot — the cell re-arms
+// where re-admission streams them a fresh snapshot — the cell re-arms
 // to N-1 standbys without operator action (standby chains).
 //
 // The promoted core builds a full SelfManagedCell from the replica at

@@ -51,8 +51,13 @@ struct DiscoveryFixture : ::testing::Test {
     cfg.device_type = type;
     cfg.role = "sensor";
     cfg.cell_lost_after = seconds(3);
-    return std::make_unique<DiscoveryAgent>(ex, net.create_endpoint(*dev),
-                                            cfg);
+    auto endpoint = net.create_endpoint(*dev);
+    auto agent = std::make_unique<DiscoveryAgent>(ex, endpoint, cfg);
+    endpoint->set_receive_handler(
+        [a = agent.get()](ServiceId src, BytesView data) {
+          if (auto p = Packet::decode(data)) a->handle_packet(src, *p);
+        });
+    return agent;
   }
 
   SimExecutor ex;

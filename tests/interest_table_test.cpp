@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bus/messages.hpp"
+#include "mirror_contract.hpp"
 
 namespace amuse {
 namespace {
@@ -13,6 +16,29 @@ namespace {
 Filter fa() { return Filter::for_type("a"); }
 Filter fb() { return Filter::for_type_prefix("b."); }
 Filter fc() { return Filter().where("x", Op::kGt, 3); }
+
+/// The bus side of a gateway link's interest stream, for the shared
+/// mirror contract (mirror_contract.hpp).
+struct InterestSender {
+  using Mirror = InterestMirror;
+  using Update = InterestUpdate;
+
+  InterestSender() { change(); }
+  void change() {
+    filters.push_back(Filter::for_type("t" + std::to_string(filters.size())));
+    table.rebuild({{ServiceId(1), filters}});
+  }
+  Update full() { return table.full_update(kLink); }
+  Update increment() { return *table.refresh_link(kLink); }
+  Update confirm() { return table.full_update(kLink, digest()); }
+  [[nodiscard]] Digest256 digest() const {
+    return table.export_for(kLink).digest();
+  }
+
+  static constexpr ServiceId kLink{9};
+  InterestTable table;
+  std::vector<Filter> filters;
+};
 
 // ---- Wire codec.
 
@@ -48,32 +74,38 @@ TEST(InterestUpdateCodec, IncrementalRoundTrip) {
 }
 
 TEST(InterestUpdateCodec, DigestOnlyRoundTrip) {
+  // A confirm carries the digest and nothing else: header only, no table.
   InterestUpdate u;
   u.version = 4;
-  u.full = true;
-  u.digest_only = true;
+  u.confirm = true;
   u.digest = FilterSet({fa()}).digest();
-  BusMessage back = BusMessage::decode(BusMessage::interest_update(u).encode());
+  Bytes frame = BusMessage::interest_update(u).encode();
+  EXPECT_EQ(frame.size(), 1u + 1u + 8u + 32u);
+  BusMessage back = BusMessage::decode(frame);
   ASSERT_TRUE(back.interest.has_value());
-  EXPECT_TRUE(back.interest->full);
-  EXPECT_TRUE(back.interest->digest_only);
+  EXPECT_TRUE(back.interest->confirm);
+  EXPECT_FALSE(back.interest->full);
+  EXPECT_EQ(back.interest->version, 4u);
   EXPECT_TRUE(back.interest->added.empty());
   EXPECT_TRUE(digest_equal(back.interest->digest, u.digest));
 }
 
-TEST(InterestUpdateCodec, DigestOnlyNeedsFullAndNoTable) {
-  InterestUpdate partial;
-  partial.digest_only = true;  // without `full`
-  EXPECT_THROW((void)BusMessage::decode(
-                   BusMessage::interest_update(partial).encode()),
-               DecodeError);
+TEST(InterestUpdateCodec, ConfirmStandsAloneWithoutABody) {
   InterestUpdate with_table;
   with_table.full = true;
-  with_table.digest_only = true;
   with_table.added = {fa()};
-  EXPECT_THROW((void)BusMessage::decode(
-                   BusMessage::interest_update(with_table).encode()),
-               DecodeError);
+  Bytes frame = BusMessage::interest_update(with_table).encode();
+  // Byte 0 is the message type; byte 1 the flag octet.
+  frame[1] = 0x04;  // a confirm followed by a table
+  EXPECT_THROW((void)BusMessage::decode(frame), DecodeError);
+  InterestUpdate confirm;
+  confirm.confirm = true;
+  frame = BusMessage::interest_update(confirm).encode();
+  for (std::uint8_t flags : {0x05, 0x06, 0x07}) {  // with full / resync
+    frame[1] = flags;
+    EXPECT_THROW((void)BusMessage::decode(frame), DecodeError)
+        << static_cast<int>(flags);
+  }
 }
 
 TEST(InterestUpdateCodec, EmptyFullTableIsNotDigestOnly) {
@@ -87,12 +119,13 @@ TEST(InterestUpdateCodec, EmptyFullTableIsNotDigestOnly) {
       BusMessage::decode(BusMessage::interest_update(empty).encode());
   ASSERT_TRUE(back.interest.has_value());
   EXPECT_TRUE(back.interest->full);
-  EXPECT_FALSE(back.interest->digest_only);
+  EXPECT_FALSE(back.interest->confirm);
 }
 
 TEST(InterestUpdateCodec, ResyncRequestRoundTrip) {
   BusMessage back =
-      BusMessage::decode(BusMessage::interest_resync_request().encode());
+      BusMessage::decode(
+          BusMessage::resync_request(BusMsgType::kInterestUpdate).encode());
   EXPECT_EQ(back.type, BusMsgType::kInterestUpdate);
   ASSERT_TRUE(back.interest.has_value());
   EXPECT_TRUE(back.interest->request_resync);
@@ -100,7 +133,8 @@ TEST(InterestUpdateCodec, ResyncRequestRoundTrip) {
 }
 
 TEST(InterestUpdateCodec, RejectsUnknownFlags) {
-  Bytes frame = BusMessage::interest_resync_request().encode();
+  Bytes frame =
+      BusMessage::resync_request(BusMsgType::kInterestUpdate).encode();
   // Byte 0 is the message type; byte 1 the flag octet.
   frame[1] = 0x80;
   EXPECT_THROW((void)BusMessage::decode(frame), DecodeError);
@@ -203,16 +237,17 @@ TEST(InterestTable, FullUpdateConfirmsAHeldDigest) {
   Digest256 held = t.export_for(link).digest();
 
   InterestUpdate confirm = t.full_update(link, held);
-  EXPECT_TRUE(confirm.full);
-  EXPECT_TRUE(confirm.digest_only);
+  EXPECT_TRUE(confirm.confirm);
+  EXPECT_FALSE(confirm.full);
   EXPECT_TRUE(confirm.added.empty());
   EXPECT_TRUE(digest_equal(confirm.digest, held));
 
   // Anything else held — or nothing — gets the table itself.
   InterestUpdate resend = t.full_update(link, FilterSet({fa()}).digest());
-  EXPECT_FALSE(resend.digest_only);
+  EXPECT_FALSE(resend.confirm);
+  EXPECT_TRUE(resend.full);
   EXPECT_EQ(resend.added.size(), 2u);
-  EXPECT_FALSE(t.full_update(link).digest_only);
+  EXPECT_FALSE(t.full_update(link).confirm);
 }
 
 TEST(InterestTable, CellViewIsSharedAndKeepsItsVersion) {
@@ -246,72 +281,40 @@ TEST(InterestTable, CellViewIsSharedAndKeepsItsVersion) {
   EXPECT_FALSE(t.refresh_link(kCellView).has_value());
 }
 
-// ---- InterestMirror: the member-side replica.
+// ---- InterestMirror: the member-side replica. The mirror contract cases
+// (mirror_contract.hpp) first, then the interest-specific ones.
 
-TEST(InterestMirror, AppliesFullThenIncrements) {
-  InterestTable t;
-  InterestMirror m;
-  ServiceId member(1);
-  ServiceId link(9);
-
-  t.rebuild({{member, {fa()}}});
-  EXPECT_EQ(m.apply(*t.refresh_link(link)), InterestMirror::Apply::kApplied);
-  EXPECT_TRUE(m.synced());
-  EXPECT_TRUE(m.interests().contains(fa()));
-
-  t.rebuild({{member, {fa(), fc()}}});
-  EXPECT_EQ(m.apply(*t.refresh_link(link)), InterestMirror::Apply::kApplied);
-  EXPECT_TRUE(m.interests().contains(fc()));
-  EXPECT_EQ(m.version(), t.link_version(link));
+TEST(InterestMirror, FullTableIsIdempotent) {
+  mirror_contract::full_replaces_and_is_idempotent<InterestSender>();
 }
 
-TEST(InterestMirror, IncrementBeforeFullTableNeedsResync) {
-  InterestMirror m;
-  InterestUpdate inc;
-  inc.version = 1;
-  inc.added = {fa()};
-  EXPECT_EQ(m.apply(inc), InterestMirror::Apply::kResyncNeeded);
-  EXPECT_FALSE(m.synced());
+TEST(InterestMirror, AppliesFullThenIncrements) {
+  mirror_contract::increments_apply_in_sequence<InterestSender>();
+}
+
+TEST(InterestMirror, ConfirmAdoptsTheVersionItNames) {
+  mirror_contract::confirm_adopts_the_version_it_names<InterestSender>();
+}
+
+TEST(InterestMirror, DigestOnlyOnADifferentTableResyncsNeverWedges) {
+  mirror_contract::confirm_of_another_state_resyncs_never_wedges<
+      InterestSender>();
 }
 
 TEST(InterestMirror, VersionGapNeedsResync) {
-  InterestTable t;
-  InterestMirror m;
-  ServiceId member(1);
-  ServiceId link(9);
-  t.rebuild({{member, {fa()}}});
-  ASSERT_EQ(m.apply(*t.refresh_link(link)), InterestMirror::Apply::kApplied);
-
-  // Two rebuilds; the first increment is lost in transit.
-  t.rebuild({{member, {fa(), fb()}}});
-  (void)t.refresh_link(link);  // v2, never delivered
-  t.rebuild({{member, {fa(), fb(), fc()}}});
-  auto v3 = t.refresh_link(link);
-  ASSERT_TRUE(v3.has_value());
-  EXPECT_EQ(m.apply(*v3), InterestMirror::Apply::kResyncNeeded);
-  EXPECT_FALSE(m.synced());
-
-  // Recovery: the bus answers with a full table.
-  EXPECT_EQ(m.apply(t.full_update(link)), InterestMirror::Apply::kApplied);
-  EXPECT_TRUE(m.synced());
-  EXPECT_EQ(m.interests().size(), 3u);
+  mirror_contract::version_gap_resyncs<InterestSender>();
 }
 
 TEST(InterestMirror, DigestMismatchNeedsResync) {
-  InterestMirror m;
-  InterestUpdate full;
-  full.version = 1;
-  full.full = true;
-  full.added = {fa()};
-  full.digest = FilterSet({fa()}).digest();
-  ASSERT_EQ(m.apply(full), InterestMirror::Apply::kApplied);
+  mirror_contract::digest_mismatch_refuses_the_frame<InterestSender>();
+}
 
-  InterestUpdate inc;
-  inc.version = 2;
-  inc.added = {fb()};
-  inc.digest = FilterSet({fb(), fc()}).digest();  // table disagrees
-  EXPECT_EQ(m.apply(inc), InterestMirror::Apply::kResyncNeeded);
-  EXPECT_FALSE(m.synced());
+TEST(InterestMirror, IncrementBeforeFullTableNeedsResync) {
+  mirror_contract::increment_before_full_resyncs<InterestSender>();
+}
+
+TEST(InterestMirror, ConfirmBeforeAnyTableNeedsResync) {
+  mirror_contract::confirm_before_any_state_resyncs<InterestSender>();
 }
 
 TEST(InterestMirror, ResetForgetsEverything) {
@@ -343,35 +346,11 @@ TEST(InterestMirror, DigestOnlyConfirmsTheHeldTable) {
   InterestTable fresh;  // e.g. a promoted core, same canonical set
   fresh.rebuild({{member, {fa(), fb()}}});
   InterestUpdate confirm = fresh.full_update(kCellView, m.held_digest());
-  ASSERT_TRUE(confirm.digest_only);
+  ASSERT_TRUE(confirm.confirm);
   EXPECT_EQ(m.apply(confirm), InterestMirror::Apply::kApplied);
   EXPECT_TRUE(m.synced());
   EXPECT_EQ(m.interests().size(), 2u);
   EXPECT_EQ(m.version(), confirm.version);
-}
-
-TEST(InterestMirror, DigestOnlyOnADifferentTableResyncsNeverWedges) {
-  // A confirm naming a table other than the one held (a stale carried
-  // mirror, a confirm meant for someone else): resync → full → synced.
-  InterestMirror m;
-  InterestUpdate held;
-  held.version = 3;
-  held.full = true;
-  held.added = {fa()};
-  held.digest = FilterSet({fa()}).digest();
-  ASSERT_EQ(m.apply(held), InterestMirror::Apply::kApplied);
-
-  InterestTable t;
-  t.rebuild({{ServiceId(1), {fb(), fc()}}});
-  InterestUpdate confirm = t.full_update(kCellView);
-  confirm.digest_only = true;
-  confirm.added.clear();
-  EXPECT_EQ(m.apply(confirm), InterestMirror::Apply::kResyncNeeded);
-  EXPECT_FALSE(m.synced());
-
-  EXPECT_EQ(m.apply(t.full_update(kCellView)), InterestMirror::Apply::kApplied);
-  EXPECT_TRUE(m.synced());
-  EXPECT_EQ(m.interests(), t.export_for(kCellView));
 }
 
 TEST(InterestMirror, EmptyFullTableReplacesRatherThanConfirms) {
@@ -385,7 +364,7 @@ TEST(InterestMirror, EmptyFullTableReplacesRatherThanConfirms) {
 
   InterestTable empty_cell;
   InterestUpdate empty = empty_cell.full_update(kCellView, m.held_digest());
-  ASSERT_FALSE(empty.digest_only);
+  ASSERT_FALSE(empty.confirm);
   EXPECT_EQ(m.apply(empty), InterestMirror::Apply::kApplied);
   EXPECT_TRUE(m.synced());
   EXPECT_TRUE(m.interests().empty());

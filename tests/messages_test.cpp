@@ -166,6 +166,74 @@ TEST(FederationOriginCodec, UnstampedFramesAreByteIdenticalToGolden) {
             deliver);
 }
 
+// ---- The state-stream frames (bus/state_stream.hpp). Incremental and full
+// frames of both streams keep the bytes each stream's own codec gave them;
+// a full kReplUpdate also keeps them but for its type byte, which was the
+// retired snapshot type 9.
+
+Digest256 golden_digest() {
+  Digest256 digest;
+  for (std::size_t i = 0; i < digest.size(); ++i) {
+    digest[i] = static_cast<std::uint8_t>(0xA0 + i % 16);
+  }
+  return digest;
+}
+
+/// `head` (type, flags, version) ++ golden_digest() ++ `tail` (the body).
+Bytes stream_frame(Bytes head, const Bytes& tail) {
+  const Digest256 digest = golden_digest();
+  head.insert(head.end(), digest.begin(), digest.end());
+  return concat(std::move(head), tail);
+}
+
+TEST(StateStreamCodec, FramesAreByteIdenticalToGolden) {
+  const Digest256 digest = golden_digest();
+
+  InterestUpdate full;
+  full.version = 7;
+  full.full = true;
+  full.digest = digest;
+  full.added = {Filter::for_type("a")};
+  EXPECT_EQ(BusMessage::interest_update(full).encode(),
+            stream_frame({0x07, 0x01, 0, 0, 0, 0, 0, 0, 0, 0x07},
+                         {0x00, 0x01, 0x00, 0x01, 0x00, 0x04, 0x74, 0x79,
+                          0x70, 0x65, 0x01, 0x04, 0x00, 0x01, 0x61, 0x00,
+                          0x00}));
+
+  InterestUpdate inc;
+  inc.version = 8;
+  inc.digest = digest;
+  inc.added = {Filter::for_type_prefix("b.")};
+  inc.removed = {Filter::for_type("a")};
+  EXPECT_EQ(BusMessage::interest_update(inc).encode(),
+            stream_frame({0x07, 0x00, 0, 0, 0, 0, 0, 0, 0, 0x08},
+                         {0x00, 0x01, 0x00, 0x01, 0x00, 0x04, 0x74, 0x79,
+                          0x70, 0x65, 0x07, 0x04, 0x00, 0x02, 0x62, 0x2e,
+                          0x00, 0x01, 0x00, 0x01, 0x00, 0x04, 0x74, 0x79,
+                          0x70, 0x65, 0x01, 0x04, 0x00, 0x01, 0x61}));
+
+  ReplUpdate repl_inc;
+  repl_inc.version = 9;
+  repl_inc.epoch = 3;
+  repl_inc.digest = digest;
+  repl_inc.ops = {0x01, 0x02, 0x03};
+  EXPECT_EQ(BusMessage::repl_update(repl_inc).encode(),
+            stream_frame({0x08, 0x00, 0, 0, 0, 0, 0, 0, 0, 0x09},
+                         {0, 0, 0, 0, 0, 0, 0, 0x03, 0x00, 0x00, 0x00, 0x03,
+                          0x01, 0x02, 0x03}));
+
+  ReplUpdate repl_full;
+  repl_full.version = 9;
+  repl_full.epoch = 3;
+  repl_full.full = true;
+  repl_full.digest = digest;
+  repl_full.ops = {0x04, 0x05};
+  EXPECT_EQ(BusMessage::repl_update(repl_full).encode(),
+            stream_frame({0x08, 0x01, 0, 0, 0, 0, 0, 0, 0, 0x09},
+                         {0, 0, 0, 0, 0, 0, 0, 0x03, 0x00, 0x00, 0x00, 0x02,
+                          0x04, 0x05}));
+}
+
 TEST(FederationOriginCodec, StampedFramesRoundTrip) {
   Event e = golden_event();
   const Origin origin{ServiceId(0x0A0000020002ULL), 3, 0x0102030405060708ULL};
@@ -203,8 +271,8 @@ TEST(FederationOriginCodec, FlagRejectedOnEveryOtherType) {
       BusMessage::unsubscribe(1).encode(),
       BusMessage::interest_update(InterestUpdate{}).encode(),
       BusMessage::flow_control(true).encode(),
-      BusMessage::interest_resync_request().encode(),
-      BusMessage::repl_resync_request().encode(),
+      BusMessage::resync_request(BusMsgType::kInterestUpdate).encode(),
+      BusMessage::resync_request(BusMsgType::kReplUpdate).encode(),
   };
   for (Bytes& frame : frames) {
     EXPECT_NO_THROW((void)BusMessage::decode(frame));

@@ -86,14 +86,6 @@ TEST(Registry, RemoveMemberDropsEverything) {
   EXPECT_TRUE(hit.contains(member_b()));
 }
 
-TEST(Registry, AllFiltersExportsEverything) {
-  auto reg = make_registry();
-  reg.subscribe(member_a(), 1, Filter::for_type("a"));
-  reg.subscribe(member_b(), 1, Filter::for_type("b"));
-  std::vector<Filter> filters = reg.all_filters();
-  EXPECT_EQ(filters.size(), 2u);
-}
-
 TEST(Registry, LocalIdsIndependentAcrossMembers) {
   auto reg = make_registry();
   reg.subscribe(member_a(), 1, Filter::for_type("a"));

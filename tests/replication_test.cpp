@@ -1,8 +1,7 @@
-// ReplState / ReplLog / ReplMirror unit tests, plus the kReplUpdate /
-// kReplSnapshot wire codec — the warm-standby replication stream the HA
-// core rides on (DESIGN.md §13). Mirrors the InterestMirror suite: version
-// gap → resync, digest mismatch → refuse-and-resync, increment before any
-// full snapshot → rejected, snapshots idempotent on a warm standby.
+// ReplState / ReplLog / ReplMirror unit tests, plus the kReplUpdate wire
+// codec — the warm-standby replication stream the HA core rides on
+// (DESIGN.md §13). ReplMirror runs the same mirror contract as the
+// InterestMirror (mirror_contract.hpp), behind its epoch fence.
 #include "bus/replication.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +10,7 @@
 
 #include "bus/messages.hpp"
 #include "common/rng.hpp"
+#include "mirror_contract.hpp"
 #include "pubsub/codec.hpp"
 
 namespace amuse {
@@ -39,6 +39,22 @@ ReplLog seeded_log() {
   return log;
 }
 
+/// The bus side of the replication stream, for the shared mirror contract.
+struct ReplSender {
+  using Mirror = ReplMirror;
+  using Update = ReplUpdate;
+
+  ReplSender() : log(seeded_log()) {}
+  void change() { log.member_admitted(ServiceId(++members), "sensor", "x"); }
+  Update full() { return log.snapshot(); }
+  Update increment() { return log.take_update(); }
+  Update confirm() { return log.take_update(); }  // nothing pending: a lease
+  [[nodiscard]] Digest256 digest() const { return log.state().digest(); }
+
+  ReplLog log;
+  std::uint64_t members = 100;
+};
+
 // ---- Wire codec.
 
 TEST(ReplUpdateCodec, IncrementalRoundTrip) {
@@ -54,7 +70,7 @@ TEST(ReplUpdateCodec, IncrementalRoundTrip) {
   EXPECT_EQ(back.repl->version, 9u);
   EXPECT_EQ(back.repl->epoch, 3u);
   EXPECT_FALSE(back.repl->full);
-  EXPECT_FALSE(back.repl->lease);
+  EXPECT_FALSE(back.repl->confirm);
   EXPECT_FALSE(back.repl->request_resync);
   EXPECT_EQ(back.repl->ops, u.ops);
   EXPECT_TRUE(digest_equal(back.repl->digest, u.digest));
@@ -64,7 +80,7 @@ TEST(ReplUpdateCodec, SnapshotRoundTrip) {
   ReplLog log = seeded_log();
   ReplUpdate snap = log.snapshot();
   BusMessage back = BusMessage::decode(BusMessage::repl_update(snap).encode());
-  EXPECT_EQ(back.type, BusMsgType::kReplSnapshot);
+  EXPECT_EQ(back.type, BusMsgType::kReplUpdate);
   ASSERT_TRUE(back.repl.has_value());
   EXPECT_TRUE(back.repl->full);
   EXPECT_EQ(back.repl->ops, snap.ops);
@@ -73,31 +89,53 @@ TEST(ReplUpdateCodec, SnapshotRoundTrip) {
 TEST(ReplUpdateCodec, LeaseRoundTrip) {
   ReplLog log = seeded_log();
   ReplUpdate lease = log.take_update();  // nothing pending → bare lease
-  EXPECT_TRUE(lease.lease);
-  BusMessage back = BusMessage::decode(BusMessage::repl_update(lease).encode());
+  EXPECT_TRUE(lease.confirm);
+  EXPECT_EQ(lease.version, log.version());
+  EXPECT_TRUE(digest_equal(lease.digest, log.state().digest()));
+  // Header and epoch fence, no ops.
+  Bytes frame = BusMessage::repl_update(lease).encode();
+  EXPECT_EQ(frame.size(), 1u + 1u + 8u + 32u + 8u);
+  BusMessage back = BusMessage::decode(frame);
   ASSERT_TRUE(back.repl.has_value());
-  EXPECT_TRUE(back.repl->lease);
+  EXPECT_TRUE(back.repl->confirm);
+  EXPECT_EQ(back.repl->epoch, 1u);
   EXPECT_TRUE(back.repl->ops.empty());
+  EXPECT_TRUE(digest_equal(back.repl->digest, lease.digest));
+}
+
+TEST(ReplUpdateCodec, ConfirmWithOpsIsRejected) {
+  ReplUpdate u;
+  u.epoch = 1;
+  u.ops = {0x01};
+  Bytes frame = BusMessage::repl_update(u).encode();
+  frame[1] = 0x04;  // an incremental frame's ops behind the confirm flag
+  EXPECT_THROW((void)BusMessage::decode(frame), DecodeError);
 }
 
 TEST(ReplUpdateCodec, ResyncRequestRoundTrip) {
   BusMessage back =
-      BusMessage::decode(BusMessage::repl_resync_request().encode());
+      BusMessage::decode(
+          BusMessage::resync_request(BusMsgType::kReplUpdate).encode());
   EXPECT_EQ(back.type, BusMsgType::kReplUpdate);
   ASSERT_TRUE(back.repl.has_value());
   EXPECT_TRUE(back.repl->request_resync);
 }
 
 TEST(ReplUpdateCodec, RejectsUnknownFlags) {
-  Bytes frame = BusMessage::repl_resync_request().encode();
+  Bytes frame = BusMessage::resync_request(BusMsgType::kReplUpdate).encode();
   // Byte 0 is the message type; byte 1 the flag octet.
   frame[1] = 0x80;
   EXPECT_THROW((void)BusMessage::decode(frame), DecodeError);
 }
 
 TEST(ReplUpdateCodec, RejectsSnapshotTypeWithoutFullFlag) {
+  // Type 9, the retired snapshot type, is rejected with or without the
+  // `full` flag: a snapshot is a full kReplUpdate.
   ReplLog log = seeded_log();
   Bytes frame = BusMessage::repl_update(log.snapshot()).encode();
+  ASSERT_EQ(frame[0], 8u);
+  frame[0] = 9;
+  EXPECT_THROW((void)BusMessage::decode(frame), DecodeError);
   frame[1] &= static_cast<std::uint8_t>(~0x01);  // clear the `full` flag
   EXPECT_THROW((void)BusMessage::decode(frame), DecodeError);
 }
@@ -149,89 +187,49 @@ TEST(ReplState, SpoolEvictionIsBoundedAndReturned) {
   EXPECT_EQ(log.state().spool.front().origin.seq, 3u);
 }
 
-// ---- ReplLog → ReplMirror: the streaming contract.
+// ---- ReplLog → ReplMirror: the mirror contract (mirror_contract.hpp),
+// then the replication-specific cases.
+
+TEST(ReplMirror, SnapshotIdempotentOnWarmStandby) {
+  mirror_contract::full_replaces_and_is_idempotent<ReplSender>();
+}
 
 TEST(ReplMirror, SnapshotThenIncrementsApply) {
+  mirror_contract::increments_apply_in_sequence<ReplSender>();
+
   ReplLog log = seeded_log();
   ReplMirror m;
-  EXPECT_EQ(m.apply(log.snapshot()), ReplMirror::Apply::kApplied);
-  EXPECT_TRUE(m.synced());
+  ASSERT_EQ(m.apply(log.snapshot()), ReplMirror::Apply::kApplied);
   EXPECT_EQ(m.state().members.size(), 1u);
-
   log.sub_added(ServiceId(5), 2, fb());
   EXPECT_EQ(m.apply(log.take_update()), ReplMirror::Apply::kApplied);
   EXPECT_EQ(m.state().members.at(5).subs.size(), 2u);
-  EXPECT_EQ(m.version(), log.version());
-
   log.member_purged(ServiceId(5));
   EXPECT_EQ(m.apply(log.take_update()), ReplMirror::Apply::kApplied);
   EXPECT_TRUE(m.state().members.empty());
-  EXPECT_TRUE(digest_equal(m.state().digest(), log.state().digest()));
-}
-
-TEST(ReplMirror, IncrementBeforeFullSnapshotNeedsResync) {
-  ReplLog log = seeded_log();
-  log.sub_added(ServiceId(5), 2, fb());
-  ReplMirror m;
-  EXPECT_EQ(m.apply(log.take_update()), ReplMirror::Apply::kResyncNeeded);
-  EXPECT_FALSE(m.synced());
-}
-
-TEST(ReplMirror, VersionGapNeedsResync) {
-  ReplLog log = seeded_log();
-  ReplMirror m;
-  ASSERT_EQ(m.apply(log.snapshot()), ReplMirror::Apply::kApplied);
-
-  log.sub_added(ServiceId(5), 2, fb());
-  (void)log.take_update();  // lost in transit
-  log.sub_removed(ServiceId(5), 1);
-  EXPECT_EQ(m.apply(log.take_update()), ReplMirror::Apply::kResyncNeeded);
-  EXPECT_FALSE(m.synced());
-
-  // Recovery: the bus answers the resync request with a snapshot.
-  EXPECT_EQ(m.apply(log.snapshot()), ReplMirror::Apply::kApplied);
-  EXPECT_TRUE(m.synced());
-  EXPECT_TRUE(digest_equal(m.state().digest(), log.state().digest()));
-}
-
-TEST(ReplMirror, DigestMismatchNeedsResync) {
-  ReplLog log = seeded_log();
-  ReplMirror m;
-  ASSERT_EQ(m.apply(log.snapshot()), ReplMirror::Apply::kApplied);
-
-  log.sub_added(ServiceId(5), 2, fb());
-  ReplUpdate u = log.take_update();
-  u.digest = Digest256{};  // corrupted in transit / buggy sender
-  EXPECT_EQ(m.apply(u), ReplMirror::Apply::kResyncNeeded);
-  // Never route a promotion off a suspect replica.
-  EXPECT_FALSE(m.synced());
-}
-
-TEST(ReplMirror, SnapshotIdempotentOnWarmStandby) {
-  ReplLog log = seeded_log();
-  ReplMirror m;
-  ReplUpdate snap = log.snapshot();
-  ASSERT_EQ(m.apply(snap), ReplMirror::Apply::kApplied);
-  Digest256 before = m.state().digest();
-  // The same snapshot again (admission retransmit, resync race): adopted
-  // wholesale, state unchanged.
-  EXPECT_EQ(m.apply(snap), ReplMirror::Apply::kApplied);
-  EXPECT_TRUE(m.synced());
-  EXPECT_TRUE(digest_equal(m.state().digest(), before));
 }
 
 TEST(ReplMirror, LeaseRenewalAppliesOnlyAtMatchingVersion) {
-  ReplLog log = seeded_log();
-  ReplMirror m;
-  ASSERT_EQ(m.apply(log.snapshot()), ReplMirror::Apply::kApplied);
+  // A lease is a confirm: it applies when the standby holds the core's
+  // state, and after a real missed increment it triggers a resync.
+  mirror_contract::confirm_adopts_the_version_it_names<ReplSender>();
+  mirror_contract::confirm_of_another_state_resyncs_never_wedges<ReplSender>();
+}
 
-  ReplUpdate bare = log.take_update();
-  ASSERT_TRUE(bare.lease);
-  EXPECT_EQ(m.apply(bare), ReplMirror::Apply::kApplied);
+TEST(ReplMirror, VersionGapNeedsResync) {
+  mirror_contract::version_gap_resyncs<ReplSender>();
+}
 
-  // A lease for a version we do not hold proves we missed an update.
-  bare.version += 1;
-  EXPECT_EQ(m.apply(bare), ReplMirror::Apply::kResyncNeeded);
+TEST(ReplMirror, DigestMismatchNeedsResync) {
+  mirror_contract::digest_mismatch_refuses_the_frame<ReplSender>();
+}
+
+TEST(ReplMirror, IncrementBeforeFullSnapshotNeedsResync) {
+  mirror_contract::increment_before_full_resyncs<ReplSender>();
+}
+
+TEST(ReplMirror, LeaseBeforeAnySnapshotNeedsResync) {
+  mirror_contract::confirm_before_any_state_resyncs<ReplSender>();
 }
 
 TEST(ReplMirror, StaleEpochIsIgnoredNotResynced) {

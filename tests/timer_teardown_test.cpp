@@ -169,6 +169,10 @@ std::vector<TeardownCase> teardown_cases() {
        [](SimExecutor& ex) -> std::shared_ptr<void> {
          auto t = std::make_shared<DropTransport>(1);
          auto agent = std::make_shared<DiscoveryAgent>(ex, t, agent_config());
+         t->set_receive_handler(
+             [a = agent.get()](ServiceId src, BytesView data) {
+               if (auto p = Packet::decode(data)) a->handle_packet(src, *p);
+             });
          agent->start();
          join_cell(*t);  // heartbeat and loss timers
          return agent;
