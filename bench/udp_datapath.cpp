@@ -1,9 +1,10 @@
 // Real-wire UDP datapath benchmark (DESIGN.md §12): events/sec over
 // loopback sockets, A/B between the legacy one-syscall-per-datagram path
-// and the batched recvmmsg/sendmmsg path, swept over payload size × shard
-// count × receive batch depth.
+// and the batched recvmmsg/sendmmsg path, swept over payload size ×
+// receive batch depth.
 //
-// Topology: two UdpTransports in one process (sender → receiver). The
+// Topology: two UdpTransports in one process (sender → receiver), each
+// posting to its own RealExecutor on its own consumer thread. The
 // sender thread pushes timestamped datagrams through Transport::send_batch
 // (or per-datagram send() in legacy mode) under a credit window: it never
 // holds more than `credit` datagrams outstanding beyond what the receiver
@@ -15,9 +16,9 @@
 // Latency: every 16th datagram carries a steady-clock timestamp in its
 // first 8 bytes; the receive handler turns those into p50/p99 samples.
 //
-// `--smoke` runs one small A/B cell and exits non-zero unless the batched
-// path at least matches legacy events/sec and the batch counters prove
-// batching actually happened (ctest `bench.udp_smoke`). Environments that
+// `--smoke` runs five small A/B pairs and exits non-zero unless the batched
+// path's median events/sec at least matches legacy's and the batch counters
+// prove batching actually happened (ctest `bench.udp_smoke`). Environments that
 // cannot open sockets exit 77 (ctest SKIP_RETURN_CODE).
 // `--json PATH` writes the sweep + A/B verdict for the bench artifact.
 #include <chrono>
@@ -27,16 +28,40 @@
 
 #include "bench_util.hpp"
 #include "net/udp_transport.hpp"
-#include "sim/executor_pool.hpp"
+#include "sim/real_executor.hpp"
 
 namespace amuse::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// One RealExecutor running on its own thread. stop() posts the stop task
+/// rather than calling RealExecutor::stop() directly: a direct stop that
+/// lands before the thread has entered run() is cleared on entry and the
+/// join would hang.
+class ExecutorThread {
+ public:
+  ExecutorThread() : thread_([this] { ex_.run(); }) {}
+  ~ExecutorThread() { stop(); }
+  ExecutorThread(const ExecutorThread&) = delete;
+  ExecutorThread& operator=(const ExecutorThread&) = delete;
+
+  RealExecutor& executor() { return ex_; }
+
+  /// Stops the loop after the tasks queued so far and joins. Idempotent.
+  void stop() {
+    if (!thread_.joinable()) return;
+    ex_.post([this] { ex_.stop(); });
+    thread_.join();
+  }
+
+ private:
+  RealExecutor ex_;
+  std::thread thread_;
+};
+
 struct CellParams {
   std::size_t payload = 250;   // datagram payload bytes (>= 16)
-  std::size_t shards = 1;      // receiver ExecutorPool size
   std::size_t depth = 16;      // recv_batch and send burst size
   bool batched = true;         // false = legacy recvfrom/sendto A/B column
   std::size_t events = 60'000;
@@ -75,26 +100,27 @@ CellResult run_cell(const CellParams& p) {
   UdpOptions rx_opts;
   rx_opts.batch_io = p.batched;
   rx_opts.recv_batch = p.batched ? p.depth : 1;
+  // Nothing here broadcasts: kernel-chosen discovery ports keep other
+  // processes' beacons out of the delivered count.
+  rx_opts.broadcast_port = 0;
   UdpOptions tx_opts = rx_opts;
 
-  ExecutorPool rx_pool({p.shards, /*pin_threads=*/true});
-  ExecutorPool tx_pool({1, /*pin_threads=*/true});
-  auto receiver = UdpTransport::open(rx_pool, rx_opts);
-  auto sender = UdpTransport::open(tx_pool, tx_opts);
+  ExecutorThread rx_loop;
+  ExecutorThread tx_loop;
+  auto receiver = UdpTransport::open(rx_loop.executor(), rx_opts);
+  auto sender = UdpTransport::open(tx_loop.executor(), tx_opts);
 
   std::atomic<std::uint64_t> delivered{0};
   std::atomic<std::uint64_t> last_delivery_ns{0};
-  // Every 16th datagram is stamped; samples land via an atomic cursor so
-  // concurrent shards never contend on a lock in the hot path.
-  std::vector<double> latencies(p.events / 16 + 1, 0.0);
-  std::atomic<std::size_t> lat_cursor{0};
+  // Every 16th datagram is stamped. Only the receiver's executor thread
+  // writes the samples; reserving up front keeps allocation off the hot
+  // path.
+  std::vector<double> latencies;
+  latencies.reserve(p.events / 16 + 1);
 
   receiver->set_receive_handler([&](ServiceId, BytesView data) {
     if (data.size() >= 16 && data[8] == 1) {
-      std::size_t slot = lat_cursor.fetch_add(1, std::memory_order_relaxed);
-      if (slot < latencies.size()) {
-        latencies[slot] = stamped_age_us(data.data());
-      }
+      latencies.push_back(stamped_age_us(data.data()));
     }
     delivered.fetch_add(1, std::memory_order_relaxed);
     last_delivery_ns.store(static_cast<std::uint64_t>(
@@ -178,35 +204,30 @@ CellResult run_cell(const CellParams& p) {
         static_cast<double>(r.rx.recv_syscalls);
   }
 
-  // Transports die before their pools: the receive threads stop, then the
-  // shard consumers drain and join.
+  // Transports die before their executors: the receive threads stop, then
+  // the executor loops drain and join.
   receiver.reset();
   sender.reset();
-  rx_pool.stop();
-  tx_pool.stop();
+  rx_loop.stop();
+  tx_loop.stop();
 
-  // Only now is `latencies` safe to read: joining the shard threads above
-  // is the happens-before edge for the handler's non-atomic sample writes.
-  std::vector<double> samples(
-      latencies.begin(),
-      latencies.begin() +
-          static_cast<std::ptrdiff_t>(std::min(
-              lat_cursor.load(std::memory_order_relaxed), latencies.size())));
-  if (!samples.empty()) {
-    std::sort(samples.begin(), samples.end());
-    r.p50_us = samples[samples.size() / 2];
-    r.p99_us = samples[static_cast<std::size_t>(
-        static_cast<double>(samples.size() - 1) * 0.99)];
+  // Only now is `latencies` safe to read: joining the receiver's executor
+  // thread above is the happens-before edge for the handler's writes.
+  if (!latencies.empty()) {
+    std::sort(latencies.begin(), latencies.end());
+    r.p50_us = latencies[latencies.size() / 2];
+    r.p99_us = latencies[static_cast<std::size_t>(
+        static_cast<double>(latencies.size() - 1) * 0.99)];
   }
   return r;
 }
 
 void print_cell(const CellParams& p, const CellResult& r) {
   std::printf(
-      "  %7zu B  x%zu shard  depth %2zu  %-7s  %10.0f ev/s  "
+      "  %7zu B  depth %2zu  %-7s  %10.0f ev/s  "
       "dg/syscall tx %5.1f rx %5.1f  p50 %6.1f us  p99 %7.1f us  "
       "(%llu/%llu delivered)\n",
-      p.payload, p.shards, p.depth, p.batched ? "batched" : "legacy",
+      p.payload, p.depth, p.batched ? "batched" : "legacy",
       r.events_per_sec, r.send_dgrams_per_syscall, r.recv_dgrams_per_syscall,
       r.p50_us, r.p99_us, static_cast<unsigned long long>(r.delivered),
       static_cast<unsigned long long>(r.sent));
@@ -216,10 +237,8 @@ void print_cell(const CellParams& p, const CellResult& r) {
 /// network namespaces cannot, and the bench must skip, not fail.
 bool sockets_available() {
   try {
-    ExecutorPool pool({1, false});
-    auto t = UdpTransport::open(pool, UdpOptions{});
-    t.reset();
-    pool.stop();
+    RealExecutor ex;
+    auto t = UdpTransport::open(ex, UdpOptions{});
     return true;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "udp_datapath: no socket support (%s); skipping\n",
@@ -236,10 +255,33 @@ int run_smoke() {
   CellParams batched = legacy;
   batched.batched = true;
 
-  CellResult lr = run_cell(legacy);
-  print_cell(legacy, lr);
-  CellResult br = run_cell(batched);
-  print_cell(batched, br);
+  // One A/B pair is not enough: the legacy rate is bimodal. Usually its
+  // receive pipeline (one wakeup per datagram) falls behind the sender and
+  // it runs at well under half the batched rate; sometimes, depending on
+  // what the other CPUs are doing, it keeps up, and then both paths run at
+  // the sender's per-datagram kernel cost and tie. So the smoke runs five
+  // pairs, alternating which path goes first, and compares the medians.
+  constexpr int kPairs = 5;
+  std::vector<CellResult> lrs;
+  std::vector<CellResult> brs;
+  for (int i = 0; i < kPairs; ++i) {
+    for (bool run_legacy : {i % 2 == 0, i % 2 != 0}) {
+      const CellParams& p = run_legacy ? legacy : batched;
+      CellResult r = run_cell(p);
+      print_cell(p, r);
+      (run_legacy ? lrs : brs).push_back(r);
+    }
+  }
+  auto median_rate = [](const std::vector<CellResult>& rs) {
+    std::vector<double> rates;
+    for (const CellResult& r : rs) rates.push_back(r.events_per_sec);
+    std::sort(rates.begin(), rates.end());
+    return rates[rates.size() / 2];
+  };
+  const double legacy_rate = median_rate(lrs);
+  const double batched_rate = median_rate(brs);
+  std::printf("  median of %d: legacy %.0f ev/s, batched %.0f ev/s\n", kPairs,
+              legacy_rate, batched_rate);
 
   int violations = 0;
   auto check = [&](bool ok, const char* what) {
@@ -248,14 +290,17 @@ int run_smoke() {
       ++violations;
     }
   };
-  check(br.events_per_sec >= lr.events_per_sec,
-        "batched events/sec >= legacy");
-  check(br.rx.recv_batches > 0, "receiver posted multi-datagram batches");
-  check(br.rx.max_recv_batch >= 2, "recvmmsg harvested >= 2 datagrams");
-  check(br.tx.batches_sent > 0, "sender flushed sendmmsg batches");
-  check(br.rx.buffers_recycled > 0, "receive slots recycled via freelist");
-  check(br.delivered > legacy.events / 2, "batched path delivered majority");
-  check(lr.delivered > legacy.events / 2, "legacy path delivered majority");
+  check(batched_rate >= legacy_rate, "batched events/sec >= legacy");
+  for (const CellResult& br : brs) {
+    check(br.rx.recv_batches > 0, "receiver posted multi-datagram batches");
+    check(br.rx.max_recv_batch >= 2, "recvmmsg harvested >= 2 datagrams");
+    check(br.tx.batches_sent > 0, "sender flushed sendmmsg batches");
+    check(br.rx.buffers_recycled > 0, "receive slots recycled via freelist");
+    check(br.delivered > legacy.events / 2, "batched path delivered majority");
+  }
+  for (const CellResult& lr : lrs) {
+    check(lr.delivered > legacy.events / 2, "legacy path delivered majority");
+  }
   if (violations != 0) {
     std::fprintf(stderr, "udp_datapath smoke: %d violation(s)\n", violations);
     return 1;
@@ -266,9 +311,9 @@ int run_smoke() {
 
 int run_full(const char* json_path) {
   std::printf("UDP loopback datapath: events/sec, batched vs legacy\n");
-  print_header("payload x shards x depth sweep; legacy = one syscall per "
+  print_header("payload x depth sweep; legacy = one syscall per "
                "datagram (A/B baseline)",
-               "  payload    shards   depth  mode");
+               "  payload   depth  mode");
 
   // The A/B acceptance cell: 250 B payloads, batched at depth 32 (the sweep
   // knee — deeper harvests amortise the syscall + wakeup further but stop
@@ -291,16 +336,13 @@ int run_full(const char* json_path) {
   // Sweep the batched path.
   std::vector<std::pair<CellParams, CellResult>> sweep;
   for (std::size_t payload : {std::size_t{64}, std::size_t{1024}}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      for (std::size_t depth : {std::size_t{8}, std::size_t{32}}) {
-        CellParams p;
-        p.payload = payload;
-        p.shards = shards;
-        p.depth = depth;
-        CellResult r = run_cell(p);
-        print_cell(p, r);
-        sweep.emplace_back(p, r);
-      }
+    for (std::size_t depth : {std::size_t{8}, std::size_t{32}}) {
+      CellParams p;
+      p.payload = payload;
+      p.depth = depth;
+      CellResult r = run_cell(p);
+      print_cell(p, r);
+      sweep.emplace_back(p, r);
     }
   }
 
@@ -339,10 +381,10 @@ int run_full(const char* json_path) {
       const auto& [p, r] = sweep[i];
       std::fprintf(
           f,
-          "    {\"payload\": %zu, \"shards\": %zu, \"depth\": %zu, "
+          "    {\"payload\": %zu, \"depth\": %zu, "
           "\"events_per_sec\": %.0f, \"recv_dg_per_syscall\": %.2f, "
           "\"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
-          p.payload, p.shards, p.depth, r.events_per_sec,
+          p.payload, p.depth, r.events_per_sec,
           r.recv_dgrams_per_syscall, r.p50_us, r.p99_us,
           i + 1 < sweep.size() ? "," : "");
     }

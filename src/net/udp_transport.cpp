@@ -16,8 +16,6 @@
 #include <system_error>
 #include <utility>
 
-#include "sim/executor_pool.hpp"
-
 namespace amuse {
 namespace {
 
@@ -35,6 +33,12 @@ sockaddr_in make_addr(std::uint32_t host_order_addr, std::uint16_t port) {
 
 /// Receive slots hold a full UDP datagram so harvests never truncate.
 constexpr std::size_t kSlotBytes = 65536;
+
+/// Requested SO_RCVBUF/SO_SNDBUF for the unicast socket (best-effort; the
+/// kernel clamps to rmem_max/wmem_max). A deep receive buffer is what lets
+/// the batched path absorb bursts between harvests instead of dropping on
+/// the socket queue.
+constexpr int kSocketBufferBytes = 4 << 20;
 
 }  // namespace
 
@@ -70,17 +74,6 @@ struct UdpTransport::RecvScratch {
 
 std::unique_ptr<UdpTransport> UdpTransport::open(Executor& executor,
                                                  Options options) {
-  return open_impl(&executor, nullptr, options);
-}
-
-std::unique_ptr<UdpTransport> UdpTransport::open(ExecutorPool& pool,
-                                                 Options options) {
-  return open_impl(nullptr, &pool, options);
-}
-
-std::unique_ptr<UdpTransport> UdpTransport::open_impl(Executor* executor,
-                                                      ExecutorPool* pool,
-                                                      Options options) {
   int ufd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (ufd < 0) throw_errno("socket(unicast)");
 
@@ -97,26 +90,35 @@ std::unique_ptr<UdpTransport> UdpTransport::open_impl(Executor* executor,
   }
   ServiceId id = ServiceId::from_addr_port(ntohl(uaddr.sin_addr.s_addr),
                                            ntohs(uaddr.sin_port));
-  if (options.socket_buffer_bytes > 0) {
-    // Best-effort: the kernel clamps to rmem_max/wmem_max. Deep socket
-    // queues let the batched path absorb bursts between harvests.
-    int bytes = options.socket_buffer_bytes;
-    ::setsockopt(ufd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
-    ::setsockopt(ufd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
-  }
+  int bytes = kSocketBufferBytes;
+  ::setsockopt(ufd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+  ::setsockopt(ufd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
 
   int mfd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (mfd < 0) {
     ::close(ufd);
     throw_errno("socket(multicast)");
   }
+  // Every endpoint of a group shares the discovery port, so the socket is
+  // SO_REUSEADDR. A kernel-chosen port (broadcast_port 0) sets it only
+  // after the bind: a choice made with it already set may land on a port
+  // another group is sharing.
   int one = 1;
-  ::setsockopt(mfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  const bool kernel_port = options.broadcast_port == 0;
+  if (!kernel_port) {
+    ::setsockopt(mfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  }
   sockaddr_in maddr = make_addr(INADDR_ANY, options.broadcast_port);
-  if (::bind(mfd, reinterpret_cast<sockaddr*>(&maddr), sizeof(maddr)) < 0) {
+  len = sizeof(maddr);
+  if (::bind(mfd, reinterpret_cast<sockaddr*>(&maddr), sizeof(maddr)) < 0 ||
+      ::getsockname(mfd, reinterpret_cast<sockaddr*>(&maddr), &len) < 0) {
     ::close(ufd);
     ::close(mfd);
     throw_errno("bind(multicast)");
+  }
+  options.broadcast_port = ntohs(maddr.sin_port);  // the kernel's pick for 0
+  if (kernel_port) {
+    ::setsockopt(mfd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   }
   ip_mreq mreq{};
   mreq.imr_multiaddr.s_addr = inet_addr(options.multicast_group);
@@ -135,14 +137,13 @@ std::unique_ptr<UdpTransport> UdpTransport::open_impl(Executor* executor,
   ::setsockopt(ufd, IPPROTO_IP, IP_MULTICAST_IF, &mcast_if, sizeof(mcast_if));
 
   return std::unique_ptr<UdpTransport>(
-      new UdpTransport(executor, pool, ufd, mfd, id, options));
+      new UdpTransport(executor, ufd, mfd, id, options));
 }
 
-UdpTransport::UdpTransport(Executor* executor, ExecutorPool* pool,
-                           int unicast_fd, int multicast_fd, ServiceId id,
+UdpTransport::UdpTransport(Executor& executor, int unicast_fd,
+                           int multicast_fd, ServiceId id,
                            const Options& options)
     : executor_(executor),
-      pool_(pool),
       unicast_fd_(unicast_fd),
       multicast_fd_(multicast_fd),
       id_(id),
@@ -345,7 +346,7 @@ bool UdpTransport::drain_batched(int fd) {
   if (!items.empty()) {
     datagrams_received_.fetch_add(items.size(), std::memory_order_relaxed);
     bytes_received_.fetch_add(received_bytes, std::memory_order_relaxed);
-    post_inbound(std::move(items));
+    post_to(std::move(items));
   }
   return static_cast<std::size_t>(n) == depth;
 #else
@@ -377,31 +378,10 @@ void UdpTransport::drain_legacy(int fd) {
   std::vector<Inbound> items;
   items.push_back(
       Inbound{src_id, std::move(slot), static_cast<std::size_t>(got)});
-  post_inbound(std::move(items));
+  post_to(std::move(items));
 }
 
-void UdpTransport::post_inbound(std::vector<Inbound> items) {
-  if (pool_ == nullptr) {
-    post_to(*executor_, std::move(items));
-    return;
-  }
-  if (pool_->size() == 1) {
-    post_to(pool_->shard(0), std::move(items));
-    return;
-  }
-  // Partition the harvest by the peer's stable shard so every peer's
-  // datagrams stay on one consumer thread, in arrival order.
-  std::vector<std::vector<Inbound>> per_shard(pool_->size());
-  for (Inbound& item : items) {
-    per_shard[pool_->shard_index(item.src)].push_back(std::move(item));
-  }
-  for (std::size_t i = 0; i < per_shard.size(); ++i) {
-    if (per_shard[i].empty()) continue;
-    post_to(pool_->shard(i), std::move(per_shard[i]));
-  }
-}
-
-void UdpTransport::post_to(Executor& executor, std::vector<Inbound> items) {
+void UdpTransport::post_to(std::vector<Inbound> items) {
   std::weak_ptr<const ReceiveHandler> weak_handler;
   {
     MutexLock lock(handler_mu_);
@@ -415,8 +395,8 @@ void UdpTransport::post_to(Executor& executor, std::vector<Inbound> items) {
   if (items.size() >= 2) {
     recv_batches_.fetch_add(1, std::memory_order_relaxed);
   }
-  executor.post([weak_handler, items = std::move(items), pool = buffers_,
-                 stale = dropped_stale_handler_]() mutable {
+  executor_.post([weak_handler, items = std::move(items), pool = buffers_,
+                  stale = dropped_stale_handler_]() mutable {
     auto h = weak_handler.lock();
     // The handler snapshotted at harvest was replaced (or the transport
     // died) before this task ran: the batch is dropped, and counted.

@@ -8,12 +8,11 @@
 //   services" (the prototype's arbitrarily-chosen broadcast port), so
 //   several endpoints in one or many processes on a machine all hear
 //   discovery beacons.
-// - A background thread polls the sockets and posts datagrams onto the
-//   owning Executor (or, in sharded mode, onto the ExecutorPool shard keyed
-//   by the sender's ServiceId), keeping all protocol logic single-threaded
-//   per owner. That thread is annotated AMUSE_RECEIVE_CONTEXT:
-//   scripts/check_affinity.py proves it never calls into executor-owned
-//   state except through post().
+// - A background thread polls the sockets and posts datagrams onto the one
+//   owning Executor, keeping all protocol logic single-threaded (a cell's
+//   bus, clients and channels are single-executor affine, DESIGN.md §10).
+//   That thread is annotated AMUSE_RECEIVE_CONTEXT: scripts/check_affinity.py
+//   proves it never calls into executor-owned state except through post().
 //
 // Datapath batching: where the platform provides recvmmsg/sendmmsg
 // (cmake/NetFeatures.cmake probes; AMUSE_HAVE_MMSG), the receive thread
@@ -40,10 +39,11 @@
 
 namespace amuse {
 
-class ExecutorPool;
-
 struct UdpOptions {
   /// The agreed "discovery" port every service listens on for broadcasts.
+  /// 0 lets the kernel choose one (see UdpTransport::broadcast_port()):
+  /// the first endpoint of a private group opens with 0 and the others
+  /// join the port it reports.
   std::uint16_t broadcast_port = 45'999;
   /// Loopback multicast group used to emulate the shared medium.
   const char* multicast_group = "239.255.42.1";
@@ -55,11 +55,6 @@ struct UdpOptions {
   /// recvmmsg harvest depth: slot buffers acquired per receive syscall.
   /// Values <= 1 behave like the legacy path.
   std::size_t recv_batch = 16;
-  /// Requested SO_RCVBUF/SO_SNDBUF for the unicast socket (best-effort; the
-  /// kernel clamps to rmem_max/wmem_max). 0 keeps the OS default. A deep
-  /// receive buffer is what lets the batched path absorb bursts between
-  /// harvests instead of dropping on the socket queue.
-  int socket_buffer_bytes = 1 << 22;
 };
 
 /// Snapshot of the transport's wire counters (see stats()).
@@ -117,20 +112,19 @@ class UdpTransport final : public Transport {
   using Options = UdpOptions;
 
   /// Opens the sockets (throws std::system_error on failure) and starts the
-  /// receive thread. Datagram handlers run on `executor`.
+  /// receive thread. Every harvest is posted, in arrival order, as one task
+  /// on `executor`, so the installed handler runs on that executor alone.
   static std::unique_ptr<UdpTransport> open(Executor& executor,
-                                            Options options = Options());
-
-  /// Sharded mode: datagram batches are posted to `pool.shard_for(src)`, so
-  /// each peer's traffic is owned by exactly one pinned shard and per-peer
-  /// FIFO is preserved. The installed handler runs concurrently across
-  /// shards — it must only touch per-peer state (DESIGN.md §12).
-  static std::unique_ptr<UdpTransport> open(ExecutorPool& pool,
                                             Options options = Options());
 
   ~UdpTransport() override;
 
   [[nodiscard]] ServiceId local_id() const override { return id_; }
+  /// The port the discovery socket is bound to and broadcast() sends to:
+  /// Options::broadcast_port, or the kernel's choice when that was 0.
+  [[nodiscard]] std::uint16_t broadcast_port() const {
+    return options_.broadcast_port;
+  }
   AMUSE_EGRESS_CONTEXT void send(ServiceId dst, BytesView data) override;
   AMUSE_EGRESS_CONTEXT void send_batch(
       std::span<const Datagram> batch) override;
@@ -165,12 +159,8 @@ class UdpTransport final : public Transport {
   }
 
  private:
-  UdpTransport(Executor* executor, ExecutorPool* pool, int unicast_fd,
-               int multicast_fd, ServiceId id, const Options& options);
-
-  static std::unique_ptr<UdpTransport> open_impl(Executor* executor,
-                                                 ExecutorPool* pool,
-                                                 Options options);
+  UdpTransport(Executor& executor, int unicast_fd, int multicast_fd,
+               ServiceId id, const Options& options);
 
   /// One received datagram travelling from the receive thread to its
   /// executor task: the slot buffer is recycled after delivery.
@@ -187,18 +177,16 @@ class UdpTransport final : public Transport {
   void drain_fd(int fd);
   bool drain_batched(int fd);
   void drain_legacy(int fd);
-  /// Posts one delivery task per destination executor for a harvest,
-  /// preserving arrival order per peer. Runs on the receive thread.
-  void post_inbound(std::vector<Inbound> items);
-  void post_to(Executor& executor, std::vector<Inbound> items);
+  /// Posts one delivery task for a harvest, preserving arrival order. Runs
+  /// on the receive thread.
+  void post_to(std::vector<Inbound> items);
   void send_burst_mmsg(std::span<const Datagram> batch);
 
-  Executor* executor_;   // single-executor mode (null in sharded mode)
-  ExecutorPool* pool_;   // sharded mode (null in single-executor mode)
+  Executor& executor_;
   int unicast_fd_;
   int multicast_fd_;
   ServiceId id_;
-  Options options_;
+  Options options_;  // broadcast_port holds the bound port
   std::shared_ptr<UdpBufferPool> buffers_;
   struct RecvScratch;    // mmsg headers reused across harvests (cpp-only)
   std::unique_ptr<RecvScratch> scratch_;

@@ -175,7 +175,7 @@ TEST(MutexWrappers, CondVarWaitUntilTimesOut) {
 TEST(UdpTransportStatsTest, CountersTrackSendAndReceive) {
   RealExecutor ex;
   UdpOptions opts;
-  opts.broadcast_port = 46911;
+  opts.broadcast_port = 0;  // kernel-chosen: no other test shares it
   std::unique_ptr<UdpTransport> a;
   std::unique_ptr<UdpTransport> b;
   try {

@@ -24,7 +24,6 @@
 
 #include "common/log.hpp"
 #include "net/udp_transport.hpp"
-#include "sim/executor_pool.hpp"
 #include "sim/real_executor.hpp"
 #include "sim/timer.hpp"
 
@@ -298,6 +297,20 @@ TEST(ExecutorStress, StopFromManyThreadsAtOnce) {
   SUCCEED();  // termination without a TSan report is the assertion
 }
 
+TEST(RealExecutor, PostedStopEndsALoopThatHasNotStarted) {
+  // The start → stop → join race: the loop thread may not have entered
+  // run() when the stop is issued. A direct stop() would be cleared on
+  // entry and the join would hang; a posted stop task ends the loop in
+  // either order.
+  for (int i = 0; i < 25; ++i) {
+    RealExecutor ex;
+    std::thread loop([&ex] { ex.run(); });
+    ex.post([&ex] { ex.stop(); });
+    loop.join();
+  }
+  SUCCEED();  // termination is the assertion
+}
+
 // --------------------------------------------------------------------------
 // Log sink (regression for the set_log_sink vs emit race window)
 // --------------------------------------------------------------------------
@@ -348,9 +361,13 @@ TEST(LogStress, SinkSwapRacesEmitters) {
 // UdpTransport
 // --------------------------------------------------------------------------
 
-std::unique_ptr<UdpTransport> try_open(Executor& ex, std::uint16_t bport) {
+/// Opens an endpoint that shares `group`'s discovery port, or binds a fresh
+/// kernel-chosen one when `group` is null, so concurrent tests never hear
+/// each other's broadcasts.
+std::unique_ptr<UdpTransport> try_open(Executor& ex,
+                                       const UdpTransport* group = nullptr) {
   UdpOptions opts;
-  opts.broadcast_port = bport;
+  opts.broadcast_port = group != nullptr ? group->broadcast_port() : 0;
   try {
     return UdpTransport::open(ex, opts);
   } catch (const std::system_error&) {
@@ -360,8 +377,8 @@ std::unique_ptr<UdpTransport> try_open(Executor& ex, std::uint16_t bport) {
 
 TEST(UdpStress, ConcurrentSendersAndHandlerSwaps) {
   RealExecutor ex;
-  auto a = try_open(ex, 46911);
-  auto b = try_open(ex, 46911);
+  auto a = try_open(ex);
+  auto b = try_open(ex);
   if (!a || !b) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
 
   std::atomic<std::uint64_t> delivered{0};
@@ -449,8 +466,8 @@ TEST(UdpStress, DestructionRacesInFlightDatagrams) {
   // those tasks into no-ops instead of calling into a destroyed handler.
   for (int round = 0; round < 5; ++round) {
     RealExecutor ex;
-    auto a = try_open(ex, 46912);
-    auto b = try_open(ex, 46912);
+    auto a = try_open(ex);
+    auto b = try_open(ex);
     if (!a || !b) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
 
     auto counter = std::make_shared<std::atomic<int>>(0);
@@ -473,20 +490,15 @@ TEST(UdpStress, DestructionRacesInFlightDatagrams) {
 TEST(UdpStress, SendBatchHammeredFromManyThreads) {
   // send_batch is AMUSE_EGRESS_CONTEXT: callable from any thread with no
   // executor affinity. Hammer it concurrently (alongside plain send) into
-  // a sharded receiver — the counters and freelist are the shared state
-  // tsan gets to bite on.
-  ExecutorPool pool({2, /*pin_threads=*/false});
-  std::unique_ptr<UdpTransport> rx;
-  UdpOptions opts;
-  opts.broadcast_port = 46914;
-  try {
-    rx = UdpTransport::open(pool, opts);
-  } catch (const std::system_error&) {
-    GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
-  }
+  // a receiver whose executor loop runs on its own thread — the counters
+  // and freelist are the shared state tsan gets to bite on, across the
+  // receive, executor and sender threads.
+  RealExecutor rx_ex;
   RealExecutor tx_ex;
-  auto tx = try_open(tx_ex, 46914);
-  if (!tx) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
+  auto rx = try_open(rx_ex);
+  auto tx = try_open(tx_ex);
+  if (!rx || !tx) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
+  std::thread rx_loop([&rx_ex] { rx_ex.run(); });
 
   std::atomic<int> received{0};
   rx->set_receive_handler(
@@ -522,14 +534,17 @@ TEST(UdpStress, SendBatchHammeredFromManyThreads) {
   EXPECT_EQ(txs.datagrams_sent, static_cast<std::uint64_t>(kTotal));
   EXPECT_LE(txs.send_syscalls, txs.datagrams_sent);
   rx.reset();
-  pool.stop();
+  // A posted stop ends the loop whether or not its thread has entered
+  // run() yet (see RealExecutor::stop()).
+  rx_ex.post([&rx_ex] { rx_ex.stop(); });
+  rx_loop.join();
 }
 
 TEST(UdpStress, BroadcastStormAcrossEndpoints) {
   RealExecutor ex;
-  auto a = try_open(ex, 46913);
-  auto b = try_open(ex, 46913);
-  auto c = try_open(ex, 46913);
+  auto a = try_open(ex);
+  auto b = try_open(ex, a.get());
+  auto c = try_open(ex, a.get());
   if (!a || !b || !c) GTEST_SKIP() << "UDP sockets unavailable";
 
   std::atomic<int> got_b{0};

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "bus/replication.hpp"
 #include "pubsub/codec.hpp"
@@ -225,8 +226,13 @@ TEST(ReplStore, CompactionBoundsTheJournal) {
 
 // ---- FileReplStore: the same semantics on a real file.
 
+// One file per test and process: ctest runs each test as its own process,
+// in parallel, and a shared name let one test's journal clobber another's.
 struct TempJournal {
-  TempJournal() : path(::testing::TempDir() + "amuse-repl-store-test.bin") {
+  TempJournal()
+      : path(::testing::TempDir() + "amuse-repl-store-" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+             "-" + std::to_string(::getpid()) + ".bin") {
     std::remove(path.c_str());
   }
   ~TempJournal() { std::remove(path.c_str()); }

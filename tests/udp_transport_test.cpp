@@ -7,18 +7,20 @@
 #include <atomic>
 #include <cstring>
 #include <map>
-#include <thread>
 
-#include "sim/executor_pool.hpp"
 #include "sim/real_executor.hpp"
 
 namespace amuse {
 namespace {
 
-std::unique_ptr<UdpTransport> try_open(Executor& ex, std::uint16_t bport,
+/// Opens an endpoint that shares `group`'s discovery port, or binds a fresh
+/// kernel-chosen one when `group` is null, so concurrent tests never hear
+/// each other's broadcasts.
+std::unique_ptr<UdpTransport> try_open(Executor& ex,
+                                       const UdpTransport* group = nullptr,
                                        bool batch_io = true) {
   UdpOptions opts;
-  opts.broadcast_port = bport;
+  opts.broadcast_port = group != nullptr ? group->broadcast_port() : 0;
   opts.batch_io = batch_io;
   try {
     return UdpTransport::open(ex, opts);
@@ -36,8 +38,8 @@ Bytes seq_payload(std::uint32_t n, std::size_t pad = 0) {
 
 TEST(UdpTransport, UnicastRoundTripOnLocalhost) {
   RealExecutor ex;
-  auto a = try_open(ex, 46901);
-  auto b = try_open(ex, 46901);
+  auto a = try_open(ex);
+  auto b = try_open(ex);
   if (!a || !b) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
 
   // The 48-bit id follows the prototype rule: loopback address + OS port.
@@ -64,9 +66,9 @@ TEST(UdpTransport, UnicastRoundTripOnLocalhost) {
 
 TEST(UdpTransport, BroadcastReachesOtherEndpointsNotSelf) {
   RealExecutor ex;
-  auto a = try_open(ex, 46902);
-  auto b = try_open(ex, 46902);
-  auto c = try_open(ex, 46902);
+  auto a = try_open(ex);
+  auto b = try_open(ex, a.get());
+  auto c = try_open(ex, a.get());
   if (!a || !b || !c) GTEST_SKIP() << "UDP sockets unavailable";
 
   std::atomic<int> got_a{0};
@@ -92,8 +94,8 @@ TEST(UdpTransport, BroadcastReachesOtherEndpointsNotSelf) {
 // payloads and per-peer order must come through unchanged.
 void check_interop(bool sender_batched, bool receiver_batched) {
   RealExecutor ex;
-  auto tx = try_open(ex, 46903, sender_batched);
-  auto rx = try_open(ex, 46903, receiver_batched);
+  auto tx = try_open(ex, nullptr, sender_batched);
+  auto rx = try_open(ex, nullptr, receiver_batched);
   if (!tx || !rx) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
 
   constexpr std::uint32_t kCount = 200;
@@ -145,8 +147,8 @@ TEST(UdpTransport, InteropLegacySenderBatchedReceiver) {
 
 TEST(UdpTransport, BatchedCountersAndFreelistRecycle) {
   RealExecutor ex;
-  auto tx = try_open(ex, 46904, true);
-  auto rx = try_open(ex, 46904, true);
+  auto tx = try_open(ex);
+  auto rx = try_open(ex);
   if (!tx || !rx) GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
 
   constexpr std::uint32_t kCount = 512;
@@ -193,45 +195,32 @@ TEST(UdpTransport, BatchedCountersAndFreelistRecycle) {
   EXPECT_LT(rxs.buffers_fresh, kCount);
 }
 
-TEST(UdpTransport, ShardedPoolPreservesPerPeerFifo) {
-  ExecutorPool pool({2, /*pin_threads=*/false});
-  UdpOptions opts;
-  opts.broadcast_port = 46905;
-  std::unique_ptr<UdpTransport> rx;
-  try {
-    rx = UdpTransport::open(pool, opts);
-  } catch (const std::system_error&) {
-    GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
-  }
-  RealExecutor tx_ex;
-  auto tx_a = try_open(tx_ex, 46905);
-  auto tx_b = try_open(tx_ex, 46905);
-  if (!tx_a || !tx_b) GTEST_SKIP() << "UDP sockets unavailable";
+// Two peers interleave sends into one receiver: each peer's datagrams must
+// reach the handler in the order that peer sent them.
+TEST(UdpTransport, InterleavedPeersKeepPerPeerFifo) {
+  RealExecutor ex;
+  auto rx = try_open(ex);
+  auto tx_a = try_open(ex);
+  auto tx_b = try_open(ex);
+  if (!rx || !tx_a || !tx_b) GTEST_SKIP() << "UDP sockets unavailable";
 
   constexpr std::uint32_t kPerPeer = 150;
-  Mutex mu;
   std::map<std::uint64_t, std::vector<std::uint32_t>> per_peer;
-  std::atomic<std::uint32_t> total{0};
+  std::uint32_t total = 0;
   rx->set_receive_handler([&](ServiceId src, BytesView data) {
     std::uint32_t n = 0;
     std::memcpy(&n, data.data(), sizeof(n));
-    {
-      MutexLock lock(mu);
-      per_peer[src.raw()].push_back(n);
-    }
-    total.fetch_add(1);
+    per_peer[src.raw()].push_back(n);
+    if (++total == 2 * kPerPeer) ex.stop();
   });
 
   for (std::uint32_t i = 0; i < kPerPeer; ++i) {
     tx_a->send(rx->local_id(), seq_payload(i));
     tx_b->send(rx->local_id(), seq_payload(i));
   }
-  for (int spins = 0; spins < 100 && total.load() < 2 * kPerPeer; ++spins) {
-    std::this_thread::sleep_for(milliseconds(20));
-  }
-  ASSERT_EQ(total.load(), 2 * kPerPeer) << "loopback dropped datagrams";
+  ex.run_for(seconds(10));
+  ASSERT_EQ(total, 2 * kPerPeer) << "loopback dropped datagrams";
 
-  MutexLock lock(mu);
   ASSERT_EQ(per_peer.size(), 2u);
   for (auto& [peer, seqs] : per_peer) {
     ASSERT_EQ(seqs.size(), kPerPeer);
@@ -239,8 +228,6 @@ TEST(UdpTransport, ShardedPoolPreservesPerPeerFifo) {
       EXPECT_EQ(seqs[n], n) << "per-peer FIFO broken for " << peer;
     }
   }
-  rx.reset();
-  pool.stop();
 }
 
 TEST(RealExecutor, StatsCountBatchDrains) {
