@@ -10,11 +10,15 @@
 // every discovery frame — plus near-miss malformed frames (bad batch
 // tiling, truncations, CRC damage) that exercise the rejection paths. The
 // codec corpus seeds decode_event/decode_filter through the harness's
-// steering byte. libFuzzer treats these as the starting population; the
+// steering byte. The matcher corpus scripts add/remove/match sequences over
+// ward-shaped filters (shared type, patient keys, bed prefixes of several
+// lengths, thresholds, int/double and NaN values) for the differential
+// matcher harness. libFuzzer treats these as the starting population; the
 // gcc standalone driver replays them verbatim under ASan/UBSan in CI.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "bus/messages.hpp"
@@ -232,11 +236,112 @@ void codec_corpus(const std::filesystem::path& dir) {
   }
 }
 
+/// A script for fuzz_matcher: records `u8 op, blob16 body`, where op is
+/// `id << 2 | action` (0 add, 2 remove, 3 match).
+class MatcherScript {
+ public:
+  MatcherScript& add(std::uint8_t id, const Filter& f) {
+    w_.u8(static_cast<std::uint8_t>(id << 2));
+    w_.blob16(encode_filter(f));
+    return *this;
+  }
+  MatcherScript& remove(std::uint8_t id) {
+    w_.u8(static_cast<std::uint8_t>(id << 2 | 2));
+    w_.blob16(Bytes{});
+    return *this;
+  }
+  MatcherScript& match(const Event& e) {
+    w_.u8(3);
+    w_.blob16(encode_event(e));
+    return *this;
+  }
+  Bytes take() && { return std::move(w_).take(); }
+
+ private:
+  Writer w_;
+};
+
+Filter threshold(const char* patient, const char* attr, Op op, Value bound) {
+  return Filter::for_type("obs.vitals")
+      .where("patient", Op::kEq, Value(std::string(patient)))
+      .where(attr, op, std::move(bound));
+}
+
+Event observation(const char* patient, const char* bed, Value hr) {
+  return Event("obs.vitals", {{"patient", Value(std::string(patient))},
+                              {"bed", Value(std::string(bed))},
+                              {"hr", std::move(hr)},
+                              {"spo2", Value(std::int64_t{91})}});
+}
+
+void matcher_corpus(const std::filesystem::path& dir) {
+  {
+    // A ward: every filter shares the type; patients, bed prefixes of
+    // several lengths and thresholds select.
+    MatcherScript s;
+    s.add(1, Filter::for_type("obs.vitals"))
+        .add(2, threshold("P0001", "hr", Op::kGt, Value(std::int64_t{120})))
+        .add(3, threshold("P0001", "spo2", Op::kLt, Value(std::int64_t{92})))
+        .add(4, threshold("P0002", "hr", Op::kGt, Value(std::int64_t{100})))
+        .add(5, Filter::for_type("obs.vitals")
+                    .where("bed", Op::kPrefix, Value(std::string("W01-")))
+                    .where("hr", Op::kGt, Value(std::int64_t{140})))
+        .add(6, Filter().where("bed", Op::kPrefix, Value(std::string("W0"))))
+        .add(7, Filter()
+                    .where("patient", Op::kEq, Value(std::string("P0002")))
+                    .where("type", Op::kEq, Value(std::string("obs.vitals"))))
+        .match(observation("P0001", "W01-B0001", Value(std::int64_t{150})))
+        .match(observation("P0002", "W02-B0002", Value(std::int64_t{101})))
+        .add(2, threshold("P0001", "hr", Op::kGt, Value(std::int64_t{90})))
+        .remove(3)
+        .match(observation("P0001", "W01-B0001", Value(std::int64_t{95})));
+    write_file(dir, "ward_thresholds.bin", std::move(s).take());
+  }
+  {
+    // Cross-type equality, NaN bounds and values, ranges/!=/exists only.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    MatcherScript s;
+    s.add(1, Filter().where("unit", Op::kEq, Value(std::int64_t{3})))
+        .add(2, Filter().where("unit", Op::kEq, Value(3.0)))
+        .add(3, Filter().where("hr", Op::kLe, Value(nan)))
+        .add(4, Filter().where("hr", Op::kEq, Value(nan)))
+        .add(5, Filter().where("hr", Op::kGe, Value(60.5))
+                    .where("hr", Op::kLt, Value(std::int64_t{100})))
+        .add(6, Filter().where("unit", Op::kNe, Value(std::int64_t{4})))
+        .add(7, Filter().where("resp", Op::kExists))
+        .add(8, Filter())
+        .match(Event("obs.vitals", {{"unit", Value(3.0)}, {"hr", Value(nan)}}))
+        .match(Event("obs.vitals", {{"unit", Value(std::int64_t{3})},
+                                    {"hr", Value(std::int64_t{72})},
+                                    {"resp", Value(std::int64_t{14})}}))
+        .remove(8)
+        .remove(5)
+        .match(Event("obs.vitals", {{"hr", Value(-0.0)}}));
+    write_file(dir, "cross_type_nan.bin", std::move(s).take());
+  }
+  {
+    // Churn on colliding ids: the same id moves between index kinds.
+    MatcherScript s;
+    for (std::uint8_t round = 0; round < 4; ++round) {
+      s.add(9, Filter::for_type("alarm.cardiac"))
+          .add(9, Filter::for_type_prefix("alarm."))
+          .add(9, Filter().where("level", Op::kSuffix,
+                                 Value(std::string("high"))))
+          .match(Event("alarm.cardiac",
+                       {{"level", Value(std::string("high"))}}))
+          .remove(9)
+          .match(Event("alarm.cardiac"));
+    }
+    write_file(dir, "id_churn.bin", std::move(s).take());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::filesystem::path root = argc > 1 ? argv[1] : "fuzz/corpus";
   packet_corpus(root / "packet");
   codec_corpus(root / "codec");
+  matcher_corpus(root / "matcher");
   return 0;
 }

@@ -5,7 +5,7 @@
 // queued-and-retransmitted proxy channels. The matching engine behind the
 // "EventBus" interface is pluggable (§III-A): the Siena-based engine (poset
 // matcher reached through the translation layer) or the dedicated C-style
-// engine (fast-forwarding counting matcher, no translation) — the paper's
+// engine (fast-forwarding index matcher, no translation) — the paper's
 // two measured configurations — plus a brute-force oracle for tests.
 //
 // Co-located services (the discovery service, the policy service, the

@@ -56,8 +56,9 @@ CostModel ideal_host() {
   return m;
 }
 
-// The dedicated engine: a fixed ~1 ms to run the counting algorithm (JNI
-// call + index probes) and one extra payload copy into the delivery queue.
+// The dedicated engine: a fixed ~1 ms to run the fast-forwarding matcher
+// (JNI call + index probes) and one extra payload copy into the delivery
+// queue.
 BusCostModel c_bus_costs() {
   BusCostModel b;
   b.match_fixed = microseconds(1'000);

@@ -1,129 +1,213 @@
 #include "pubsub/fastforward_matcher.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace amuse {
 namespace {
 
-void sorted_insert(std::vector<std::pair<double, std::uint32_t>>& v,
-                   double bound, std::uint32_t slot) {
-  auto it = std::lower_bound(
-      v.begin(), v.end(), bound,
-      [](const auto& entry, double b) { return entry.first < b; });
-  v.insert(it, {bound, slot});
+// NaN equals nothing and has no place in a sorted bound array, so a NaN
+// constraint is never a key; it is still evaluated with its filter.
+bool numeric_key(const Value& v) {
+  return v.is_numeric() && !std::isnan(v.as_double());
+}
+
+bool is_range(Op op) {
+  return op == Op::kLt || op == Op::kLe || op == Op::kGt || op == Op::kGe;
 }
 
 }  // namespace
 
 void FastForwardMatcher::add(SubId id, const Filter& filter) {
-  auto it = slot_of_.find(id);
-  if (it != slot_of_.end()) {
-    // Re-add replaces the filter: the old constraints must leave the index
-    // immediately (a tombstone is not enough — the resurrected id would be
-    // bumped by stale entries), so force a compaction.
-    drop_slot(it->second);
-    compact();
-  }
-  Slot slot = static_cast<Slot>(slots_.size());
-  slots_.push_back(SlotInfo{id, filter,
-                            static_cast<std::uint32_t>(filter.size()), true});
-  slot_of_.emplace(id, slot);
-  ++live_count_;
-  index_filter(slot, filter);
-}
-
-void FastForwardMatcher::index_filter(Slot slot, const Filter& filter) {
-  if (filter.empty()) {
-    empty_filters_.push_back(slot);
-    return;
-  }
-  for (const Constraint& c : filter.constraints()) {
-    AttrIndex& ai = attrs_[c.attribute];
-    switch (c.op) {
-      case Op::kExists:
-        ai.exists.push_back(slot);
-        break;
-      case Op::kEq:
-        if (c.value.is_numeric()) {
-          ai.eq_num[c.value.as_double()].push_back(slot);
-        } else if (c.value.type() == ValueType::kString) {
-          ai.eq_str[c.value.as_string()].push_back(slot);
-        } else {
-          ai.scan.push_back({c.op, c.value, slot});
-        }
-        break;
-      case Op::kLt:
-      case Op::kLe:
-      case Op::kGt:
-      case Op::kGe:
-        if (c.value.is_numeric()) {
-          double bound = c.value.as_double();
-          switch (c.op) {
-            case Op::kLt: sorted_insert(ai.lt, bound, slot); break;
-            case Op::kLe: sorted_insert(ai.le, bound, slot); break;
-            case Op::kGt: sorted_insert(ai.gt, bound, slot); break;
-            default: sorted_insert(ai.ge, bound, slot); break;
-          }
-        } else {
-          ai.scan.push_back({c.op, c.value, slot});
-        }
-        break;
-      default:
-        ai.scan.push_back({c.op, c.value, slot});
-        break;
-    }
-  }
-}
-
-void FastForwardMatcher::drop_slot(Slot slot) {
-  if (!slots_[slot].alive) return;
-  slots_[slot].alive = false;
-  --live_count_;
-  ++dead_count_;
+  remove(id);  // re-adding replaces the filter
+  Sub& sub = subs_[id];
+  sub.id = id;
+  sub.filter = filter;
+  file(sub);
 }
 
 void FastForwardMatcher::remove(SubId id) {
-  auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return;
-  drop_slot(it->second);
-  slot_of_.erase(it);
-  if (dead_count_ > live_count_ && dead_count_ > 16) compact();
+  auto it = subs_.find(id);
+  if (it == subs_.end()) return;
+  unfile(it->second);
+  subs_.erase(it);
 }
 
-void FastForwardMatcher::compact() {
-  std::vector<SlotInfo> live;
-  live.reserve(live_count_);
-  for (SlotInfo& info : slots_) {
-    if (info.alive) live.push_back(std::move(info));
+const FastForwardMatcher::Bucket* FastForwardMatcher::find_bucket(
+    Access access, const Constraint& c) const {
+  auto ait = attrs_.find(c.attribute);
+  if (ait == attrs_.end()) return nullptr;
+  const AttrIndex& ai = ait->second;
+  if (access == Access::kEqNum) {
+    auto it = ai.eq_num.find(c.value.as_double());
+    return it == ai.eq_num.end() ? nullptr : &it->second;
   }
-  slots_ = std::move(live);
-  slot_of_.clear();
-  attrs_.clear();
-  empty_filters_.clear();
-  dead_count_ = 0;
-  for (Slot slot = 0; slot < slots_.size(); ++slot) {
-    slot_of_.emplace(slots_[slot].id, slot);
-    index_filter(slot, slots_[slot].filter);
+  const std::string& s = c.value.as_string();
+  const StringBuckets* buckets = &ai.eq_str;
+  if (access == Access::kPrefix) {
+    auto level = std::ranges::find(ai.prefixes, s.size(), &PrefixLevel::length);
+    if (level == ai.prefixes.end()) return nullptr;
+    buckets = &level->buckets;
   }
-  counts_.clear();
-  stamps_.clear();
+  auto it = buckets->find(s);
+  return it == buckets->end() ? nullptr : &it->second;
+}
+
+void FastForwardMatcher::file(Sub& sub) {
+  auto push = [&sub](Bucket& bucket) {
+    sub.pos = static_cast<std::uint32_t>(bucket.size());
+    bucket.push_back(&sub);
+  };
+  const std::vector<Constraint>& cs = sub.filter.constraints();
+  if (cs.empty()) {
+    sub.access = Access::kAll;
+    push(all_);
+    return;
+  }
+
+  // First choice: the equality or prefix constraint with the smallest
+  // bucket (the first one on a tie).
+  bool keyed = false;
+  std::size_t best = 0;
+  for (std::uint32_t i = 0; i < cs.size(); ++i) {
+    const Constraint& c = cs[i];
+    bool text = c.value.type() == ValueType::kString;
+    Access access = Access::kScan;  // not a hash key
+    if (c.op == Op::kEq && numeric_key(c.value)) access = Access::kEqNum;
+    if (c.op == Op::kEq && text) access = Access::kEqStr;
+    if (c.op == Op::kPrefix && text) access = Access::kPrefix;
+    if (access == Access::kScan) continue;
+    const Bucket* bucket = find_bucket(access, c);
+    std::size_t n = bucket ? bucket->size() : 0;
+    if (!keyed || n < best) {
+      keyed = true;
+      best = n;
+      sub.access = access;
+      sub.key = i;
+      if (n == 0) break;
+    }
+  }
+  // Else a numeric range bound; else the first attribute's scan list.
+  if (!keyed) {
+    auto range = std::ranges::find_if(cs, [](const Constraint& c) {
+      return is_range(c.op) && numeric_key(c.value);
+    });
+    sub.access = range == cs.end() ? Access::kScan : Access::kRange;
+    sub.key = range == cs.end()
+                  ? 0
+                  : static_cast<std::uint32_t>(range - cs.begin());
+  }
+
+  const Constraint& c = cs[sub.key];
+  AttrIndex& ai = attrs_[c.attribute];
+  ++ai.keyed;
+  switch (sub.access) {
+    case Access::kEqNum:
+      push(ai.eq_num[c.value.as_double()]);
+      break;
+    case Access::kEqStr:
+      push(ai.eq_str[c.value.as_string()]);
+      break;
+    case Access::kPrefix: {
+      std::size_t length = c.value.as_string().size();
+      auto level = std::ranges::lower_bound(ai.prefixes, length, {},
+                                            &PrefixLevel::length);
+      if (level == ai.prefixes.end() || level->length != length) {
+        level = ai.prefixes.insert(level, PrefixLevel{length, {}});
+      }
+      push(level->buckets[c.value.as_string()]);
+      break;
+    }
+    case Access::kRange: {
+      std::vector<Bound>& bounds = range_array(ai, c.op);
+      double b = c.value.as_double();
+      auto at = std::ranges::upper_bound(bounds, b, {}, &Bound::bound);
+      bounds.insert(at, Bound{b, &sub});
+      break;
+    }
+    default:
+      push(ai.scan);
+      break;
+  }
+}
+
+void FastForwardMatcher::unfile(const Sub& sub) {
+  // Swap-with-last keeps every bucket dense; returns true once it is empty.
+  auto pop = [&sub](Bucket& bucket) {
+    bucket[sub.pos] = bucket.back();
+    bucket[sub.pos]->pos = sub.pos;
+    bucket.pop_back();
+    return bucket.empty();
+  };
+  // Pops from the keyed bucket, dropping it once empty; true when the
+  // whole map is empty.
+  auto pop_keyed = [&pop](auto& buckets, const auto& key) {
+    auto it = buckets.find(key);
+    if (pop(it->second)) buckets.erase(it);
+    return buckets.empty();
+  };
+  if (sub.access == Access::kAll) {
+    pop(all_);
+    return;
+  }
+
+  const Constraint& c = sub.filter.constraints()[sub.key];
+  auto ait = attrs_.find(c.attribute);
+  AttrIndex& ai = ait->second;
+  switch (sub.access) {
+    case Access::kEqNum:
+      pop_keyed(ai.eq_num, c.value.as_double());
+      break;
+    case Access::kEqStr:
+      pop_keyed(ai.eq_str, c.value.as_string());
+      break;
+    case Access::kPrefix: {
+      const std::string& prefix = c.value.as_string();
+      auto level =
+          std::ranges::find(ai.prefixes, prefix.size(), &PrefixLevel::length);
+      if (pop_keyed(level->buckets, prefix)) ai.prefixes.erase(level);
+      break;
+    }
+    case Access::kRange: {
+      std::vector<Bound>& bounds = range_array(ai, c.op);
+      auto [lo, hi] = std::ranges::equal_range(bounds, c.value.as_double(),
+                                               {}, &Bound::bound);
+      bounds.erase(std::ranges::find(lo, hi, &sub, &Bound::sub));
+      break;
+    }
+    default:
+      pop(ai.scan);
+      break;
+  }
+  if (--ai.keyed == 0) attrs_.erase(ait);
+}
+
+std::vector<FastForwardMatcher::Bound>& FastForwardMatcher::range_array(
+    AttrIndex& ai, Op op) {
+  switch (op) {
+    case Op::kLt: return ai.lt;
+    case Op::kLe: return ai.le;
+    case Op::kGt: return ai.gt;
+    default: return ai.ge;
+  }
 }
 
 void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
-  if (counts_.size() < slots_.size()) {
-    counts_.resize(slots_.size(), 0);
-    stamps_.resize(slots_.size(), 0);
-  }
-  ++epoch_;
-
-  auto bump = [&](Slot slot) {
-    const SlotInfo& info = slots_[slot];
-    if (!info.alive) return;
-    if (stamps_[slot] != epoch_) {
-      stamps_[slot] = epoch_;
-      counts_[slot] = 0;
+  // Reached through its key, so only the other constraints need testing.
+  auto visit = [&](const Sub* sub) {
+    const std::vector<Constraint>& cs = sub->filter.constraints();
+    for (std::uint32_t i = 0; i < cs.size(); ++i) {
+      if (i == sub->key) continue;
+      const Value* v = e.get(cs[i].attribute);
+      if (!v || !cs[i].matches(*v)) return;
     }
-    if (++counts_[slot] == info.total) out.push_back(info.id);
+    out.push_back(sub->id);
+  };
+  auto visit_bucket = [&](const Bucket& bucket) {
+    for (const Sub* sub : bucket) visit(sub);
+  };
+  auto visit_bounds = [&](auto first, auto last) {
+    for (; first != last; ++first) visit(first->sub);
   };
 
   for (const auto& [name, value] : e.attributes()) {
@@ -131,56 +215,42 @@ void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
     if (ait == attrs_.end()) continue;
     const AttrIndex& ai = ait->second;
 
-    for (Slot slot : ai.exists) bump(slot);
-
     if (value.is_numeric()) {
       double v = value.as_double();
-      if (auto eq = ai.eq_num.find(v); eq != ai.eq_num.end()) {
-        for (Slot slot : eq->second) bump(slot);
+      if (auto it = ai.eq_num.find(v); it != ai.eq_num.end()) {
+        visit_bucket(it->second);
       }
-      // v < bound  ⇔  bound > v: suffix starting at upper_bound(v).
-      {
-        auto from = std::upper_bound(
-            ai.lt.begin(), ai.lt.end(), v,
-            [](double x, const auto& entry) { return x < entry.first; });
-        for (auto it2 = from; it2 != ai.lt.end(); ++it2) bump(it2->second);
-      }
-      // v <= bound ⇔ bound >= v: suffix starting at lower_bound(v).
-      {
-        auto from = std::lower_bound(
-            ai.le.begin(), ai.le.end(), v,
-            [](const auto& entry, double x) { return entry.first < x; });
-        for (auto it2 = from; it2 != ai.le.end(); ++it2) bump(it2->second);
-      }
-      // v > bound ⇔ bound < v: prefix ending at lower_bound(v).
-      {
-        auto to = std::lower_bound(
-            ai.gt.begin(), ai.gt.end(), v,
-            [](const auto& entry, double x) { return entry.first < x; });
-        for (auto it2 = ai.gt.begin(); it2 != to; ++it2) bump(it2->second);
-      }
-      // v >= bound ⇔ bound <= v: prefix ending at upper_bound(v).
-      {
-        auto to = std::upper_bound(
-            ai.ge.begin(), ai.ge.end(), v,
-            [](double x, const auto& entry) { return x < entry.first; });
-        for (auto it2 = ai.ge.begin(); it2 != to; ++it2) bump(it2->second);
-      }
+      // v < bound ⇔ bound > v: the suffix after upper_bound(v).
+      visit_bounds(std::ranges::upper_bound(ai.lt, v, {}, &Bound::bound),
+                   ai.lt.end());
+      // v <= bound ⇔ bound >= v: the suffix from lower_bound(v).
+      visit_bounds(std::ranges::lower_bound(ai.le, v, {}, &Bound::bound),
+                   ai.le.end());
+      // v > bound ⇔ bound < v: the prefix before lower_bound(v).
+      visit_bounds(ai.gt.begin(),
+                   std::ranges::lower_bound(ai.gt, v, {}, &Bound::bound));
+      // v >= bound ⇔ bound <= v: the prefix before upper_bound(v).
+      visit_bounds(ai.ge.begin(),
+                   std::ranges::upper_bound(ai.ge, v, {}, &Bound::bound));
     } else if (value.type() == ValueType::kString) {
-      if (auto eq = ai.eq_str.find(value.as_string()); eq != ai.eq_str.end()) {
-        for (Slot slot : eq->second) bump(slot);
+      const std::string& s = value.as_string();
+      if (auto it = ai.eq_str.find(s); it != ai.eq_str.end()) {
+        visit_bucket(it->second);
+      }
+      for (const PrefixLevel& level : ai.prefixes) {
+        if (level.length > s.size()) break;
+        std::string_view head = std::string_view(s).substr(0, level.length);
+        auto it = level.buckets.find(head);
+        if (it != level.buckets.end()) visit_bucket(it->second);
       }
     }
-
-    for (const ScanEntry& entry : ai.scan) {
-      Constraint c{name, entry.op, entry.value};
-      if (c.matches(value)) bump(entry.slot);
+    // The scan key only says the attribute is present: test everything.
+    for (const Sub* sub : ai.scan) {
+      if (sub->filter.matches(e)) out.push_back(sub->id);
     }
   }
 
-  for (Slot slot : empty_filters_) {
-    if (slots_[slot].alive) out.push_back(slots_[slot].id);
-  }
+  for (const Sub* sub : all_) out.push_back(sub->id);
 }
 
 }  // namespace amuse

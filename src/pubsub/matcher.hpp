@@ -5,9 +5,13 @@
 //   - BruteForceMatcher — linear scan; the semantic oracle for tests;
 //   - SienaMatcher      — subscription poset with covering relations, used
 //                         through a translation layer (the Siena-based bus);
-//   - FastForwardMatcher — the counting algorithm of Siena's fast
-//                         forwarding module (Carzaniga & Wolf, SIGCOMM'03),
-//                         the model for the paper's dedicated C engine.
+//   - FastForwardMatcher — Siena's fast-forwarding per-attribute indexes
+//                         (Carzaniga & Wolf, SIGCOMM'03) as an access-
+//                         predicate index: each filter is filed under one
+//                         selective constraint, so matching costs scale
+//                         with the number of filters whose key the event
+//                         satisfies — the model for the paper's dedicated
+//                         C engine.
 #pragma once
 
 #include <cstdint>
