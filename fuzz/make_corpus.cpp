@@ -202,6 +202,25 @@ void codec_corpus(const std::filesystem::path& dir) {
     whole.resize(whole.size() / 2);
     write_file(dir, "event_truncated.bin", steered(0, whole));
   }
+  {
+    // A hand-built body no encoder writes: names out of order and one
+    // duplicated. Decode must sort them and keep the last "hr".
+    Writer w;
+    w.u48(ServiceId::from_addr_port(0x0A000003, 40003).raw());
+    w.u64(7);
+    w.i64(1000);
+    w.u16(4);
+    w.str("type");
+    Value(std::string("vitals.heartrate")).encode(w);
+    w.str("hr");
+    Value(std::int64_t{80}).encode(w);
+    w.str("bed");
+    Value(std::string("b-12")).encode(w);
+    w.str("hr");
+    Value(std::int64_t{95}).encode(w);
+    write_file(dir, "event_unordered_duplicate.bin",
+               steered(0, std::move(w).take()));
+  }
   write_file(dir, "filter_for_type.bin",
              steered(1, encode_filter(Filter::for_type("vitals.heartrate"))));
   write_file(

@@ -201,7 +201,7 @@ Bytes BusMessage::encode_event_header(
 }
 
 Bytes BusMessage::encode_publish(const Event& e) {
-  Writer w;
+  Writer w(Event::kEncodeReserve);
   w.u8(type_byte(BusMsgType::kPublish, e.origin()));
   write_origin(w, e.origin());
   e.encode(w);

@@ -4,28 +4,26 @@
 
 namespace amuse {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
+namespace {
+// Big-endian bytes of the low `N` bytes of `v`, appended in one insert so
+// the buffer grows (and checks capacity) once per value, not once per byte.
+template <std::size_t N>
+void append_be(Bytes& buf, std::uint64_t v) {
+  std::uint8_t out[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
   }
+  buf.insert(buf.end(), out, out + N);
 }
+}  // namespace
 
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::u16(std::uint16_t v) { append_be<2>(buf_, v); }
 
-void Writer::u48(std::uint64_t v) {
-  for (int shift = 40; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void Writer::u32(std::uint32_t v) { append_be<4>(buf_, v); }
+
+void Writer::u64(std::uint64_t v) { append_be<8>(buf_, v); }
+
+void Writer::u48(std::uint64_t v) { append_be<6>(buf_, v); }
 
 void Writer::f64(double v) {
   static_assert(sizeof(double) == sizeof(std::uint64_t));
@@ -60,59 +58,13 @@ void Writer::patch_u16(std::size_t pos, std::uint16_t v) {
   buf_[pos + 1] = static_cast<std::uint8_t>(v);
 }
 
-void Reader::need(std::size_t n) const {
-  if (pos_ + n > data_.size()) {
-    throw DecodeError("truncated buffer: need " + std::to_string(n) +
-                      " bytes at offset " + std::to_string(pos_) +
-                      ", have " + std::to_string(data_.size() - pos_));
-  }
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t Reader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 8;
-  return v;
-}
-
-std::uint64_t Reader::u48() {
-  need(6);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 6; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 6;
-  return v;
+void Reader::truncated(std::size_t n) const {
+  throw DecodeError("truncated buffer: need " + std::to_string(n) +
+                    " bytes at offset " + std::to_string(pos_) +
+                    ", have " + std::to_string(data_.size() - pos_));
 }
 
 double Reader::f64() { return std::bit_cast<double>(u64()); }
-
-BytesView Reader::raw(std::size_t n) {
-  need(n);
-  BytesView v = data_.subspan(pos_, n);
-  pos_ += n;
-  return v;
-}
 
 Bytes Reader::blob16() {
   std::size_t n = u16();

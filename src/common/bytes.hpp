@@ -63,21 +63,32 @@ class Writer {
 };
 
 /// Bounds-checked big-endian reader over a byte view. All accessors throw
-/// DecodeError instead of reading out of bounds.
+/// DecodeError instead of reading out of bounds. The fixed-width reads are
+/// inline: a decoder makes several per attribute, and only the failure
+/// path (building the error message) is out of line.
 class Reader {
  public:
   explicit Reader(BytesView data) : data_(data) {}
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::uint64_t u48();
+  [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(be<1>()); }
+  [[nodiscard]] std::uint16_t u16() {
+    return static_cast<std::uint16_t>(be<2>());
+  }
+  [[nodiscard]] std::uint32_t u32() {
+    return static_cast<std::uint32_t>(be<4>());
+  }
+  [[nodiscard]] std::uint64_t u64() { return be<8>(); }
+  [[nodiscard]] std::uint64_t u48() { return be<6>(); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64();
   [[nodiscard]] bool boolean() { return u8() != 0; }
 
-  [[nodiscard]] BytesView raw(std::size_t n);
+  [[nodiscard]] BytesView raw(std::size_t n) {
+    need(n);
+    BytesView v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
+  }
   [[nodiscard]] Bytes blob16();
   [[nodiscard]] Bytes blob32();
   [[nodiscard]] std::string str();
@@ -87,7 +98,20 @@ class Reader {
   [[nodiscard]] std::size_t position() const { return pos_; }
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (n > data_.size() - pos_) truncated(n);
+  }
+  [[noreturn]] void truncated(std::size_t n) const;
+  /// The next `N` bytes as a big-endian unsigned value.
+  template <std::size_t N>
+  std::uint64_t be() {
+    need(N);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < N; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += N;
+    return v;
+  }
+
   BytesView data_;
   std::size_t pos_ = 0;
 };

@@ -3,7 +3,7 @@
 namespace amuse {
 
 Bytes encode_event(const Event& e) {
-  Writer w;
+  Writer w(Event::kEncodeReserve);
   e.encode(w);
   return std::move(w).take();
 }

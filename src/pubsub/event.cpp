@@ -1,25 +1,45 @@
 #include "pubsub/event.hpp"
 
+#include <algorithm>
+
 namespace amuse {
+namespace {
+
+// Orders a stored attribute against a looked-up name.
+struct NameLess {
+  bool operator()(const std::pair<std::string, Value>& attr,
+                  std::string_view name) const {
+    return attr.first < name;
+  }
+};
+
+}  // namespace
 
 Event::Event(std::string type,
-             std::initializer_list<std::pair<const std::string, Value>> attrs)
-    : attrs_(attrs) {
-  attrs_.insert_or_assign("type", Value(std::move(type)));
+             std::initializer_list<std::pair<const std::string, Value>> attrs) {
+  attrs_.reserve(attrs.size() + 1);
+  // As a map built from the list: the first of duplicate names is kept.
+  for (const auto& [name, value] : attrs) {
+    if (!has(name)) set(name, value);
+  }
+  set("type", Value(std::move(type)));
 }
 
 Event& Event::set(std::string name, Value value) {
-  attrs_.insert_or_assign(std::move(name), std::move(value));
+  auto it = std::lower_bound(attrs_.begin(), attrs_.end(), name, NameLess{});
+  if (it != attrs_.end() && it->first == name) {
+    it->second = std::move(value);
+  } else {
+    attrs_.emplace(it, std::move(name), std::move(value));
+  }
   return *this;
 }
 
-bool Event::has(std::string_view name) const {
-  return attrs_.find(name) != attrs_.end();
-}
+bool Event::has(std::string_view name) const { return get(name) != nullptr; }
 
 const Value* Event::get(std::string_view name) const {
-  auto it = attrs_.find(name);
-  return it == attrs_.end() ? nullptr : &it->second;
+  auto it = std::lower_bound(attrs_.begin(), attrs_.end(), name, NameLess{});
+  return it != attrs_.end() && it->first == name ? &it->second : nullptr;
 }
 
 std::int64_t Event::get_int(std::string_view name, std::int64_t fallback) const {
@@ -102,9 +122,21 @@ Event Event::decode(Reader& r) {
   e.publisher_seq_ = r.u64();
   e.timestamp_ = TimePoint(Duration(r.i64()));
   std::uint16_t n = r.u16();
+  // Every attribute takes at least 4 bytes (u16 name length, value tag,
+  // one value byte), so a forged count cannot reserve more than the body
+  // could hold.
+  e.attrs_.reserve(std::min<std::size_t>(n, r.remaining() / 4));
   for (std::uint16_t i = 0; i < n; ++i) {
     std::string name = r.str();
-    e.attrs_.insert_or_assign(std::move(name), Value::decode(r));
+    Value value = Value::decode(r);
+    // Encoders write names in ascending order; anything else (a foreign or
+    // hand-built body) takes the sorted insert, where the last duplicate
+    // wins.
+    if (e.attrs_.empty() || e.attrs_.back().first < name) {
+      e.attrs_.emplace_back(std::move(name), std::move(value));
+    } else {
+      e.set(std::move(name), std::move(value));
+    }
   }
   return e;
 }

@@ -10,12 +10,12 @@
 #pragma once
 
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/service_id.hpp"
 #include "pubsub/value.hpp"
@@ -45,6 +45,16 @@ struct Origin {
 
 class Event {
  public:
+  /// Attributes in ascending name order, names unique. One flat vector:
+  /// an event carries a handful of attributes, so a binary search over
+  /// contiguous pairs beats a node-per-attribute map on every lookup and
+  /// costs one allocation to decode instead of one per attribute.
+  using Attributes = std::vector<std::pair<std::string, Value>>;
+
+  /// Writer reserve for one encoded event: a typical event plus its bus
+  /// header fits, so encoding allocates once.
+  static constexpr std::size_t kEncodeReserve = 256;
+
   Event() = default;
   /// Shorthand: Event("alarm.cardiac", {{"level", "high"}, {"hr", 188}}).
   explicit Event(std::string type,
@@ -73,10 +83,7 @@ class Event {
     return v->as_string();
   }
 
-  [[nodiscard]] const std::map<std::string, Value, std::less<>>& attributes()
-      const {
-    return attrs_;
-  }
+  [[nodiscard]] const Attributes& attributes() const { return attrs_; }
   [[nodiscard]] std::size_t size() const { return attrs_.size(); }
 
   // Bus metadata (not attributes; set by the bus client on publish and by
@@ -102,7 +109,7 @@ class Event {
   [[nodiscard]] static Event decode(Reader& r);
 
  private:
-  std::map<std::string, Value, std::less<>> attrs_;
+  Attributes attrs_;
   ServiceId publisher_;
   std::uint64_t publisher_seq_ = 0;
   TimePoint timestamp_{};

@@ -41,6 +41,22 @@ bool valid_type(std::uint8_t t) {
   }
   return false;
 }
+
+// Walks a batched DATA payload sub by sub, handing each to `visit`. False
+// if the u16 sub-lengths do not exactly tile the payload or it is empty.
+// The one tiling rule, shared by decode()'s validity check (which visits
+// nothing and so allocates nothing) and split_batch().
+template <class Visit>
+bool walk_batch(BytesView payload, Visit&& visit) {
+  Reader r(payload);
+  if (r.done()) return false;  // a batch carries at least one sub
+  try {
+    while (!r.done()) visit(r.raw(r.u16()));
+  } catch (const DecodeError&) {
+    return false;
+  }
+  return true;
+}
 }  // namespace
 
 std::size_t Packet::payload_wire_size() const {
@@ -108,7 +124,7 @@ std::optional<Packet> Packet::decode(BytesView datagram) {
     p.payload = r.blob16();
     if (!r.done()) return std::nullopt;  // trailing garbage under valid CRC
     if (p.type == PacketType::kData && (p.flags & kFlagBatched) != 0 &&
-        !split_batch(p.payload)) {
+        !walk_batch(p.payload, [](BytesView) {})) {
       return std::nullopt;  // sub-lengths do not tile the payload
     }
     return p;
@@ -119,11 +135,7 @@ std::optional<Packet> Packet::decode(BytesView datagram) {
 
 std::optional<std::vector<BytesView>> Packet::split_batch(BytesView payload) {
   std::vector<BytesView> subs;
-  try {
-    Reader r(payload);
-    if (r.done()) return std::nullopt;  // a batch carries at least one sub
-    while (!r.done()) subs.push_back(r.raw(r.u16()));
-  } catch (const DecodeError&) {
+  if (!walk_batch(payload, [&](BytesView sub) { subs.push_back(sub); })) {
     return std::nullopt;
   }
   return subs;

@@ -9,11 +9,39 @@
 namespace amuse {
 namespace {
 
+// Bit-at-a-time reference CRC-32 (reflected IEEE polynomial, pre- and
+// post-inversion), deliberately independent of the table-driven code.
+std::uint32_t reference_crc32(BytesView data) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320U & (0U - (c & 1U)));
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+// Deterministic pseudo-random bytes (xorshift32), so failures reproduce.
+Bytes pseudo_random_bytes(std::size_t n) {
+  Bytes out(n);
+  std::uint32_t x = 0x9E3779B9U;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return out;
+}
+
 TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(to_bytes("")), 0x00000000U);
   EXPECT_EQ(crc32(to_bytes("123456789")), 0xCBF43926U);  // classic check value
   EXPECT_EQ(crc32(to_bytes("The quick brown fox jumps over the lazy dog")),
             0x414FA339U);
+  for (const char* s :
+       {"", "123456789", "The quick brown fox jumps over the lazy dog"}) {
+    EXPECT_EQ(reference_crc32(to_bytes(s)), crc32(to_bytes(s))) << s;
+  }
 }
 
 TEST(Crc32, IncrementalMatchesOneShot) {
@@ -35,6 +63,30 @@ TEST(Crc32, DetectsSingleBitFlips) {
     Bytes corrupt = data;
     corrupt[i] ^= 0x01;
     EXPECT_NE(crc32(corrupt), good) << "flip at byte " << i;
+  }
+}
+
+// Every length 0..4096 at every start alignment 0..7: covers the 8-byte
+// main loop, each 0..7-byte tail and misaligned loads.
+TEST(Crc32, MatchesBitwiseReferenceAtAllLengthsAndAlignments) {
+  const Bytes data = pseudo_random_bytes(4096 + 8);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      BytesView view(data.data() + align, len);
+      ASSERT_EQ(crc32(view), reference_crc32(view))
+          << "align=" << align << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32, UpdateSplitAtEveryOffsetMatchesOneShot) {
+  const Bytes data = pseudo_random_bytes(1024);
+  const std::uint32_t whole = reference_crc32(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    std::uint32_t crc = crc32_update(0, BytesView(data.data(), split));
+    crc = crc32_update(
+        crc, BytesView(data.data() + split, data.size() - split));
+    ASSERT_EQ(crc, whole) << "split=" << split;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 #include <unistd.h>
 
@@ -295,6 +296,101 @@ TEST(ReplStore, FileAppendsSurviveReopen) {
   ReplStore::Recovery rec = store.recover();
   ASSERT_TRUE(rec.state.has_value());
   EXPECT_EQ(rec.state->encode(), expected);
+}
+
+// ---- Golden image: the on-disk format is fixed.
+
+// The JournalHistory journal plus one spooled multi-attribute event, as
+// written by an independent earlier implementation (byte-at-a-time CRC-32,
+// map-backed Event codec). Recovery must read it back record for record,
+// and the current writers must still produce it byte for byte.
+constexpr const char* kGoldenJournalHex =
+    "0100000020bc81c5a30000000000000001000000000000000000000000000000"
+    "00000000000000000002000000186ab5089101000000000005000673656e736f"
+    "72000773657276696365020000001cfdcb02a503000000000005000000000000"
+    "0001000100047479706501040001610200000017ec5bd0800100000000000600"
+    "07636f6e736f6c6500056e75727365020000001d12c5f7160300000000000600"
+    "00000000000004000100047479706507040002622e0200000007d75f29bd0800"
+    "00000000090200000011ad5831db070000006400000007000000000000000202"
+    "0000003da7aa10d3050000000000c00000000000000001000000000000000100"
+    "0000220000000000000000000000000000000000000000000000010004747970"
+    "6504000161020000000f603f135d040000000000050000000000000001020000"
+    "00821757f983050000000000c000000000000000010000000000000002000000"
+    "6700000000000500000000000000030000000000000000000500036265640400"
+    "03622d330002687201000000000000008e000770617469656e74040003702d37"
+    "000473706f32024058600000000000000474797065040010766974616c732e68"
+    "6561727472617465";
+
+Bytes from_hex(std::string_view hex) {
+  auto nibble = [](char c) {
+    return static_cast<std::uint8_t>(c <= '9' ? c - '0' : c - 'a' + 10);
+  };
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) << 4 |
+                                            nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+void write_file(const std::string& path, BytesView bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+void spool_vitals(JournalHistory& h) {
+  Event vitals("vitals.heartrate", {{"patient", "p-7"},
+                                    {"hr", 142},
+                                    {"bed", "b-3"},
+                                    {"spo2", 97.5}});
+  vitals.set_publisher(ServiceId(5));
+  vitals.set_publisher_seq(3);
+  (void)h.log.spool_append(Origin{ServiceId(0xC0), 1, 2},
+                           encode_event(vitals));
+  h.mark();
+}
+
+TEST(ReplStore, GoldenFileImageReadsBackRecordForRecord) {
+  JournalHistory h;
+  spool_vitals(h);
+  const Bytes golden = from_hex(kGoldenJournalHex);
+  ASSERT_EQ(golden.size(), 456u);
+  EXPECT_EQ(to_hex(h.store->journal()), kGoldenJournalHex);
+
+  TempJournal tmp;
+  write_file(tmp.path, golden);
+  FileReplStore store(tmp.path);
+  ReplStore::Recovery rec = store.recover();
+  ASSERT_TRUE(rec.state.has_value());
+  EXPECT_EQ(rec.state->encode(), h.states.back());
+  EXPECT_EQ(rec.records, h.boundaries.size());
+  EXPECT_EQ(store.stats().torn_tails, 0u);
+
+  for (std::size_t i = 0; i < h.boundaries.size(); ++i) {
+    JournalReplay rep = replay_repl_journal(
+        BytesView(golden.data(), h.boundaries[i]));
+    EXPECT_FALSE(rep.torn) << "record " << i;
+    EXPECT_EQ(rep.recovery.records, i + 1) << "record " << i;
+    ASSERT_TRUE(rep.recovery.state.has_value()) << "record " << i;
+    EXPECT_EQ(rep.recovery.state->encode(), h.states[i]) << "record " << i;
+  }
+}
+
+TEST(ReplStore, GoldenFileImageWithFlippedLastRecordByteIsATornTail) {
+  JournalHistory h;
+  spool_vitals(h);
+  Bytes golden = from_hex(kGoldenJournalHex);
+  golden.back() ^= 0x01;  // inside the spooled event, under the record CRC
+
+  TempJournal tmp;
+  write_file(tmp.path, golden);
+  FileReplStore store(tmp.path);
+  ReplStore::Recovery rec = store.recover();
+  ASSERT_TRUE(rec.state.has_value());
+  EXPECT_EQ(rec.state->encode(), h.states[h.states.size() - 2]);
+  EXPECT_EQ(rec.records, h.boundaries.size() - 1);
+  EXPECT_EQ(store.stats().torn_tails, 1u);
 }
 
 }  // namespace

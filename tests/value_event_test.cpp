@@ -144,5 +144,101 @@ TEST(Event, ToStringListsAttributes) {
   EXPECT_NE(s.find("type=str:\"t\""), std::string::npos);
 }
 
+// ---- Attribute storage: one vector kept sorted by name, map semantics.
+
+// Event body header (publisher, seq, timestamp) and attribute count, as
+// Event::encode writes them; attributes follow.
+Writer body_header(std::uint16_t count) {
+  Writer w;
+  w.u48(0xABCDEF);
+  w.u64(9);
+  w.i64(1000);
+  w.u16(count);
+  return w;
+}
+
+TEST(Event, SetKeepsAttributesSortedByName) {
+  Event e("t");
+  e.set("m", 1).set("b", 2).set("z", 3).set("a", 4).set("m", 5);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : e.attributes()) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b", "m", "type", "z"}));
+  EXPECT_EQ(e.get_int("m"), 5);
+  EXPECT_EQ(e.get_int("a"), 4);
+}
+
+TEST(Event, ConstructorKeepsFirstDuplicateAndTypeWins) {
+  Event e("t", {{"x", 1}, {"x", 2}, {"type", "other"}});
+  EXPECT_EQ(e.get_int("x"), 1);
+  EXPECT_EQ(e.type(), "t");
+  EXPECT_EQ(e.size(), 2u);
+}
+
+TEST(Event, DecodeSortsUnorderedNamesAndLastDuplicateWins) {
+  Writer w = body_header(5);
+  w.str("type");
+  Value(std::string("vitals.heartrate")).encode(w);
+  w.str("hr");
+  Value(std::int64_t{80}).encode(w);
+  w.str("bed");
+  Value(std::string("b-12")).encode(w);
+  w.str("hr");
+  Value(std::int64_t{95}).encode(w);
+  w.str("spo2");
+  Value(97.5).encode(w);
+
+  Event e = decode_event(w.bytes());
+  std::vector<std::string> names;
+  for (const auto& [name, value] : e.attributes()) names.push_back(name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"bed", "hr", "spo2", "type"}));
+  EXPECT_EQ(e.get_int("hr"), 95);
+  EXPECT_EQ(e.get_string("bed"), "b-12");
+  EXPECT_EQ(e.type(), "vitals.heartrate");
+  EXPECT_EQ(e.publisher(), ServiceId(0xABCDEF));
+  EXPECT_EQ(e.publisher_seq(), 9u);
+}
+
+TEST(Event, ReencodingADecodedBodyIsCanonical) {
+  // The same attributes written in two orders, one with a stale duplicate:
+  // both decode to one event whose encoding is sorted and duplicate-free,
+  // and that encoding is a fixed point.
+  Writer scrambled = body_header(4);
+  scrambled.str("z");
+  Value(std::int64_t{1}).encode(scrambled);
+  scrambled.str("a");
+  Value(std::string("stale")).encode(scrambled);
+  scrambled.str("m");
+  Value(true).encode(scrambled);
+  scrambled.str("a");
+  Value(std::string("fresh")).encode(scrambled);
+
+  Writer sorted = body_header(3);
+  sorted.str("a");
+  Value(std::string("fresh")).encode(sorted);
+  sorted.str("m");
+  Value(true).encode(sorted);
+  sorted.str("z");
+  Value(std::int64_t{1}).encode(sorted);
+
+  Bytes canonical = encode_event(decode_event(scrambled.bytes()));
+  EXPECT_EQ(canonical, sorted.bytes());
+  EXPECT_EQ(encode_event(decode_event(canonical)), canonical);
+}
+
+TEST(Event, DecodeRejectsAForgedAttributeCount) {
+  // Count 65535 followed by 10 bytes: two well-formed attributes (empty
+  // name, bool) and a dangling name. The reserve is capped by what the body
+  // could hold, and decoding runs out of bytes on the third attribute.
+  Writer w = body_header(0xFFFF);
+  for (int i = 0; i < 2; ++i) {
+    w.str("");
+    Value(true).encode(w);
+  }
+  w.str("");
+  ASSERT_EQ(w.size(), 6u + 8u + 8u + 2u + 10u);
+  EXPECT_THROW((void)decode_event(w.bytes()), DecodeError);
+}
+
 }  // namespace
 }  // namespace amuse
