@@ -13,7 +13,10 @@
 // steering byte. The matcher corpus scripts add/remove/match sequences over
 // ward-shaped filters (shared type, patient keys, bed prefixes of several
 // lengths, thresholds, int/double and NaN values) for the differential
-// matcher harness. libFuzzer treats these as the starting population; the
+// matcher harness. The task-queue corpus scripts schedule/cancel/step
+// sequences: same-instant ties, slot recycling under stale cancels, and
+// tasks that cancel others or schedule from their destructors. libFuzzer
+// treats these as the starting population; the
 // gcc standalone driver replays them verbatim under ASan/UBSan in CI.
 #include <cstdio>
 #include <filesystem>
@@ -106,7 +109,8 @@ void packet_corpus(const std::filesystem::path& dir) {
   // An event delivery assembled the SharedPayload way: per-member header
   // plus the encode-once shared event body (what ForwardingProxy sends).
   {
-    Bytes head = BusMessage::encode_event_header({4, 9});
+    const std::vector<std::uint64_t> matched{4, 9};
+    Bytes head = BusMessage::encode_event_header(matched);
     Bytes body = encode_event(sample_event());
     Bytes joined = head;
     joined.insert(joined.end(), body.begin(), body.end());
@@ -355,6 +359,60 @@ void matcher_corpus(const std::filesystem::path& dir) {
   }
 }
 
+/// A script for fuzz_task_queue: records `u8 op, u8 arg` (see the harness
+/// for the op table).
+class TaskQueueScript {
+ public:
+  TaskQueueScript& schedule(std::uint8_t delay_ms, std::uint8_t traits = 0) {
+    return record(static_cast<std::uint8_t>(traits << 3), delay_ms);
+  }
+  TaskQueueScript& cancel_live(std::uint8_t pick) { return record(3, pick); }
+  TaskQueueScript& cancel_stale(std::uint8_t pick) { return record(4, pick); }
+  TaskQueueScript& step() { return record(5, 0); }
+  TaskQueueScript& run_until(std::uint8_t delta_ms) {
+    return record(7, delta_ms);
+  }
+  Bytes take() && { return std::move(w_).take(); }
+
+ private:
+  TaskQueueScript& record(std::uint8_t op, std::uint8_t arg) {
+    w_.u8(op);
+    w_.u8(arg);
+    return *this;
+  }
+  Writer w_;
+};
+
+void task_queue_corpus(const std::filesystem::path& dir) {
+  {
+    // Same-instant ties interleaved with later deadlines.
+    TaskQueueScript s;
+    for (std::uint8_t i = 0; i < 12; ++i) s.schedule(i % 3 == 0 ? 2 : 0);
+    for (int i = 0; i < 6; ++i) s.step();
+    s.schedule(0).schedule(1).run_until(2).run_until(2);
+    write_file(dir, "ties.bin", std::move(s).take());
+  }
+  {
+    // Slots freed and reused while stale ids keep being cancelled.
+    TaskQueueScript s;
+    for (std::uint8_t round = 0; round < 8; ++round) {
+      s.schedule(round % 4).schedule(1).cancel_live(round).cancel_stale(
+          round).step().cancel_stale(static_cast<std::uint8_t>(round + 1));
+    }
+    s.run_until(2).run_until(2);
+    write_file(dir, "recycle.bin", std::move(s).take());
+  }
+  {
+    // Tasks that cancel another when they run and schedule from their
+    // destructors, on both the run and the cancel path.
+    TaskQueueScript s;
+    for (std::uint8_t i = 0; i < 8; ++i) s.schedule(i % 2, 1).schedule(1, 2);
+    s.schedule(0, 3).cancel_live(1).cancel_live(4).step().step();
+    s.run_until(1).run_until(2).step();
+    write_file(dir, "reentrant.bin", std::move(s).take());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -362,5 +420,6 @@ int main(int argc, char** argv) {
   packet_corpus(root / "packet");
   codec_corpus(root / "codec");
   matcher_corpus(root / "matcher");
+  task_queue_corpus(root / "task_queue");
   return 0;
 }

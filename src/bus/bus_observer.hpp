@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "bus/bus_port.hpp"
 #include "pubsub/event.hpp"
@@ -27,7 +28,7 @@ struct BusObserver {
   /// The fan-out handed the event to `member`'s proxy for reliable
   /// delivery. `locals` are the member's matching subscription ids.
   std::function<void(ServiceId member, const Event& event,
-                     const std::vector<std::uint64_t>& locals)>
+                     std::span<const std::uint64_t> locals)>
       on_deliver;
   /// A co-located handler on the bus host received the event.
   std::function<void(const Event&)> on_local_deliver;

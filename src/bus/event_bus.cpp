@@ -257,7 +257,8 @@ std::uint64_t EventBus::subscribe_local(const Filter& filter,
                                         Handler handler) {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "EventBus::subscribe_local");
   std::uint64_t id = next_local_id_++;
-  local_handlers_.emplace(id, std::move(handler));
+  local_handlers_.emplace(
+      id, std::make_shared<const Handler>(std::move(handler)));
   registry_.subscribe(bus_id(), id, filter);
   interests_changed();
   return id;
@@ -395,12 +396,11 @@ void EventBus::send_datagram(ServiceId dst, BytesView frame) {
 
 void EventBus::send_datagram_batch(ServiceId dst,
                                    std::span<const Bytes> frames) {
-  std::vector<Transport::Datagram> burst;
-  burst.reserve(frames.size());
+  burst_.clear();
   for (const Bytes& f : frames) {
-    burst.push_back(Transport::Datagram{dst, BytesView(f)});
+    burst_.push_back(Transport::Datagram{dst, BytesView(f)});
   }
-  transport_->send_batch(burst);
+  transport_->send_batch(burst_);
 }
 
 void EventBus::notify_shed(ServiceId member, const Event& event) {
@@ -508,7 +508,10 @@ void EventBus::route(Event event) {
     event.set_origin(origin);
   }
 
-  SubscriptionRegistry::MatchResult hit;
+  // The result's buffers are reused across publishes. Taken out of the
+  // member (not borrowed) because a local handler may publish and re-enter
+  // route() before this fan-out is done with it.
+  SubscriptionRegistry::MatchResult hit = std::exchange(hit_scratch_, {});
   registry_.match(event, hit);
   if (hit.empty()) ++stats_.no_subscriber;
 
@@ -554,6 +557,7 @@ void EventBus::route(Event event) {
     });
   } else {
     fan_out(*enc, hit);
+    hit_scratch_ = std::move(hit);
   }
 }
 
@@ -574,20 +578,25 @@ void EventBus::fan_out(const EncodedEvent& event,
   }
   for (const auto& [member, locals] : hit) {
     if (member == bus_id()) {
-      // Local handlers may (un)subscribe from inside the callback.
-      std::vector<Handler> handlers;
-      handlers.reserve(locals.size());
+      // Local handlers may (un)subscribe from inside the callback, so the
+      // matched ones are snapshotted first: one unsubscribed mid-fan-out
+      // still runs for this event. The snapshot is a stack segment of
+      // local_run_ (a handler that publishes re-enters fan_out above it).
+      std::size_t base = local_run_.size();
       for (std::uint64_t local : locals) {
         auto hit_handler = local_handlers_.find(local);
         if (hit_handler != local_handlers_.end()) {
-          handlers.push_back(hit_handler->second);
+          local_run_.push_back(hit_handler->second);
         }
       }
-      for (const Handler& h : handlers) {
+      std::size_t top = local_run_.size();
+      for (std::size_t i = base; i < top; ++i) {
+        std::shared_ptr<const Handler> h = std::move(local_run_[i]);
         ++stats_.local_deliveries;
         if (observer_.on_local_deliver) observer_.on_local_deliver(event.event());
-        h(event.event());
+        (*h)(event.event());
       }
+      local_run_.resize(base);
       continue;
     }
     auto pit = proxies_.find(member);

@@ -309,7 +309,13 @@ class EventBus final : public BusPort {
   ProxyFactory factory_;
   std::unordered_map<ServiceId, MemberInfo> member_info_;
   std::unordered_map<ServiceId, std::unique_ptr<Proxy>> proxies_;
-  std::unordered_map<std::uint64_t, Handler> local_handlers_;
+  // Shared so a fan-out's snapshot keeps a handler alive past an
+  // unsubscribe from inside the callback, without copying the closure.
+  std::unordered_map<std::uint64_t, std::shared_ptr<const Handler>>
+      local_handlers_;
+  std::vector<std::shared_ptr<const Handler>> local_run_;  // fan_out stack
+  SubscriptionRegistry::MatchResult hit_scratch_;  // route()'s, reused
+  std::vector<Transport::Datagram> burst_;  // send_datagram_batch's, reused
   std::uint64_t next_local_id_ = 1;
   std::uint32_t proxy_incarnations_ = 0;
   std::unordered_map<ServiceId, std::uint32_t> reserved_sessions_;

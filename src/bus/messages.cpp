@@ -191,7 +191,7 @@ const StreamHeader* BusMessage::stream() const {
 }
 
 Bytes BusMessage::encode_event_header(
-    const std::vector<std::uint64_t>& matched, const Origin& origin) {
+    std::span<const std::uint64_t> matched, const Origin& origin) {
   Writer w(1 + 2 + 8 * matched.size() + (origin.stamped() ? Origin::kWireSize : 0));
   w.u8(type_byte(BusMsgType::kEvent, origin));
   w.u16(static_cast<std::uint16_t>(matched.size()));

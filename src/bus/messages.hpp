@@ -57,6 +57,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bus/state_stream.hpp"
@@ -135,7 +136,7 @@ struct BusMessage {
   ///   encode_event_header(m, e.origin()) ++ encode_event(e)
   ///       == deliver(e, m).encode()
   [[nodiscard]] static Bytes encode_event_header(
-      const std::vector<std::uint64_t>& matched, const Origin& origin = {});
+      std::span<const std::uint64_t> matched, const Origin& origin = {});
   /// One-shot kPublish encoding without copying the event into a message.
   [[nodiscard]] static Bytes encode_publish(const Event& e);
 

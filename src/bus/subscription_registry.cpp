@@ -38,17 +38,32 @@ void SubscriptionRegistry::remove_member(ServiceId member) {
   by_member_.erase(mit);
 }
 
+bool SubscriptionRegistry::MatchResult::contains(ServiceId member) const {
+  auto it = std::lower_bound(
+      groups_.begin(), groups_.end(), member,
+      [](const Group& g, ServiceId m) { return g.member < m; });
+  return it != groups_.end() && it->member == member;
+}
+
 void SubscriptionRegistry::match(const Event& e, MatchResult& out) const {
-  std::vector<SubId> hits;
-  matcher_->match(e, hits);
-  for (SubId id : hits) {
+  out.clear();
+  hits_.clear();
+  matcher_->match(e, hits_);
+  auto& pairs = out.pairs_;
+  pairs.clear();
+  for (SubId id : hits_) {
     auto it = by_sub_.find(id);
     if (it == by_sub_.end()) continue;
-    out[it->second.member].push_back(it->second.local_id);
+    pairs.emplace_back(it->second.member, it->second.local_id);
   }
-  for (auto& [member, locals] : out) {
-    std::sort(locals.begin(), locals.end());
-    locals.erase(std::unique(locals.begin(), locals.end()), locals.end());
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  for (const auto& [member, local] : pairs) {
+    if (out.groups_.empty() || out.groups_.back().member != member) {
+      out.groups_.push_back({member, out.locals_.size(), out.locals_.size()});
+    }
+    out.locals_.push_back(local);
+    ++out.groups_.back().end;
   }
 }
 

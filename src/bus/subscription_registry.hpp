@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,9 +31,66 @@ class SubscriptionRegistry {
   /// Drops every subscription of a purged member.
   void remove_member(ServiceId member);
 
-  /// Matching result: each interested member exactly once, with the local
-  /// subscription ids that matched (sorted). Deterministic order (by id).
-  using MatchResult = std::map<ServiceId, std::vector<std::uint64_t>>;
+  /// Matching result: each interested member exactly once (ascending id),
+  /// with the local subscription ids that matched (ascending, unique).
+  /// Iterates as `[member, locals]`. Flat storage, meant to be reused:
+  /// clear() and match() keep the capacity, so a warm result allocates
+  /// nothing.
+  class MatchResult {
+    struct Group {
+      ServiceId member;
+      std::size_t begin;  // [begin, end) into locals_
+      std::size_t end;
+    };
+
+   public:
+    struct Entry {
+      ServiceId member;
+      std::span<const std::uint64_t> locals;
+    };
+
+    class Iterator {
+     public:
+      Entry operator*() const {
+        return {group_->member,
+                {locals_ + group_->begin, group_->end - group_->begin}};
+      }
+      Iterator& operator++() {
+        ++group_;
+        return *this;
+      }
+      bool operator==(const Iterator& o) const { return group_ == o.group_; }
+
+     private:
+      friend class MatchResult;
+      Iterator(const Group* group, const std::uint64_t* locals)
+          : group_(group), locals_(locals) {}
+      const Group* group_;
+      const std::uint64_t* locals_;
+    };
+
+    void clear() {
+      groups_.clear();
+      locals_.clear();
+    }
+    /// Number of members (not subscriptions).
+    [[nodiscard]] std::size_t size() const { return groups_.size(); }
+    [[nodiscard]] bool empty() const { return groups_.empty(); }
+    [[nodiscard]] bool contains(ServiceId member) const;
+    [[nodiscard]] Iterator begin() const {
+      return {groups_.data(), locals_.data()};
+    }
+    [[nodiscard]] Iterator end() const {
+      return {groups_.data() + groups_.size(), locals_.data()};
+    }
+
+   private:
+    friend class SubscriptionRegistry;
+    std::vector<Group> groups_;          // one per member, ascending
+    std::vector<std::uint64_t> locals_;  // each group's ids, contiguous
+    std::vector<std::pair<ServiceId, std::uint64_t>> pairs_;  // fill scratch
+  };
+  /// Replaces `out` with the members and local ids whose filters match.
   void match(const Event& e, MatchResult& out) const;
 
   /// Every registered filter grouped by owning member — the input to the
@@ -61,6 +119,7 @@ class SubscriptionRegistry {
   std::unordered_map<SubId, Record> by_sub_;
   std::unordered_map<ServiceId, std::map<std::uint64_t, SubId>> by_member_;
   SubId next_id_ = 1;
+  mutable std::vector<SubId> hits_;  // match() scratch, reused
 };
 
 }  // namespace amuse

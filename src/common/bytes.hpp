@@ -31,6 +31,9 @@ class Writer {
  public:
   Writer() = default;
   explicit Writer(std::size_t reserve) { buf_.reserve(reserve); }
+  /// Writes into `buffer` from its start, reusing its capacity; take() the
+  /// result back.
+  explicit Writer(Bytes&& buffer) : buf_(std::move(buffer)) { buf_.clear(); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);

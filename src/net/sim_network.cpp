@@ -112,15 +112,12 @@ void SimNetwork::send_from(SimTransport& src, ServiceId dst, BytesView data) {
   TimePoint ready =
       src.host().charge(executor_.now(), src.host().cpu().send_cost(data.size()));
 
-  auto it = endpoints_.find(dst);
-  std::shared_ptr<SimTransport> target =
-      it != endpoints_.end() ? it->second.lock() : nullptr;
+  std::shared_ptr<SimTransport> target = live_endpoint(dst);
   if (!target) {
     ++stats_.dropped_no_endpoint;
     return;
   }
-  transmit(src.host(), target.get(), ready, Bytes(data.begin(), data.end()),
-           src.local_id());
+  transmit(src.host(), target.get(), ready, data, src.local_id());
 }
 
 void SimNetwork::broadcast_from(SimTransport& src, BytesView data) {
@@ -140,13 +137,12 @@ void SimNetwork::broadcast_from(SimTransport& src, BytesView data) {
     }
   }
   for (auto& target : targets) {
-    transmit(src.host(), target.get(), ready, Bytes(data.begin(), data.end()),
-             src.local_id());
+    transmit(src.host(), target.get(), ready, data, src.local_id());
   }
 }
 
 void SimNetwork::transmit(SimHost& src_host, SimTransport* dst,
-                          TimePoint ready, Bytes data, ServiceId src_id) {
+                          TimePoint ready, BytesView data, ServiceId src_id) {
   SimHost& dst_host = dst->host();
   DirectedLink& link = link_between(src_host, dst_host);
   const LinkModel& m = link.model;
@@ -180,45 +176,71 @@ void SimNetwork::transmit(SimHost& src_host, SimTransport* dst,
   int copies = rng_.chance(m.dup) ? 2 : 1;
   if (copies == 2) ++stats_.duplicated;
 
-  ServiceId dst_id = dst->local_id();
   for (int i = 0; i < copies; ++i) {
     Duration latency =
         m.latency_min + Duration(static_cast<std::int64_t>(
                             rng_.uniform() *
                             static_cast<double>(m.latency_spread.count())));
-    TimePoint arrival = link.busy_until + latency;
-    Bytes payload = (i == copies - 1) ? std::move(data) : data;
-    executor_.schedule_at(
-        arrival, [this, dst_id, src_id, payload = std::move(payload),
-                  arrival]() mutable {
-          auto it = endpoints_.find(dst_id);
-          auto ep = it != endpoints_.end() ? it->second.lock() : nullptr;
-          if (!ep || !ep->handler_) {
-            ++stats_.dropped_no_endpoint;
-            return;
-          }
-          if (!ep->host().up()) {
-            ++stats_.dropped_down;
-            return;
-          }
-          // Receive-side CPU cost: the handler runs when the host gets to it.
-          TimePoint done = ep->host().charge(
-              arrival, ep->host().cpu().recv_cost(payload.size()));
-          executor_.schedule_at(
-              done, [this, dst_id, src_id, payload = std::move(payload)]() {
-                auto it2 = endpoints_.find(dst_id);
-                auto ep2 =
-                    it2 != endpoints_.end() ? it2->second.lock() : nullptr;
-                if (!ep2 || !ep2->handler_ || !ep2->host().up()) {
-                  ++stats_.dropped_no_endpoint;
-                  return;
-                }
-                ++stats_.datagrams_delivered;
-                stats_.bytes_delivered += payload.size();
-                ep2->handler_(src_id, payload);
-              });
-        });
+    std::uint32_t slot = acquire_slot();
+    InFlight& d = in_flight_[slot];
+    d.dst = dst->local_id();
+    d.src = src_id;
+    d.arrival = link.busy_until + latency;
+    d.payload.assign(data.begin(), data.end());
+    executor_.schedule_at(d.arrival, [this, slot] { arrive(slot); });
   }
+}
+
+void SimNetwork::arrive(std::uint32_t slot) {
+  InFlight& d = in_flight_[slot];
+  std::shared_ptr<SimTransport> ep = live_endpoint(d.dst);
+  if (!ep || !ep->handler_) {
+    ++stats_.dropped_no_endpoint;
+    release_slot(slot);
+    return;
+  }
+  if (!ep->host().up()) {
+    ++stats_.dropped_down;
+    release_slot(slot);
+    return;
+  }
+  // Receive-side CPU cost: the handler runs when the host gets to it.
+  SimHost& host = ep->host();
+  TimePoint done =
+      host.charge(d.arrival, host.cpu().recv_cost(d.payload.size()));
+  executor_.schedule_at(done, [this, slot] { hand_over(slot); });
+}
+
+void SimNetwork::hand_over(std::uint32_t slot) {
+  InFlight& d = in_flight_[slot];
+  std::shared_ptr<SimTransport> ep = live_endpoint(d.dst);
+  if (!ep || !ep->handler_ || !ep->host().up()) {
+    ++stats_.dropped_no_endpoint;
+  } else {
+    ++stats_.datagrams_delivered;
+    stats_.bytes_delivered += d.payload.size();
+    ep->handler_(d.src, d.payload);
+  }
+  release_slot(slot);
+}
+
+std::shared_ptr<SimTransport> SimNetwork::live_endpoint(ServiceId id) const {
+  auto it = endpoints_.find(id);
+  return it != endpoints_.end() ? it->second.lock() : nullptr;
+}
+
+std::uint32_t SimNetwork::acquire_slot() {
+  if (free_slots_.empty()) {
+    in_flight_.emplace_back();
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void SimNetwork::release_slot(std::uint32_t slot) {
+  free_slots_.push_back(slot);
 }
 
 }  // namespace amuse

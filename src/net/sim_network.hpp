@@ -5,9 +5,15 @@
 // directed links have latency, jitter, loss (optionally bursty), duplication
 // and finite bandwidth. Everything is driven by a SimExecutor and a seeded
 // Rng, so runs are deterministic.
+//
+// Each datagram copy on the wire lives in a pooled in-flight slot and
+// moves through two scheduled stages, arrival and hand-over; both tasks
+// capture only the slot index. Every copy sent ends either delivered or
+// in exactly one dropped_* bucket.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -171,12 +177,31 @@ class SimNetwork {
     bool bad_state = false;
   };
 
+  /// One datagram copy between transmit() and its hand-over to the
+  /// receive handler. Slots are recycled through a free list, and a
+  /// recycled slot keeps its payload buffer's capacity, so a steady stream
+  /// of datagrams allocates nothing here.
+  struct InFlight {
+    ServiceId dst;
+    ServiceId src;
+    TimePoint arrival;
+    Bytes payload;
+  };
+
   void send_from(SimTransport& src, ServiceId dst, BytesView data);
   void broadcast_from(SimTransport& src, BytesView data);
   /// Transmits one already-CPU-charged datagram over the link and schedules
   /// delivery on the destination endpoint.
   void transmit(SimHost& src_host, SimTransport* dst, TimePoint ready,
-                Bytes data, ServiceId src_id);
+                BytesView data, ServiceId src_id);
+  /// Stage 1: the copy reaches the destination host, which queues the
+  /// receive work on its CPU.
+  void arrive(std::uint32_t slot);
+  /// Stage 2: the host gets to it and the endpoint's handler runs.
+  void hand_over(std::uint32_t slot);
+  std::shared_ptr<SimTransport> live_endpoint(ServiceId id) const;
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot);
   DirectedLink& link_between(const SimHost& from, const SimHost& to);
   bool roll_loss(DirectedLink& link);
 
@@ -187,6 +212,10 @@ class SimNetwork {
   std::unordered_map<ServiceId, std::weak_ptr<SimTransport>> endpoints_;
   std::map<std::pair<const SimHost*, const SimHost*>, DirectedLink> links_;
   std::map<const SimHost*, int> partition_;  // absent = group 0
+  // A deque, not a vector: a handler running in hand_over() may send, and
+  // the slot it is reading from must not move when the pool grows.
+  std::deque<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   Stats stats_;
   std::uint16_t next_port_ = 40'000;
   std::uint32_t next_addr_ = (10u << 24) | 1u;  // 10.0.0.1 …

@@ -84,19 +84,20 @@ Filter ObligationPolicy::trigger_filter() const {
                    : Filter::for_type(on_type);
 }
 
-bool topic_matches(const std::string& pattern, const std::string& topic) {
+bool topic_matches(std::string_view pattern, std::string_view topic) {
   bool pattern_wild = pattern.ends_with('*');
   bool topic_wild = topic.ends_with('*');
-  std::string pbase = pattern_wild ? pattern.substr(0, pattern.size() - 1)
-                                   : pattern;
-  std::string tbase = topic_wild ? topic.substr(0, topic.size() - 1) : topic;
+  std::string_view pbase =
+      pattern_wild ? pattern.substr(0, pattern.size() - 1) : pattern;
+  std::string_view tbase =
+      topic_wild ? topic.substr(0, topic.size() - 1) : topic;
   if (pattern_wild) return tbase.starts_with(pbase);
   // Exact pattern can only cover an exact topic.
   return !topic_wild && tbase == pbase;
 }
 
 bool AuthPolicy::matches(const std::string& member_role, AuthOp action,
-                         const std::string& topic) const {
+                         std::string_view topic) const {
   if (op != action) return false;
   if (role != "*" && role != member_role) return false;
   return topic_matches(topic_pattern, topic);

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pubsub/filter.hpp"
@@ -95,7 +96,7 @@ struct AuthPolicy {
   std::string topic_pattern;  // exact, or trailing-'*' prefix
 
   [[nodiscard]] bool matches(const std::string& member_role, AuthOp action,
-                             const std::string& topic) const;
+                             std::string_view topic) const;
 };
 
 struct PolicyDocument {
@@ -107,7 +108,7 @@ struct PolicyDocument {
 /// Topic-pattern matching: "vitals.*" matches "vitals.heartrate"; "*"
 /// matches everything; otherwise exact. (Subscription topics may themselves
 /// end in '*', in which case the pattern must cover the whole prefix.)
-[[nodiscard]] bool topic_matches(const std::string& pattern,
-                                 const std::string& topic);
+[[nodiscard]] bool topic_matches(std::string_view pattern,
+                                 std::string_view topic);
 
 }  // namespace amuse

@@ -3,7 +3,7 @@
 namespace amuse {
 
 bool AuthorisationService::check(const std::string& role, AuthOp op,
-                                 const std::string& topic) const {
+                                 std::string_view topic) const {
   ++stats_.checks;
   for (const AuthPolicy& p : store_.auths()) {
     if (p.matches(role, op, topic)) {
@@ -22,7 +22,7 @@ EventBus::Authoriser AuthorisationService::authoriser() {
                 std::string_view topic) {
     AuthOp op = action == AuthAction::kPublish ? AuthOp::kPublish
                                                : AuthOp::kSubscribe;
-    return check(member.role, op, std::string(topic));
+    return check(member.role, op, topic);
   };
 }
 

@@ -17,7 +17,7 @@ class AuthorisationService {
   explicit AuthorisationService(const PolicyStore& store) : store_(store) {}
 
   [[nodiscard]] bool check(const std::string& role, AuthOp op,
-                           const std::string& topic) const;
+                           std::string_view topic) const;
 
   /// Adapter for EventBus::set_authoriser. The returned closure references
   /// this service; keep it alive as long as the bus.

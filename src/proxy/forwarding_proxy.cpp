@@ -16,7 +16,8 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
       bus.channel_config(),
       /*send_packet=*/
       [this](const Packet& p) {
-        this->bus().send_datagram(p.dst, p.encode());
+        p.encode_to(frame_);
+        this->bus().send_datagram(p.dst, frame_);
       },
       /*deliver=*/
       [this](BytesView message) { on_message(message); },
@@ -26,12 +27,18 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
                    " unresponsive; queueing until purge or recovery");
       });
   // One pump round's DATA frames flush through the bus's batch surface
-  // (and from there through one sendmmsg on a batching transport).
+  // (and from there through one sendmmsg on a batching transport). The
+  // frame buffers are reused from round to round.
   channel_->set_send_frames([this](std::vector<Packet>& frames) {
-    std::vector<Bytes> encodings;
-    encodings.reserve(frames.size());
-    for (const Packet& p : frames) encodings.push_back(p.encode());
-    this->bus().send_datagram_batch(member_id(), encodings);
+    if (burst_frames_.size() < frames.size()) {
+      burst_frames_.resize(frames.size());
+    }
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      frames[i].encode_to(burst_frames_[i]);
+    }
+    this->bus().send_datagram_batch(
+        member_id(),
+        std::span<const Bytes>(burst_frames_.data(), frames.size()));
   });
   channel_->set_on_shed([this](BytesView message) { on_shed(message); });
   channel_->set_on_pressure([this](bool under_pressure) {
@@ -40,7 +47,7 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
 }
 
 void ForwardingProxy::deliver_event(const EncodedEvent& event,
-                                    const std::vector<std::uint64_t>& matched) {
+                                    std::span<const std::uint64_t> matched) {
   // Encode-once fan-out: only the small per-member header (message type,
   // matched subscription ids, origin stamp) is built here; the event body
   // rides along as the publish-wide shared encoding.

@@ -21,7 +21,7 @@ class ForwardingProxy final : public Proxy {
 
   AMUSE_AFFINITY(core_executor)
   void deliver_event(const EncodedEvent& event,
-                     const std::vector<std::uint64_t>& matched) override;
+                     std::span<const std::uint64_t> matched) override;
   AMUSE_AFFINITY(core_executor) void on_datagram(BytesView data) override;
   AMUSE_AFFINITY(core_executor) void on_purge() override;
   AMUSE_AFFINITY(core_executor)
@@ -50,6 +50,10 @@ class ForwardingProxy final : public Proxy {
   AMUSE_AFFINITY(core_executor) void on_message(BytesView message);
   AMUSE_AFFINITY(core_executor) void on_shed(BytesView message);
 
+  // Encoded-frame buffers the channel's send paths reuse (valid only for
+  // one send call each).
+  Bytes frame_;
+  std::vector<Bytes> burst_frames_;
   std::unique_ptr<ReliableChannel> channel_;
 };
 

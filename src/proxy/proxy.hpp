@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "bus/bus_port.hpp"
 #include "bus/messages.hpp"
@@ -38,7 +39,7 @@ class Proxy {
   /// translate read the shared immutable event; none copy it.
   AMUSE_AFFINITY(core_executor)
   virtual void deliver_event(const EncodedEvent& event,
-                             const std::vector<std::uint64_t>& matched) = 0;
+                             std::span<const std::uint64_t> matched) = 0;
 
   /// Raw datagram arriving on the bus endpoint from this member.
   AMUSE_AFFINITY(core_executor) virtual void on_datagram(BytesView data) = 0;

@@ -27,7 +27,7 @@ TranslatingProxy::TranslatingProxy(BusPort& bus, MemberInfo info,
 }
 
 void TranslatingProxy::deliver_event(const EncodedEvent& event,
-                                     const std::vector<std::uint64_t>& matched) {
+                                     std::span<const std::uint64_t> matched) {
   (void)matched;  // a raw device has no notion of subscription ids
   std::optional<Bytes> command = codec_->encode_command(event.event());
   if (!command) {

@@ -33,7 +33,7 @@ class TranslatingProxy final : public Proxy {
 
   AMUSE_AFFINITY(core_executor)
   void deliver_event(const EncodedEvent& event,
-                     const std::vector<std::uint64_t>& matched) override;
+                     std::span<const std::uint64_t> matched) override;
   AMUSE_AFFINITY(core_executor) void on_datagram(BytesView data) override;
   AMUSE_AFFINITY(core_executor) void on_purge() override;
   [[nodiscard]] std::size_t pending() const override { return queue_.size(); }

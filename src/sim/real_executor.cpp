@@ -17,20 +17,18 @@ void RealExecutor::post(Task fn) { (void)schedule_at(now(), std::move(fn)); }
 
 TimerId RealExecutor::schedule_at(TimePoint t, Task fn) {
   MutexLock lock(mu_);
-  TimerId id = next_id_++;
-  Key key{t, next_seq_++};
-  queue_.emplace(key, std::make_pair(id, std::move(fn)));
-  by_id_.emplace(id, key);
+  TimerId id = queue_.push(t, std::move(fn));
   cv_.notify_all();
   return id;
 }
 
 void RealExecutor::cancel(TimerId id) {
-  MutexLock lock(mu_);
-  auto it = by_id_.find(id);
-  if (it == by_id_.end()) return;
-  queue_.erase(it->second);
-  by_id_.erase(it);
+  Task dead;
+  {
+    MutexLock lock(mu_);
+    dead = queue_.cancel(id);
+  }
+  // Destroyed outside the lock: a task's destructor may re-enter.
 }
 
 void RealExecutor::run() {
@@ -60,17 +58,15 @@ void RealExecutor::run_until_wall(TimePoint deadline, bool has_deadline) {
         // one lock round per task). A drained task is past the point of
         // cancellation, exactly like a popped task was before.
         TimePoint due = now();
-        while (!queue_.empty() && queue_.begin()->first.when <= due) {
-          auto it = queue_.begin();
-          batch.push_back(std::move(it->second.second));
-          by_id_.erase(it->second.first);
-          queue_.erase(it);
+        TimePoint when;
+        while (!queue_.empty() && queue_.next_when() <= due) {
+          batch.push_back(queue_.pop(when));
         }
         if (!batch.empty()) break;
         auto wall_deadline = std::chrono::steady_clock::now() +
                              std::chrono::milliseconds(50);
         if (!queue_.empty()) {
-          auto next = epoch_ + queue_.begin()->first.when.time_since_epoch();
+          auto next = epoch_ + queue_.next_when().time_since_epoch();
           if (next < wall_deadline) wall_deadline = next;
         }
         if (has_deadline) {

@@ -2,16 +2,20 @@
 // prototype's UDP configuration, paper §IV). Single consumer thread calls
 // run(); producers (e.g. the UDP receive thread) post from any thread.
 //
+// Pending work is one TaskQueue (sim/task_queue.hpp), the same indexed heap
+// SimExecutor runs on: tasks due at the same instant run in schedule
+// order, and a cancelled timer leaves the queue at once.
+//
 // This is one of the tree's three genuinely cross-thread surfaces
 // (DESIGN.md §10): every field below is guarded by mu_, and the capability
 // annotations let clang's -Wthread-safety prove it.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "common/annotations.hpp"
 #include "sim/executor.hpp"
+#include "sim/task_queue.hpp"
 
 namespace amuse {
 
@@ -55,23 +59,12 @@ class RealExecutor final : public Executor {
   void stop();
 
  private:
-  struct Key {
-    TimePoint when;
-    std::uint64_t seq;
-    bool operator<(const Key& o) const {
-      return when != o.when ? when < o.when : seq < o.seq;
-    }
-  };
-
   void run_until_wall(TimePoint deadline, bool has_deadline);
 
   std::chrono::steady_clock::time_point epoch_;
   mutable Mutex mu_;
   CondVar cv_;
-  std::map<Key, std::pair<TimerId, Task>> queue_ AMUSE_GUARDED_BY(mu_);
-  std::map<TimerId, Key> by_id_ AMUSE_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ AMUSE_GUARDED_BY(mu_) = 1;
-  std::uint64_t next_id_ AMUSE_GUARDED_BY(mu_) = 1;
+  TaskQueue queue_ AMUSE_GUARDED_BY(mu_);
   // stop() notifies under the lock so the wakeup cannot slip between the
   // loop's check and its cv_ wait.
   bool stop_ AMUSE_GUARDED_BY(mu_) = false;

@@ -8,30 +8,22 @@ void SimExecutor::post(Task fn) { (void)schedule_at(now_, std::move(fn)); }
 
 TimerId SimExecutor::schedule_at(TimePoint t, Task fn) {
   if (t < now_) t = now_;
-  TimerId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id});
-  tasks_.emplace(id, std::move(fn));
-  return id;
+  return queue_.push(t, std::move(fn));
 }
 
-void SimExecutor::cancel(TimerId id) { tasks_.erase(id); }
+void SimExecutor::cancel(TimerId id) {
+  // The task dies here, after the queue is consistent again.
+  Task dead = queue_.cancel(id);
+}
 
 bool SimExecutor::step() {
   LoopGuard guard(*this);  // the calling thread is the consumer while a
                            // task runs (affinity assertions key off this)
-  while (!queue_.empty()) {
-    Entry e = queue_.top();
-    queue_.pop();
-    auto it = tasks_.find(e.id);
-    if (it == tasks_.end()) continue;  // cancelled
-    Task fn = std::move(it->second);
-    tasks_.erase(it);
-    now_ = e.when;
-    ++executed_;
-    fn();
-    return true;
-  }
-  return false;
+  if (queue_.empty()) return false;
+  Task fn = queue_.pop(now_);
+  ++executed_;
+  fn();
+  return true;
 }
 
 std::size_t SimExecutor::run(std::size_t limit) {
@@ -41,16 +33,7 @@ std::size_t SimExecutor::run(std::size_t limit) {
 }
 
 void SimExecutor::run_until(TimePoint deadline) {
-  while (!queue_.empty()) {
-    // Skip over cancelled entries without advancing time.
-    Entry e = queue_.top();
-    if (!tasks_.contains(e.id)) {
-      queue_.pop();
-      continue;
-    }
-    if (e.when > deadline) break;
-    step();
-  }
+  while (!queue_.empty() && queue_.next_when() <= deadline) step();
   if (now_ < deadline) now_ = deadline;
 }
 

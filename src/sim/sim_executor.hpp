@@ -1,18 +1,17 @@
 // Discrete-event simulation executor.
 //
-// A single priority queue of (time, sequence, task). Tasks scheduled for the
-// same instant run in scheduling order (the sequence number breaks ties), so
-// simulations are fully deterministic for a fixed seed — which is what lets
-// the property tests assert exactly-once/FIFO semantics under randomised
-// loss without flaky failures.
+// One TaskQueue (sim/task_queue.hpp) of (time, sequence, task). Tasks
+// scheduled for the same instant run in scheduling order (the sequence
+// number breaks ties), so simulations are fully deterministic for a fixed
+// seed — which is what lets the property tests assert exactly-once/FIFO
+// semantics under randomised loss without flaky failures. A cancelled task
+// leaves the queue at once: pending() and idle() count live work only.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <queue>
-#include <vector>
 
 #include "sim/executor.hpp"
+#include "sim/task_queue.hpp"
 
 namespace amuse {
 
@@ -42,24 +41,8 @@ class SimExecutor final : public Executor {
   [[nodiscard]] std::uint64_t tasks_executed() const { return executed_; }
 
  private:
-  struct Entry {
-    TimePoint when;
-    std::uint64_t seq;
-    TimerId id;
-    // Ordered as a min-heap via std::greater.
-    friend bool operator>(const Entry& a, const Entry& b) {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Tasks live in a side map so cancel() is O(log n) without heap surgery:
-  // a popped entry whose id is absent from tasks_ was cancelled.
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::map<TimerId, Task> tasks_;
+  TaskQueue queue_;
   TimePoint now_{};
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
 };
 

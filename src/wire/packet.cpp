@@ -45,7 +45,7 @@ bool valid_type(std::uint8_t t) {
 // Walks a batched DATA payload sub by sub, handing each to `visit`. False
 // if the u16 sub-lengths do not exactly tile the payload or it is empty.
 // The one tiling rule, shared by decode()'s validity check (which visits
-// nothing and so allocates nothing) and split_batch().
+// nothing and so allocates nothing), batch_count() and split_batch().
 template <class Visit>
 bool walk_batch(BytesView payload, Visit&& visit) {
   Reader r(payload);
@@ -67,11 +67,19 @@ std::size_t Packet::payload_wire_size() const {
 }
 
 Bytes Packet::encode() const {
+  Bytes out;
+  encode_to(out);
+  return out;
+}
+
+void Packet::encode_to(Bytes& out) const {
   std::size_t total = payload_wire_size();
   if (total > 0xFFFF) {
     throw std::length_error("packet payload exceeds u16 length prefix");
   }
-  Writer w(kOverhead + total);
+  out.clear();
+  out.reserve(kOverhead + total);
+  Writer w(std::move(out));
   w.u16(kMagic);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(type));
@@ -94,7 +102,7 @@ Bytes Packet::encode() const {
   }
   std::uint32_t crc = crc32(w.bytes());
   w.u32(crc);
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
 std::optional<Packet> Packet::decode(BytesView datagram) {
@@ -139,6 +147,19 @@ std::optional<std::vector<BytesView>> Packet::split_batch(BytesView payload) {
     return std::nullopt;
   }
   return subs;
+}
+
+std::optional<std::size_t> Packet::batch_count(BytesView payload) {
+  std::size_t n = 0;
+  if (!walk_batch(payload, [&](BytesView) { ++n; })) return std::nullopt;
+  return n;
+}
+
+BytesView Packet::next_sub(BytesView& rest) {
+  std::size_t len = (std::size_t{rest[0]} << 8) | rest[1];
+  BytesView sub = rest.subspan(2, len);
+  rest = rest.subspan(2 + len);
+  return sub;
 }
 
 }  // namespace amuse

@@ -109,6 +109,9 @@ struct Packet {
                                            2 + 4;
 
   [[nodiscard]] Bytes encode() const;
+  /// As encode(), into `out` (replacing its contents): a caller that keeps
+  /// one frame buffer reuses its capacity instead of allocating per frame.
+  void encode_to(Bytes& out) const;
 
   /// Payload bytes this frame carries on the wire (sub-message length
   /// prefixes included); encode().size() == kOverhead + payload_wire_size().
@@ -125,6 +128,13 @@ struct Packet {
   /// exactly tile the payload or the batch is empty.
   [[nodiscard]] static std::optional<std::vector<BytesView>> split_batch(
       BytesView payload);
+  /// Number of sub-messages in a batched DATA payload, under the same
+  /// tiling rule as split_batch(), without allocating.
+  [[nodiscard]] static std::optional<std::size_t> batch_count(
+      BytesView payload);
+  /// Takes the first sub-message off `rest`, a batched payload that
+  /// batch_count() accepted (or the remainder of one).
+  static BytesView next_sub(BytesView& rest);
 };
 
 }  // namespace amuse

@@ -80,14 +80,14 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
       }
     }
   }
-  std::vector<Outbound> out;
-  out.reserve(pieces);
+  if (cls == MsgClass::kControl) ++stats_.control_sent;
+  std::size_t pos = enqueue_position(cls);
   if (pieces == 1) {
-    out.push_back(Outbound{0, 0, std::move(payload), true, cls});
+    enqueue_at(pos, Outbound{0, 0, std::move(payload), true, cls});
   } else {
     // Fragment: a message too large for one frame is materialised —
     // fragments re-own their slice regardless, so the shared tail saves
-    // nothing here.
+    // nothing here. The train enters the queue contiguously at `pos`.
     Bytes message = payload.flatten();
     for (std::size_t off = 0; off < message.size(); off += frag) {
       std::size_t len = std::min(frag, message.size() - off);
@@ -100,18 +100,15 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
                      nullptr},
                  /*batchable=*/false, cls};
       ++stats_.fragments_sent;
-      out.push_back(std::move(o));
+      enqueue_at(pos++, std::move(o));
     }
   }
-  if (cls == MsgClass::kControl) ++stats_.control_sent;
-  enqueue_pieces(std::move(out), cls);
   pump(/*flush=*/false);
   update_pressure();
   return true;
 }
 
-void ReliableChannel::enqueue_pieces(std::vector<Outbound> pieces,
-                                     MsgClass cls) {
+std::size_t ReliableChannel::enqueue_position(MsgClass cls) const {
   std::size_t pos = queue_.size();
   if (cls == MsgClass::kControl) {
     // Control jumps the data backlog but stays FIFO among control: insert
@@ -130,10 +127,17 @@ void ReliableChannel::enqueue_pieces(std::vector<Outbound> pieces,
       ++pos;
     }
   }
-  for (const Outbound& o : pieces) charge_entry(o);
-  queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(pos),
-                std::make_move_iterator(pieces.begin()),
-                std::make_move_iterator(pieces.end()));
+  return pos;
+}
+
+void ReliableChannel::enqueue_at(std::size_t pos, Outbound entry) {
+  charge_entry(entry);
+  if (pos == queue_.size()) {
+    queue_.push_back(std::move(entry));
+  } else {
+    queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(pos),
+                  std::move(entry));
+  }
 }
 
 bool ReliableChannel::shed_oldest_data() {
@@ -272,6 +276,7 @@ void ReliableChannel::flush_egress() {
     ++stats_.frame_bursts;
     send_frames_(egress_);
   }
+  for (Packet& p : egress_) spare_frames_.push_back(std::move(p));
   egress_.clear();
 }
 
@@ -307,7 +312,13 @@ void ReliableChannel::pump(bool flush) {
 }
 
 void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
+  // Frames are recycled: a spare keeps its payload and batch capacity.
   Packet p;
+  if (!spare_frames_.empty()) {
+    p = std::move(spare_frames_.back());
+    spare_frames_.pop_back();
+    p.batch.clear();
+  }
   p.type = PacketType::kData;
   p.session = session_;
   p.src = self_;
@@ -317,13 +328,14 @@ void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
   if (count <= 1) {
     const Outbound& o = window_[from];
     p.flags = o.flags;
-    p.payload = o.payload.head;
+    p.payload.assign(o.payload.head.begin(), o.payload.head.end());
     // The shared tail stays by reference right up to frame assembly; the
     // Outbound entry keeps the bytes alive for the duration of the send.
-    if (o.payload.tail) p.payload_tail = BytesView(*o.payload.tail);
+    p.payload_tail = o.payload.tail ? BytesView(*o.payload.tail) : BytesView{};
   } else {
     p.flags = kFlagBatched;
-    p.batch.reserve(count);
+    p.payload.clear();
+    p.payload_tail = {};
     for (std::size_t i = 0; i < count; ++i) {
       const SharedPayload& pl = window_[from + i].payload;
       p.batch.push_back(Packet::Sub{
@@ -339,6 +351,7 @@ void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
     return;
   }
   send_packet_(p);
+  spare_frames_.push_back(std::move(p));
 }
 
 void ReliableChannel::transmit_window(bool count_as_retransmission) {
@@ -490,26 +503,30 @@ void ReliableChannel::on_packet(const Packet& packet) {
 }
 
 void ReliableChannel::handle_data(const Packet& packet) {
-  // Split a batched payload before touching any state: a malformed batch
-  // (possible only on hand-fed packets — decode() validates wire frames)
-  // must not adopt a session or advance ordering.
-  std::vector<BytesView> subs;
+  // Validate a batched payload before touching any state: a malformed
+  // batch (possible only on hand-fed packets — decode() validates wire
+  // frames) must not adopt a session or advance ordering.
+  const bool batched = (packet.flags & kFlagBatched) != 0;
+  std::size_t sub_count = 1;
   std::uint16_t sub_flags = packet.flags;
-  if ((packet.flags & kFlagBatched) != 0) {
-    auto parsed = Packet::split_batch(packet.payload);
-    if (!parsed) {
+  if (batched) {
+    std::optional<std::size_t> n = Packet::batch_count(packet.payload);
+    if (!n) {
       ++stats_.malformed_batch_dropped;
       return;
     }
-    subs = std::move(*parsed);
+    sub_count = *n;
     sub_flags = packet.flags & static_cast<std::uint16_t>(~kFlagBatched);
-  } else {
-    subs.emplace_back(packet.payload);
   }
+  // The sub-messages are walked in place, front to back.
+  BytesView rest(packet.payload);
+  auto next_sub = [&] {
+    return batched ? Packet::next_sub(rest) : BytesView(packet.payload);
+  };
   // The frame covers seqs [packet.seq, packet.seq + count) — one message
   // per sub. Range arithmetic in 64 bits so a forged seq near the top of
   // u32 cannot wrap.
-  const auto count = static_cast<std::uint64_t>(subs.size());
+  const auto count = static_cast<std::uint64_t>(sub_count);
   const auto first = static_cast<std::uint64_t>(packet.seq);
 
   // Session handling: adopt a new peer incarnation only at its seq 0, and
@@ -542,9 +559,11 @@ void ReliableChannel::handle_data(const Packet& packet) {
     // of a partially acked batch: deliver only the unseen tail.
     std::size_t skip = expected_ - first;
     stats_.duplicates_dropped += skip;
-    for (std::size_t i = skip; i < subs.size(); ++i) {
+    for (std::size_t i = 0; i < sub_count; ++i) {
+      BytesView sub = next_sub();
+      if (i < skip) continue;
       ++expected_;
-      deliver_or_reassemble(sub_flags, subs[i]);
+      deliver_or_reassemble(sub_flags, sub);
     }
     // Drain any buffered successors.
     auto it = reorder_.begin();
@@ -560,13 +579,13 @@ void ReliableChannel::handle_data(const Packet& packet) {
   // Out of order: buffer each sub-message at its own seq unless it's a
   // duplicate or the buffer is full, then ack immediately — duplicate
   // cumulative acks are the sender's fast-retransmit signal.
-  for (std::size_t i = 0; i < subs.size(); ++i) {
+  for (std::size_t i = 0; i < sub_count; ++i) {
     auto seq = static_cast<std::uint32_t>(first + i);
+    BytesView sub = next_sub();
     if (reorder_.size() < config_.max_reorder && !reorder_.contains(seq)) {
       ++stats_.out_of_order_buffered;
       reorder_.emplace(
-          seq, std::make_pair(sub_flags,
-                              Bytes(subs[i].begin(), subs[i].end())));
+          seq, std::make_pair(sub_flags, Bytes(sub.begin(), sub.end())));
     } else {
       ++stats_.duplicates_dropped;
     }

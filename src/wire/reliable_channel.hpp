@@ -328,10 +328,12 @@ class ReliableChannel {
   /// passes through exactly one of these.
   void charge_entry(const Outbound& entry);
   void release_entry(const Outbound& entry);
-  /// Enqueues the message's piece(s): data appends, control is inserted
-  /// after the leading run of control entries without splitting any
+  /// Where a new message's piece(s) enter queue_: data appends, control
+  /// goes after the leading run of control entries without splitting any
   /// fragment train.
-  void enqueue_pieces(std::vector<Outbound> pieces, MsgClass cls);
+  [[nodiscard]] std::size_t enqueue_position(MsgClass cls) const;
+  /// Charges `entry` and inserts it at queue_[pos].
+  void enqueue_at(std::size_t pos, Outbound entry);
   /// Counts a dropped data-class message and fires the shed tap.
   void account_shed(std::size_t bytes, const SharedPayload& payload);
   /// Fires the pressure tap on watermark transitions of retained_bytes_.
@@ -354,6 +356,7 @@ class ReliableChannel {
   // valid until the entries are acked — flushed before pump()/
   // transmit_window() return, well inside that window.
   std::vector<Packet> egress_;
+  std::vector<Packet> spare_frames_;  // sent frames, reused by transmit_range
   bool collecting_ = false;
   DeliverFn deliver_;
   FailFn on_fail_;

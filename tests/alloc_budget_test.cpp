@@ -1,0 +1,137 @@
+// Allocation budget of the steady-state message path.
+//
+// A plain cell over the simulated network on ideal hosts: a publisher
+// SmcMember → SelfManagedCell → a subscriber SmcMember. After a warm-up
+// (joins, first-use growth of every pooled buffer), each publish — building
+// the event, the member's channel, the bus's route and fan-out, the
+// proxy's channel, both directions of acks and every timer involved — must
+// stay within a fixed number of heap allocations. The simulation is
+// deterministic, so the count is exact and the same in every build mode.
+//
+// Its own executable: the global operator new below counts every
+// allocation in the process.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "hostmodel/profiles.hpp"
+#include "net/link_profiles.hpp"
+#include "net/sim_network.hpp"
+#include "sim/sim_executor.hpp"
+#include "smc/cell.hpp"
+#include "smc/member.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// All out of line: gcc flags a `malloc` or `free` it sees inlined next to
+// a `new` or `delete` as a mismatched pair (-Wmismatched-new-delete),
+// although these pairs match.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace amuse {
+namespace {
+
+// Measured at 14.7 allocations per publish (41.5 before the executors,
+// the simulated network, the registry and the channel stopped allocating
+// per message). What is left is the event itself: building it in the
+// test, encoding it (publish frame, shared body, per-member header),
+// decoding it at the bus and at the subscriber (attribute vector, type
+// string, frame payload), the bus's frozen copy, and the channel queues'
+// deque blocks. The headroom absorbs a container growing on a different
+// round; anything beyond it means a per-message allocation crept back
+// onto the path.
+constexpr double kBudgetPerPublish = 14.7 + 1.3;
+
+const Bytes kPsk = to_bytes("alloc-budget-key");
+
+TEST(AllocBudget, SteadyStatePublishStaysWithinBudget) {
+  SimExecutor ex;
+  SimNetwork net(ex, /*seed=*/7);
+  net.set_default_link(profiles::perfect_link());
+  SimHost& core = net.add_host("core", profiles::ideal_host());
+  SimHost& edge = net.add_host("edge", profiles::ideal_host());
+
+  SmcCellConfig cfg;
+  cfg.name = "ward";
+  cfg.pre_shared_key = kPsk;
+  SelfManagedCell cell(ex, net.create_endpoint(core), net.create_endpoint(core),
+                       cfg);
+  cell.start();
+
+  auto member = [&](const std::string& type, const std::string& role) {
+    SmcMemberConfig mc;
+    mc.agent.cell_name = "ward";
+    mc.agent.pre_shared_key = kPsk;
+    mc.agent.device_type = type;
+    mc.agent.role = role;
+    return std::make_unique<SmcMember>(ex, net.create_endpoint(edge), mc);
+  };
+  auto publisher = member("sensor.vitals", "sensor");
+  auto subscriber = member("console.monitor", "monitor");
+  publisher->start();
+  subscriber->start();
+  for (int i = 0; i < 1000 && !(publisher->joined() && subscriber->joined());
+       ++i) {
+    ex.run_for(milliseconds(10));
+  }
+  ASSERT_TRUE(publisher->joined() && subscriber->joined());
+
+  std::uint64_t received = 0;
+  subscriber->subscribe(Filter::for_type("vitals.heartrate"),
+                        [&](const Event&) { ++received; });
+  ex.run_for(milliseconds(100));
+
+  // One round: a small burst of publishes, run until all are delivered,
+  // then let the delayed acks and other timers of the round fire.
+  std::uint64_t published = 0;
+  auto round = [&] {
+    for (int i = 0; i < 4; ++i) {
+      ++published;
+      publisher->publish(Event(
+          "vitals.heartrate",
+          {{"hr", static_cast<std::int64_t>(60 + published % 80)},
+           {"patient", "P07"}}));
+    }
+    while (received < published && ex.step()) {
+    }
+    ex.run_for(milliseconds(5));
+  };
+
+  for (int r = 0; r < 500; ++r) round();
+  ASSERT_EQ(received, published) << "warm-up lost deliveries";
+
+  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t published_before = published;
+  for (int r = 0; r < 2000; ++r) round();
+  const std::uint64_t allocations = g_allocations.load() - before;
+  const std::uint64_t measured = published - published_before;
+  ASSERT_EQ(received, published) << "lost deliveries while measuring";
+
+  double per_publish =
+      static_cast<double>(allocations) / static_cast<double>(measured);
+  RecordProperty("allocations_per_publish", std::to_string(per_publish));
+  EXPECT_LE(per_publish, kBudgetPerPublish)
+      << allocations << " allocations over " << measured << " publishes";
+}
+
+}  // namespace
+}  // namespace amuse

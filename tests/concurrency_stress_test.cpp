@@ -125,6 +125,32 @@ TEST(ExecutorStress, CancelAlreadyFiredTimerIsHarmless) {
   EXPECT_TRUE(second);
 }
 
+TEST(ExecutorStress, EqualDeadlinesRunInScheduleOrder) {
+  RealExecutor ex;
+  std::vector<int> order;
+  TimePoint at = ex.now() + milliseconds(5);
+  constexpr int kTasks = 64;
+  for (int i = 0; i < kTasks; ++i) {
+    ex.schedule_at(at, [&order, i] { order.push_back(i); });
+  }
+  ex.schedule_at(at, [&] { ex.stop(); });
+  ex.run_for(seconds(10));
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ExecutorStress, CancelledFarTimerLeavesNothingQueued) {
+  RealExecutor ex;
+  auto token = std::make_shared<int>(0);
+  TimerId far = ex.schedule_after(seconds(3600), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ex.cancel(far);
+  // The task is gone at cancel time, not left in the queue to age out.
+  EXPECT_EQ(token.use_count(), 1);
+  ex.run_for(milliseconds(20));
+  EXPECT_EQ(ex.stats().tasks_run, 0u);
+}
+
 TEST(ExecutorStress, CancelUnknownIdIsHarmless) {
   RealExecutor ex;
   ex.cancel(kNoTimer);

@@ -242,6 +242,47 @@ TEST_F(BusFixture, LocalUnsubscribeWorksInsideHandler) {
   EXPECT_EQ(got, 1);
 }
 
+TEST_F(BusFixture, LocalHandlerUnsubscribedMidFanOutStillRunsOnce) {
+  auto bus = make_bus();
+  int first = 0;
+  int second = 0;
+  std::uint64_t second_id = 0;
+  // Local ids ascend, so the first handler runs first in the fan-out and
+  // unsubscribes the second, which still gets the event being delivered.
+  bus->subscribe_local(Filter::for_type("t"), [&](const Event&) {
+    if (++first == 1) bus->unsubscribe_local(second_id);
+  });
+  second_id = bus->subscribe_local(Filter::for_type("t"),
+                                   [&](const Event&) { ++second; });
+  bus->publish_local(Event("t"));
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  bus->publish_local(Event("t"));
+  ex.run();
+  EXPECT_EQ(first, 2);
+  EXPECT_EQ(second, 1);
+}
+
+TEST_F(BusFixture, LocalHandlerMayPublishFromInsideFanOut) {
+  auto bus = make_bus();
+  std::vector<std::string> order;
+  // A handler that publishes re-enters route() and fan_out() while the
+  // outer fan-out still has handlers to run.
+  bus->subscribe_local(Filter::for_type("t"), [&](const Event&) {
+    order.push_back("t1");
+    bus->publish_local(Event("u"));
+  });
+  bus->subscribe_local(Filter::for_type("t"),
+                       [&](const Event&) { order.push_back("t2"); });
+  bus->subscribe_local(Filter::for_type("u"),
+                       [&](const Event&) { order.push_back("u"); });
+  bus->publish_local(Event("t"));
+  bus->publish_local(Event("t"));
+  ex.run();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"t1", "u", "t2", "t1", "u", "t2"}));
+}
+
 TEST_F(BusFixture, QuenchSuppressesUnwantedPublishes) {
   EventBusConfig cfg;
   cfg.quench = true;

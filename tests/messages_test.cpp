@@ -161,7 +161,8 @@ TEST(FederationOriginCodec, UnstampedFramesAreByteIdenticalToGolden) {
   EXPECT_EQ(BusMessage::publish(e).encode(), publish);
   EXPECT_EQ(BusMessage::encode_publish(e), publish);
   EXPECT_EQ(BusMessage::deliver(e, {3, 1}).encode(), deliver);
-  EXPECT_EQ(concat(BusMessage::encode_event_header({3, 1}, e.origin()),
+  const std::vector<std::uint64_t> matched{3, 1};
+  EXPECT_EQ(concat(BusMessage::encode_event_header(matched, e.origin()),
                    encode_event(e)),
             deliver);
 }
@@ -252,7 +253,8 @@ TEST(FederationOriginCodec, StampedFramesRoundTrip) {
   EXPECT_EQ(*back.event, e);
 
   Bytes deliver = BusMessage::deliver(e, {3, 1}).encode();
-  EXPECT_EQ(deliver, concat(BusMessage::encode_event_header({3, 1}, origin),
+  const std::vector<std::uint64_t> matched{3, 1};
+  EXPECT_EQ(deliver, concat(BusMessage::encode_event_header(matched, origin),
                             kGoldenBody));
   back = BusMessage::decode(deliver);
   EXPECT_EQ(back.type, BusMsgType::kEvent);

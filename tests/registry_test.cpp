@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "pubsub/fastforward_matcher.hpp"
 
 namespace amuse {
@@ -16,6 +19,15 @@ SubscriptionRegistry make_registry() {
   return SubscriptionRegistry(std::make_unique<FastForwardMatcher>());
 }
 
+/// The local ids `hit` lists for `member` (empty when absent).
+std::vector<std::uint64_t> locals_of(
+    const SubscriptionRegistry::MatchResult& hit, ServiceId member) {
+  for (const auto& [m, locals] : hit) {
+    if (m == member) return {locals.begin(), locals.end()};
+  }
+  return {};
+}
+
 TEST(Registry, MatchGroupsByMember) {
   auto reg = make_registry();
   reg.subscribe(member_a(), 1, Filter::for_type("t"));
@@ -24,8 +36,8 @@ TEST(Registry, MatchGroupsByMember) {
   SubscriptionRegistry::MatchResult hit;
   reg.match(Event("t"), hit);
   ASSERT_EQ(hit.size(), 2u);
-  EXPECT_EQ(hit[member_a()], (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(hit[member_b()], (std::vector<std::uint64_t>{9}));
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(locals_of(hit, member_b()), (std::vector<std::uint64_t>{9}));
 }
 
 TEST(Registry, MemberListedOncePerEventWithAllMatchingSubs) {
@@ -37,7 +49,7 @@ TEST(Registry, MemberListedOncePerEventWithAllMatchingSubs) {
   SubscriptionRegistry::MatchResult hit;
   reg.match(Event("vitals.heartrate"), hit);
   ASSERT_EQ(hit.size(), 1u);
-  EXPECT_EQ(hit[member_a()], (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(Registry, ResubscribeReplacesFilter) {
@@ -49,7 +61,7 @@ TEST(Registry, ResubscribeReplacesFilter) {
   reg.match(Event("old"), hit);
   EXPECT_TRUE(hit.empty());
   reg.match(Event("new"), hit);
-  EXPECT_EQ(hit[member_a()], (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{1}));
 }
 
 TEST(Registry, UnsubscribeRemovesOnlyThatSubscription) {
@@ -61,7 +73,7 @@ TEST(Registry, UnsubscribeRemovesOnlyThatSubscription) {
   EXPECT_EQ(reg.member_subscriptions(member_a()), 1u);
   SubscriptionRegistry::MatchResult hit;
   reg.match(Event("t"), hit);
-  EXPECT_EQ(hit[member_a()], (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{2}));
 }
 
 TEST(Registry, UnsubscribeUnknownIsNoop) {
@@ -95,7 +107,66 @@ TEST(Registry, LocalIdsIndependentAcrossMembers) {
   // member_b's local id 1 must be untouched.
   SubscriptionRegistry::MatchResult hit;
   reg.match(Event("b"), hit);
-  EXPECT_EQ(hit[member_b()], (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(locals_of(hit, member_b()), (std::vector<std::uint64_t>{1}));
+}
+
+TEST(Registry, MatchResultIsSortedAndUnique) {
+  auto reg = make_registry();
+  // Subscribed out of order, across members, with overlapping filters.
+  for (std::uint64_t local : {7u, 3u, 5u}) {
+    reg.subscribe(member_b(), local, Filter::for_type_prefix("v"));
+  }
+  for (std::uint64_t local : {9u, 2u}) {
+    reg.subscribe(member_a(), local, Filter::for_type("vitals"));
+  }
+  reg.subscribe(ServiceId(0x5), 4, Filter::for_type("other"));
+  SubscriptionRegistry::MatchResult hit;
+  reg.match(Event("vitals"), hit);
+  ASSERT_EQ(hit.size(), 2u);
+  std::vector<ServiceId> members;
+  for (const auto& [member, locals] : hit) {
+    members.push_back(member);
+    EXPECT_TRUE(std::is_sorted(locals.begin(), locals.end()));
+    EXPECT_EQ(std::adjacent_find(locals.begin(), locals.end()), locals.end())
+        << "duplicate local id for " << member.to_string();
+  }
+  EXPECT_EQ(members, (std::vector<ServiceId>{member_a(), member_b()}));
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{2, 9}));
+  EXPECT_EQ(locals_of(hit, member_b()), (std::vector<std::uint64_t>{3, 5, 7}));
+}
+
+TEST(Registry, ReusedMatchResultIsReplacedNotAppended) {
+  auto reg = make_registry();
+  reg.subscribe(member_a(), 1, Filter::for_type("a"));
+  reg.subscribe(member_b(), 2, Filter::for_type("b"));
+  SubscriptionRegistry::MatchResult hit;
+  reg.match(Event("a"), hit);
+  ASSERT_EQ(hit.size(), 1u);
+  reg.match(Event("b"), hit);
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_FALSE(hit.contains(member_a()));
+  EXPECT_EQ(locals_of(hit, member_b()), (std::vector<std::uint64_t>{2}));
+  hit.clear();
+  EXPECT_TRUE(hit.empty());
+  EXPECT_EQ(hit.begin(), hit.end());
+  reg.match(Event("nobody"), hit);
+  EXPECT_TRUE(hit.empty());
+}
+
+TEST(Registry, ContainsFindsExactlyTheMatchedMembers) {
+  auto reg = make_registry();
+  for (std::uint64_t m = 1; m <= 9; ++m) {
+    reg.subscribe(ServiceId(m * 3), 1,
+                  Filter::for_type(m % 2 == 0 ? "even" : "odd"));
+  }
+  SubscriptionRegistry::MatchResult hit;
+  reg.match(Event("even"), hit);
+  EXPECT_EQ(hit.size(), 4u);
+  for (std::uint64_t raw = 0; raw <= 30; ++raw) {
+    std::uint64_t m = raw / 3;
+    bool want = raw % 3 == 0 && m >= 1 && m <= 9 && m % 2 == 0;
+    EXPECT_EQ(hit.contains(ServiceId(raw)), want) << raw;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "common/rng.hpp"
+#include "task_queue_model.hpp"
 
 namespace amuse {
 namespace {
@@ -131,6 +135,102 @@ TEST(SimExecutor, TasksExecutedCounter) {
   ex.run();
   EXPECT_EQ(ex.tasks_executed(), 5u);
 }
+
+TEST(SimExecutor, CancelledTasksAreNotPending) {
+  SimExecutor ex;
+  TimerId id = ex.schedule_after(seconds(1), [] {});
+  EXPECT_EQ(ex.pending(), 1u);
+  ex.cancel(id);
+  EXPECT_EQ(ex.pending(), 0u);
+  EXPECT_TRUE(ex.idle());
+  // Of two tasks, cancelling one leaves exactly the other.
+  TimerId a = ex.schedule_after(seconds(1), [] {});
+  ex.schedule_after(seconds(2), [] {});
+  ex.cancel(a);
+  EXPECT_EQ(ex.pending(), 1u);
+  EXPECT_EQ(ex.run(), 1u);
+  EXPECT_TRUE(ex.idle());
+}
+
+TEST(SimExecutor, StaleIdCannotCancelARecycledSlot) {
+  SimExecutor ex;
+  TimerId first = ex.schedule_after(seconds(1), [] {});
+  ex.cancel(first);
+  // The freed slot is reused by the next task under a new id.
+  bool ran = false;
+  TimerId second = ex.schedule_after(seconds(1), [&] { ran = true; });
+  EXPECT_NE(first, second);
+  ex.cancel(first);
+  EXPECT_EQ(ex.pending(), 1u);
+  ex.run();
+  EXPECT_TRUE(ran);
+  ex.cancel(second);  // already ran: a no-op too
+  EXPECT_TRUE(ex.idle());
+}
+
+TEST(SimExecutor, CancelledTaskIsDestroyedAtCancel) {
+  SimExecutor ex;
+  auto token = std::make_shared<int>(0);
+  TimerId id = ex.schedule_after(seconds(1), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ex.cancel(id);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimExecutor, TaskDestructorMayScheduleOnCancel) {
+  SimExecutor ex;
+  bool follow_up = false;
+  struct OnDestroy {
+    SimExecutor& ex;
+    bool& flag;
+    ~OnDestroy() {
+      ex.schedule_after(seconds(1), [&f = flag] { f = true; });
+    }
+  };
+  auto hook = std::make_shared<OnDestroy>(ex, follow_up);
+  TimerId id = ex.schedule_after(seconds(5), [hook] {});
+  hook.reset();
+  ex.cancel(id);
+  EXPECT_EQ(ex.pending(), 1u);
+  ex.run();
+  EXPECT_TRUE(follow_up);
+  EXPECT_EQ(ex.now(), TimePoint(seconds(1)));
+}
+
+// Differential property test: random schedule / cancel / step / run_until
+// sequences against a std::multimap keyed by (when, seq). Every task checks
+// it is the model's minimum when it runs; pending(), idle() and
+// tasks_executed() are compared after every operation.
+class SimExecutorModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SimExecutorModel, MatchesMultimapOrder) {
+  Rng rng(GetParam(), 0x71a5c);
+  model::TaskQueueModel m([](const std::string& what) { FAIL() << what; });
+  for (int op = 0; op < 3000 && !::testing::Test::HasFailure(); ++op) {
+    switch (rng.bounded(10)) {
+      case 0: case 1: case 2: case 3:
+        m.schedule(rng.bounded(4),
+                   static_cast<std::uint8_t>(rng.bounded(4)));
+        break;
+      case 4:
+        m.cancel_live(rng.bounded(1u << 16));
+        break;
+      case 5:
+        m.cancel_stale(rng.bounded(1u << 16));
+        break;
+      case 6: case 7: case 8:
+        m.step();
+        break;
+      default:
+        m.run_until(rng.bounded(3));
+        break;
+    }
+    m.check();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimExecutorModel,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace amuse

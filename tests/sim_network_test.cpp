@@ -315,6 +315,93 @@ TEST_F(NetFixture, BurstyLossLosesInBursts) {
   EXPECT_GT(runs2, 10);
 }
 
+TEST_F(NetFixture, EndpointDestroyedBeforeHandOverCountsTheDrop) {
+  CostModel slow;
+  slow.per_packet_recv = milliseconds(10);
+  SimHost& a = net.add_host("a", profiles::ideal_host());
+  SimHost& b = net.add_host("b", slow);
+  LinkModel link = profiles::perfect_link();
+  link.latency_min = milliseconds(1);
+  net.set_default_link(link);
+  auto ta = net.create_endpoint(a);
+  auto tb = net.create_endpoint(b);
+  int handled = 0;
+  tb->set_receive_handler([&](ServiceId, BytesView) { ++handled; });
+  ta->send(tb->local_id(), to_bytes("late"));
+  // Arrival at 1 ms queues 10 ms of receive work; the endpoint is gone
+  // before the host gets to it.
+  ex.run_until(TimePoint(milliseconds(5)));
+  tb.reset();
+  ex.run();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(net.stats().datagrams_delivered, 0u);
+  EXPECT_EQ(net.stats().dropped_no_endpoint, 1u);
+}
+
+TEST_F(NetFixture, EveryCopyIsDeliveredOrCountedInOneDropBucket) {
+  // Conservation through the pooled in-flight slots: with duplication,
+  // loss, a host going down, receive-side CPU queueing and an endpoint
+  // destroyed while copies wait between arrival and hand-over, every copy
+  // put on the wire ends delivered or in exactly one dropped_* bucket, and
+  // every delivered payload is intact although slot buffers are reused
+  // across datagrams of different sizes.
+  CostModel slow;
+  slow.per_packet_recv = milliseconds(1);
+  SimHost& a = net.add_host("a", profiles::ideal_host());
+  SimHost& b = net.add_host("b", slow);
+  SimHost& c = net.add_host("c", profiles::ideal_host());
+  LinkModel link = profiles::perfect_link();
+  link.latency_min = milliseconds(1);
+  link.latency_spread = milliseconds(4);
+  link.loss = 0.2;
+  link.dup = 0.3;
+  net.set_default_link(link);
+  auto ta = net.create_endpoint(a);
+  auto tb1 = net.create_endpoint(b);
+  auto tb2 = net.create_endpoint(b);
+  auto tc = net.create_endpoint(c);
+  const ServiceId targets[] = {tb1->local_id(), tb2->local_id(),
+                               tc->local_id()};
+
+  std::uint64_t handled = 0;
+  bool intact = true;
+  auto check = [&](ServiceId, BytesView d) {
+    ++handled;
+    // Payload i holds 1 + (i & 0xff) % 97 bytes, each equal to i & 0xff.
+    for (std::uint8_t x : d) intact = intact && x == d[0];
+    intact = intact && d.size() == 1 + d[0] % 97u;
+  };
+  tb1->set_receive_handler(check);
+  tb2->set_receive_handler(check);
+  tc->set_receive_handler(check);
+
+  for (int i = 0; i < 600; ++i) {
+    ex.schedule_at(TimePoint(microseconds(200 * i)), [&, i] {
+      Bytes payload(1 + (i & 0xff) % 97, static_cast<std::uint8_t>(i));
+      ta->send(targets[i % 3], payload);
+    });
+  }
+  // b's receive queue runs far behind its arrivals, so when tb2 goes,
+  // copies for it are waiting between arrival and hand-over.
+  ex.schedule_at(TimePoint(milliseconds(40)), [&] { tb2.reset(); });
+  net.schedule_fault(TimePoint(milliseconds(60)),
+                     [&](SimNetwork&) { c.set_up(false); });
+  net.schedule_fault(TimePoint(milliseconds(80)),
+                     [&](SimNetwork&) { c.set_up(true); });
+  ex.run();
+
+  const SimNetwork::Stats& s = net.stats();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(s.datagrams_delivered, handled);
+  EXPECT_EQ(s.datagrams_sent + s.duplicated,
+            s.datagrams_delivered + s.dropped_loss + s.dropped_down +
+                s.dropped_no_endpoint + s.dropped_mtu + s.dropped_partition);
+  EXPECT_GT(s.duplicated, 0u);
+  EXPECT_GT(s.dropped_loss, 0u);
+  EXPECT_GT(s.dropped_down, 0u);
+  EXPECT_GT(s.dropped_no_endpoint, 0u);
+}
+
 TEST_F(NetFixture, SendToUnknownEndpointCounted) {
   SimHost& a = net.add_host("a", profiles::ideal_host());
   net.set_default_link(profiles::perfect_link());

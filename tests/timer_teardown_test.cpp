@@ -235,6 +235,10 @@ TEST_P(TimerTeardown, DestroyedOwnerLeavesNoTaskBehind) {
   std::shared_ptr<void> owner = GetParam().build(ex);
   ASSERT_GT(ex.pending(), 0u) << "no timer was armed";
   owner.reset();
+  // Cancelled timers leave the queue at once: nothing is left pending,
+  // not even a task that would turn out to be dead when popped.
+  EXPECT_EQ(ex.pending(), 0u);
+  EXPECT_TRUE(ex.idle());
   EXPECT_EQ(ex.run(), 0u);
 }
 

@@ -86,7 +86,7 @@ void DeliveryOracle::attach_tagged(EventBus& bus, int tag) {
   };
   obs.on_publish = [this](const Event& e) { bus_publish(e); };
   obs.on_deliver = [this, tag](ServiceId member, const Event& e,
-                               const std::vector<std::uint64_t>& locals) {
+                               std::span<const std::uint64_t> locals) {
     bus_deliver(tag, member, e, locals);
   };
   obs.on_shed = [this](ServiceId member, const Event& e) {
@@ -154,7 +154,7 @@ void DeliveryOracle::bus_publish(const Event& e) {
 }
 
 void DeliveryOracle::bus_deliver(int tag, ServiceId member, const Event& e,
-                                 const std::vector<std::uint64_t>& locals) {
+                                 std::span<const std::uint64_t> locals) {
   ++seq_;
   if (!is_torture_event(e)) return;
   // (d) The engine's matched set must equal the brute-force specification —
@@ -168,7 +168,7 @@ void DeliveryOracle::bus_deliver(int tag, ServiceId member, const Event& e,
       if (filter.matches(e)) expect.push_back(local_id);
     }
   }
-  std::vector<std::uint64_t> got = locals;
+  std::vector<std::uint64_t> got(locals.begin(), locals.end());
   std::sort(got.begin(), got.end());
   if (got != expect) {
     std::ostringstream os;

@@ -55,6 +55,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -167,7 +168,7 @@ class DeliveryOracle {
   void attach_tagged(EventBus& bus, int tag);
   void bus_publish(const Event& e);
   void bus_deliver(int tag, ServiceId member, const Event& e,
-                   const std::vector<std::uint64_t>& locals);
+                   std::span<const std::uint64_t> locals);
   [[nodiscard]] bool in_incident_window(TimePoint routed_at) const;
 
   std::uint64_t seq_ = 0;  // bumped on every observed bus action
