@@ -13,7 +13,9 @@
 // steering byte. The matcher corpus scripts add/remove/match sequences over
 // ward-shaped filters (shared type, patient keys, bed prefixes of several
 // lengths, thresholds, int/double and NaN values) for the differential
-// matcher harness. The task-queue corpus scripts schedule/cancel/step
+// matcher harness, and run every operator against every value type as the
+// constant and as the event value (tests/constraint_cases.hpp), alone and
+// behind a key. The task-queue corpus scripts schedule/cancel/step
 // sequences: same-instant ties, slot recycling under stale cancels, and
 // tasks that cancel others or schedule from their destructors. libFuzzer
 // treats these as the starting population; the
@@ -25,6 +27,7 @@
 #include <string>
 
 #include "bus/messages.hpp"
+#include "constraint_cases.hpp"
 #include "common/bytes.hpp"
 #include "pubsub/codec.hpp"
 #include "wire/packet.hpp"
@@ -356,6 +359,25 @@ void matcher_corpus(const std::filesystem::path& dir) {
           .match(Event("alarm.cardiac"));
     }
     write_file(dir, "id_churn.bin", std::move(s).take());
+  }
+  {
+    // Operator × value type: per constant, ids 0..9 hold each operator
+    // alone and ids 10..19 the same behind a string key; every value is
+    // then published.
+    const std::vector<Value> values = cases::constraint_values();
+    MatcherScript s;
+    for (const Value& c : values) {
+      for (std::size_t i = 0; i < cases::kOps.size(); ++i) {
+        auto id = static_cast<std::uint8_t>(i);
+        s.add(id, cases::alone(cases::kOps[i], c))
+            .add(static_cast<std::uint8_t>(id + 10),
+                 cases::behind_key(cases::kOps[i], c));
+      }
+      for (const Value& v : cases::event_values()) {
+        s.match(cases::event_with(v));
+      }
+    }
+    write_file(dir, "op_value_table.bin", std::move(s).take());
   }
 }
 

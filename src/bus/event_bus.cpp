@@ -164,11 +164,9 @@ void EventBus::add_member(const MemberInfo& info) {
     // registry is empty (the snapshot only drives the spool re-offer) and
     // the observer must not be told otherwise.
     if (observer_.on_subscribe) {
-      if (auto subs = registry_.subscriptions_by_member();
-          subs.contains(info.id)) {
-        for (const auto& [local_id, filter] : subs.at(info.id)) {
-          observer_.on_subscribe(info.id, local_id, filter);
-        }
+      for (const auto& [local_id, filter] :
+           registry_.subscriptions_of(info.id)) {
+        observer_.on_subscribe(info.id, local_id, filter);
       }
     }
     redeliver_spool(*it->second, snapshot);
@@ -194,10 +192,7 @@ void EventBus::purge_member(ServiceId id) {
       ReplMember snapshot;
       snapshot.device_type = info->device_type;
       snapshot.role = info->role;
-      if (auto subs = registry_.subscriptions_by_member();
-          subs.contains(id)) {
-        snapshot.subs = subs.at(id);
-      }
+      snapshot.subs = registry_.subscriptions_of(id);
       ha_rehome_.insert_or_assign(id.raw(), std::move(snapshot));
     }
   }

@@ -10,10 +10,22 @@ SubscriptionRegistry::SubscriptionRegistry(std::unique_ptr<Matcher> matcher)
 void SubscriptionRegistry::subscribe(ServiceId member, std::uint64_t local_id,
                                      const Filter& filter) {
   unsubscribe(member, local_id);
-  SubId id = next_id_++;
+  SubId id = records_.size();
+  if (free_.empty()) {
+    records_.push_back(Record{member, local_id, filter});
+  } else {
+    id = free_.back();
+    free_.pop_back();
+    records_[id] = Record{member, local_id, filter};
+  }
   matcher_->add(id, filter);
-  by_sub_.emplace(id, Record{member, local_id, filter});
   by_member_[member].emplace(local_id, id);
+}
+
+void SubscriptionRegistry::retire(SubId id) {
+  matcher_->remove(id);
+  records_[id].filter = Filter();
+  free_.push_back(id);
 }
 
 void SubscriptionRegistry::unsubscribe(ServiceId member,
@@ -22,8 +34,7 @@ void SubscriptionRegistry::unsubscribe(ServiceId member,
   if (mit == by_member_.end()) return;
   auto lit = mit->second.find(local_id);
   if (lit == mit->second.end()) return;
-  matcher_->remove(lit->second);
-  by_sub_.erase(lit->second);
+  retire(lit->second);
   mit->second.erase(lit);
   if (mit->second.empty()) by_member_.erase(mit);
 }
@@ -31,10 +42,7 @@ void SubscriptionRegistry::unsubscribe(ServiceId member,
 void SubscriptionRegistry::remove_member(ServiceId member) {
   auto mit = by_member_.find(member);
   if (mit == by_member_.end()) return;
-  for (const auto& [local, sub] : mit->second) {
-    matcher_->remove(sub);
-    by_sub_.erase(sub);
-  }
+  for (const auto& [local, sub] : mit->second) retire(sub);
   by_member_.erase(mit);
 }
 
@@ -52,9 +60,8 @@ void SubscriptionRegistry::match(const Event& e, MatchResult& out) const {
   auto& pairs = out.pairs_;
   pairs.clear();
   for (SubId id : hits_) {
-    auto it = by_sub_.find(id);
-    if (it == by_sub_.end()) continue;
-    pairs.emplace_back(it->second.member, it->second.local_id);
+    const Record& r = records_[id];
+    pairs.emplace_back(r.member, r.local_id);
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
@@ -74,7 +81,7 @@ SubscriptionRegistry::filters_by_member() const {
     std::vector<Filter>& filters = out[member];
     filters.reserve(locals.size());
     for (const auto& [local, sub] : locals) {
-      filters.push_back(by_sub_.at(sub).filter);
+      filters.push_back(records_[sub].filter);
     }
   }
   return out;
@@ -84,10 +91,18 @@ std::map<ServiceId, std::map<std::uint64_t, Filter>>
 SubscriptionRegistry::subscriptions_by_member() const {
   std::map<ServiceId, std::map<std::uint64_t, Filter>> out;
   for (const auto& [member, locals] : by_member_) {
-    std::map<std::uint64_t, Filter>& subs = out[member];
-    for (const auto& [local, sub] : locals) {
-      subs.emplace(local, by_sub_.at(sub).filter);
-    }
+    out.emplace(member, subscriptions_of(member));
+  }
+  return out;
+}
+
+std::map<std::uint64_t, Filter> SubscriptionRegistry::subscriptions_of(
+    ServiceId member) const {
+  std::map<std::uint64_t, Filter> out;
+  auto it = by_member_.find(member);
+  if (it == by_member_.end()) return out;
+  for (const auto& [local, sub] : it->second) {
+    out.emplace_hint(out.end(), local, records_[sub].filter);
   }
   return out;
 }

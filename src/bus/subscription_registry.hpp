@@ -103,8 +103,13 @@ class SubscriptionRegistry {
   /// order: by member id, then local id.
   [[nodiscard]] std::map<ServiceId, std::map<std::uint64_t, Filter>>
   subscriptions_by_member() const;
+  /// One member's subscriptions by local id (empty when it has none).
+  [[nodiscard]] std::map<std::uint64_t, Filter> subscriptions_of(
+      ServiceId member) const;
 
-  [[nodiscard]] std::size_t size() const { return by_sub_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return records_.size() - free_.size();
+  }
   [[nodiscard]] std::size_t member_subscriptions(ServiceId member) const;
   [[nodiscard]] const Matcher& matcher() const { return *matcher_; }
 
@@ -115,10 +120,15 @@ class SubscriptionRegistry {
     Filter filter;
   };
 
+  /// Takes `id` out of the matcher and recycles its record.
+  void retire(SubId id);
+
   std::unique_ptr<Matcher> matcher_;
-  std::unordered_map<SubId, Record> by_sub_;
+  // SubIds are dense and recycled: a SubId indexes records_, so a match hit
+  // resolves to its member with one array index.
+  std::vector<Record> records_;
+  std::vector<SubId> free_;  // unused records_ slots
   std::unordered_map<ServiceId, std::map<std::uint64_t, SubId>> by_member_;
-  SubId next_id_ = 1;
   mutable std::vector<SubId> hits_;  // match() scratch, reused
 };
 

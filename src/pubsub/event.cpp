@@ -38,6 +38,15 @@ Event& Event::set(std::string name, Value value) {
 bool Event::has(std::string_view name) const { return get(name) != nullptr; }
 
 const Value* Event::get(std::string_view name) const {
+  // A small event is scanned, comparing lengths first: most names differ
+  // in length, so a miss costs one integer compare instead of a string
+  // compare at each step of a binary search.
+  if (attrs_.size() <= kLinearLookup) {
+    for (const auto& [attr, value] : attrs_) {
+      if (attr.size() == name.size() && attr == name) return &value;
+    }
+    return nullptr;
+  }
   auto it = std::lower_bound(attrs_.begin(), attrs_.end(), name, NameLess{});
   return it != attrs_.end() && it->first == name ? &it->second : nullptr;
 }

@@ -109,6 +109,9 @@ class Event {
   [[nodiscard]] static Event decode(Reader& r);
 
  private:
+  /// Up to this many attributes, get() scans instead of binary-searching.
+  static constexpr std::size_t kLinearLookup = 16;
+
   Attributes attrs_;
   ServiceId publisher_;
   std::uint64_t publisher_seq_ = 0;

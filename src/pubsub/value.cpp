@@ -16,17 +16,6 @@ const char* to_string(ValueType t) {
   return "?";
 }
 
-ValueType Value::type() const {
-  return static_cast<ValueType>(v_.index() + 1);
-}
-
-double Value::as_double() const {
-  if (std::holds_alternative<std::int64_t>(v_)) {
-    return static_cast<double>(std::get<std::int64_t>(v_));
-  }
-  return std::get<double>(v_);
-}
-
 bool Value::equals(const Value& other) const {
   if (is_numeric() && other.is_numeric()) {
     return as_double() == other.as_double();

@@ -36,13 +36,20 @@ class Value {
   Value(const char* v) : v_(std::string(v)) {}        // NOLINT
   Value(Bytes v) : v_(std::move(v)) {}                // NOLINT
 
-  [[nodiscard]] ValueType type() const;
-
-  [[nodiscard]] bool is_numeric() const {
-    return type() == ValueType::kInt || type() == ValueType::kDouble;
+  // Inline: the matchers and the policy engine ask for the type of every
+  // attribute they test.
+  [[nodiscard]] ValueType type() const {
+    return static_cast<ValueType>(v_.index() + 1);
   }
+
+  [[nodiscard]] bool is_numeric() const { return v_.index() <= 1; }
   /// Numeric view (int promoted to double). Precondition: is_numeric().
-  [[nodiscard]] double as_double() const;
+  [[nodiscard]] double as_double() const {
+    if (const auto* i = std::get_if<std::int64_t>(&v_)) {
+      return static_cast<double>(*i);
+    }
+    return std::get<double>(v_);
+  }
 
   [[nodiscard]] std::int64_t as_int() const { return std::get<std::int64_t>(v_); }
   [[nodiscard]] bool as_bool() const { return std::get<bool>(v_); }

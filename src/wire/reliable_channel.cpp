@@ -82,6 +82,8 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
   }
   if (cls == MsgClass::kControl) ++stats_.control_sent;
   std::size_t pos = enqueue_position(cls);
+  // Control pieces join the leading run; data appends behind it.
+  if (cls == MsgClass::kControl) control_run_ += pieces;
   if (pieces == 1) {
     enqueue_at(pos, Outbound{0, 0, std::move(payload), true, cls});
   } else {
@@ -109,23 +111,24 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
 }
 
 std::size_t ReliableChannel::enqueue_position(MsgClass cls) const {
-  std::size_t pos = queue_.size();
-  if (cls == MsgClass::kControl) {
-    // Control jumps the data backlog but stays FIFO among control: insert
-    // after the leading run of control entries. A fragment train is never
-    // split — its continuation entries are not valid insertion points, and
-    // a train whose head already moved into the window pins the queue
-    // front (interleaving a foreign message would corrupt reassembly).
-    pos = 0;
-    bool in_train = !window_.empty() &&
-                    (window_.back().flags & kFlagMoreFragments) != 0;
-    while (pos < queue_.size()) {
-      const Outbound& o = queue_[pos];
-      bool continuation = in_train;
-      in_train = (o.flags & kFlagMoreFragments) != 0;
-      if (!continuation && o.cls != MsgClass::kControl) break;
-      ++pos;
-    }
+  return cls == MsgClass::kControl ? control_run_ : queue_.size();
+}
+
+std::size_t ReliableChannel::scan_control_run() const {
+  // Control jumps the data backlog but stays FIFO among control: it goes
+  // after the leading run of control entries. A fragment train is never
+  // split — its continuation entries are not valid insertion points, and
+  // a train whose head already moved into the window pins the queue front
+  // (interleaving a foreign message would corrupt reassembly).
+  std::size_t pos = 0;
+  bool in_train = !window_.empty() &&
+                  (window_.back().flags & kFlagMoreFragments) != 0;
+  while (pos < queue_.size()) {
+    const Outbound& o = queue_[pos];
+    bool continuation = in_train;
+    in_train = (o.flags & kFlagMoreFragments) != 0;
+    if (!continuation && o.cls != MsgClass::kControl) break;
+    ++pos;
   }
   return pos;
 }
@@ -141,19 +144,11 @@ void ReliableChannel::enqueue_at(std::size_t pos, Outbound entry) {
 }
 
 bool ReliableChannel::shed_oldest_data() {
-  // Head of the oldest data-class message lying wholly in the queue: skip
-  // control entries and any fragments continuing a train begun in the
-  // window (the peer may already hold its first pieces).
-  std::size_t start = 0;
-  bool in_train = !window_.empty() &&
-                  (window_.back().flags & kFlagMoreFragments) != 0;
-  while (start < queue_.size()) {
-    const Outbound& o = queue_[start];
-    bool continuation = in_train;
-    in_train = (o.flags & kFlagMoreFragments) != 0;
-    if (!continuation && o.cls == MsgClass::kData) break;
-    ++start;
-  }
+  // Head of the oldest data-class message lying wholly in the queue: the
+  // first entry past the leading run of control entries and of fragments
+  // continuing a train begun in the window (the peer may already hold its
+  // first pieces).
+  std::size_t start = control_run_;
   if (start >= queue_.size()) return false;
   // The whole fragment train sheds as one message (it was one send()).
   std::size_t end = start + 1;
@@ -172,6 +167,7 @@ bool ReliableChannel::shed_oldest_data() {
   for (std::size_t i = start; i < end; ++i) release_entry(queue_[i]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(start),
                queue_.begin() + static_cast<std::ptrdiff_t>(end));
+  control_run_ = scan_control_run();
   ++stats_.events_shed;
   stats_.bytes_shed += bytes;
   if (on_shed_) on_shed_(whole);
@@ -296,6 +292,9 @@ void ReliableChannel::pump(bool flush) {
       queue_.pop_front();
       window_.push_back(std::move(o));
       ++stats_.messages_sent;
+      // The run loses its head; a data head leaving may open a run on its
+      // train's continuations (bounded by the train, so O(1) amortised).
+      control_run_ = control_run_ > 0 ? control_run_ - 1 : scan_control_run();
     }
     if (!failed_) {
       transmit_range(frame_start, count);
@@ -475,6 +474,7 @@ void ReliableChannel::reset() {
   for (const Outbound& o : queue_) release_entry(o);
   window_.clear();
   queue_.clear();
+  control_run_ = 0;
   // Keep next_seq_ monotonic within this session so a reset sender can't
   // collide with sequence numbers the peer may already have buffered.
   base_ = next_seq_;

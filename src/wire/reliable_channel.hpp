@@ -332,6 +332,9 @@ class ReliableChannel {
   /// goes after the leading run of control entries without splitting any
   /// fragment train.
   [[nodiscard]] std::size_t enqueue_position(MsgClass cls) const;
+  /// The length of that leading run, by scanning queue_ (control_run_ is
+  /// this value kept current, so a control send does not rescan).
+  [[nodiscard]] std::size_t scan_control_run() const;
   /// Charges `entry` and inserts it at queue_[pos].
   void enqueue_at(std::size_t pos, Outbound entry);
   /// Counts a dropped data-class message and fires the shed tap.
@@ -368,6 +371,8 @@ class ReliableChannel {
   std::uint32_t base_ = 0;       // oldest unacked sequence
   std::deque<Outbound> window_;  // in flight: [base_, next_seq_)
   std::deque<Outbound> queue_;   // not yet in the window (seq unassigned)
+  std::size_t control_run_ = 0;  // == scan_control_run()
+  friend struct ReliableChannelProbe;  // tests compare the two
   Duration rto_;
   int retries_ = 0;
   int dup_acks_ = 0;

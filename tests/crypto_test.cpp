@@ -3,6 +3,8 @@
 // service's admission handshake.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/crc32.hpp"
 #include "common/sha256.hpp"
 
@@ -31,6 +33,23 @@ Bytes pseudo_random_bytes(std::size_t n) {
     b = static_cast<std::uint8_t>(x);
   }
   return out;
+}
+
+// Every CRC-32 path this CPU can run: the dispatching entry point and each
+// kernel behind it, so both stay held to the reference whichever one the
+// dispatch picks.
+struct CrcPath {
+  const char* name;
+  std::uint32_t (*update)(std::uint32_t, BytesView);
+};
+
+std::vector<CrcPath> crc_paths() {
+  std::vector<CrcPath> paths = {{"crc32_update", &crc32_update},
+                                {"table", &detail::crc32_update_table}};
+  if (detail::crc32_has_clmul()) {
+    paths.push_back({"clmul", &detail::crc32_update_clmul});
+  }
+  return paths;
 }
 
 TEST(Crc32, KnownVectors) {
@@ -70,11 +89,16 @@ TEST(Crc32, DetectsSingleBitFlips) {
 // main loop, each 0..7-byte tail and misaligned loads.
 TEST(Crc32, MatchesBitwiseReferenceAtAllLengthsAndAlignments) {
   const Bytes data = pseudo_random_bytes(4096 + 8);
+  const std::vector<CrcPath> paths = crc_paths();
   for (std::size_t align = 0; align < 8; ++align) {
     for (std::size_t len = 0; len <= 4096; ++len) {
       BytesView view(data.data() + align, len);
-      ASSERT_EQ(crc32(view), reference_crc32(view))
-          << "align=" << align << " len=" << len;
+      std::uint32_t want = reference_crc32(view);
+      ASSERT_EQ(crc32(view), want) << "align=" << align << " len=" << len;
+      for (const CrcPath& path : paths) {
+        ASSERT_EQ(path.update(0, view), want)
+            << path.name << " align=" << align << " len=" << len;
+      }
     }
   }
 }
@@ -82,11 +106,13 @@ TEST(Crc32, MatchesBitwiseReferenceAtAllLengthsAndAlignments) {
 TEST(Crc32, UpdateSplitAtEveryOffsetMatchesOneShot) {
   const Bytes data = pseudo_random_bytes(1024);
   const std::uint32_t whole = reference_crc32(data);
-  for (std::size_t split = 0; split <= data.size(); ++split) {
-    std::uint32_t crc = crc32_update(0, BytesView(data.data(), split));
-    crc = crc32_update(
-        crc, BytesView(data.data() + split, data.size() - split));
-    ASSERT_EQ(crc, whole) << "split=" << split;
+  for (const CrcPath& path : crc_paths()) {
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+      std::uint32_t crc = path.update(0, BytesView(data.data(), split));
+      crc = path.update(
+          crc, BytesView(data.data() + split, data.size() - split));
+      ASSERT_EQ(crc, whole) << path.name << " split=" << split;
+    }
   }
 }
 

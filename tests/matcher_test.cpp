@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "constraint_cases.hpp"
 #include "pubsub/brute_matcher.hpp"
 #include "pubsub/fastforward_matcher.hpp"
 #include "pubsub/siena_matcher.hpp"
@@ -542,6 +543,41 @@ TEST(FastForward, RemovalLeavesNoTrace) {
   for (SubId id = 1; id <= 100; ++id) m.remove(id);
   EXPECT_EQ(m.size(), 0u);
   EXPECT_TRUE(match_sorted(m, t5).empty());
+}
+
+// Every Op × constant × event value (tests/constraint_cases.hpp): the
+// compiled test gives Constraint::matches's verdict, both when the case is
+// the filter's only constraint (its key, a range bound or the scan list)
+// and when it sits behind a string-equality key as a plain test.
+TEST(FastForward, CompiledTestsGiveConstraintVerdicts) {
+  const std::vector<Value> values = cases::constraint_values();
+  FastForwardMatcher m;
+  struct Case {
+    Op op;
+    const Value* constant;
+  };
+  std::vector<Case> table;
+  for (Op op : cases::kOps) {
+    for (const Value& c : values) {
+      SubId id = 2 * table.size();
+      m.add(id, cases::alone(op, c));
+      m.add(id + 1, cases::behind_key(op, c));
+      table.push_back({op, &c});
+    }
+  }
+  for (const Value& v : cases::event_values()) {
+    std::vector<SubId> got = match_sorted(m, cases::event_with(v));
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const Case& c = table[i];
+      Constraint constraint{cases::kAttr, c.op, *c.constant};
+      bool want = constraint.matches(v);
+      for (SubId id : {SubId{2 * i}, SubId{2 * i + 1}}) {
+        EXPECT_EQ(std::binary_search(got.begin(), got.end(), id), want)
+            << constraint.to_string() << " against " << v.to_string()
+            << (id % 2 ? " behind a key" : " alone");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,12 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.hpp"
 #include "sim/sim_executor.hpp"
 
 namespace amuse {
+
+// The kept control run against the scan it replaces.
+struct ReliableChannelProbe {
+  static std::size_t kept(const ReliableChannel& c) { return c.control_run_; }
+  static std::size_t scanned(const ReliableChannel& c) {
+    return c.scan_control_run();
+  }
+};
+
 namespace {
 
 // Two channels joined by a controllable lossy pipe. An optional second
@@ -1112,6 +1122,78 @@ TEST(ReliableChannelReorder, OverflowingBatchBuffersPartially) {
   p.ex.run();
   ASSERT_EQ(p.at_b.size(), 4u);  // m0..m3; m4 awaits retransmission
   for (int i = 0; i < 4; ++i) EXPECT_EQ(p.at_b[i], "m" + std::to_string(i));
+}
+
+}  // namespace
+}  // namespace amuse
+
+namespace amuse {
+namespace {
+
+// ---- Control insertion point: the run length kept as state equals the
+// scan over the queue after every send, pump, ack, loss and shed; and the
+// receiver still gets control in FIFO order, data in FIFO order (less what
+// was shed) and every fragment train whole.
+
+std::string tagged(char kind, int n, std::size_t size) {
+  std::string m = std::string(1, kind) + std::to_string(n) + ":";
+  while (m.size() < size) m.push_back(static_cast<char>('a' + m.size() % 26));
+  return m;
+}
+
+TEST(ReliableChannelControlRun, KeptRunMatchesScanUnderMixedSends) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    ReliableChannelConfig cfg;
+    cfg.max_fragment_payload = 24;
+    cfg.window = 1 + rng.bounded(4);
+    cfg.rto_initial = milliseconds(30);
+    if (seed % 2 == 0) cfg.max_queue_bytes = 600;  // sheds data
+    ChannelPair p(cfg);
+    p.drop_from_a = [&rng](const Packet& pk) {
+      return pk.type == PacketType::kData && rng.chance(0.2);
+    };
+    std::vector<std::string> control;
+    std::vector<std::string> data;
+    for (int op = 0; op < 400; ++op) {
+      double dice = rng.uniform();
+      if (dice < 0.45) {
+        std::string m = tagged('d', op, 1 + rng.bounded(80));
+        if (p.a->send(to_bytes(m))) data.push_back(m);
+      } else if (dice < 0.7) {
+        std::string m = tagged('c', op, 1 + rng.bounded(60));
+        ASSERT_TRUE(p.a->send(to_bytes(m), MsgClass::kControl));
+        control.push_back(m);
+      } else {
+        p.ex.run_for(microseconds(100 + rng.bounded(20000)));
+      }
+      ASSERT_EQ(ReliableChannelProbe::kept(*p.a),
+                ReliableChannelProbe::scanned(*p.a))
+          << "seed=" << seed << " op=" << op;
+    }
+    p.drop_from_a = nullptr;
+    p.ex.run_for(seconds(60));
+    p.ex.run();
+    ASSERT_EQ(ReliableChannelProbe::kept(*p.a), 0u) << "seed=" << seed;
+
+    std::vector<std::string> got_control;
+    std::vector<std::string> got_data;
+    for (const std::string& m : p.at_b) {
+      (m[0] == 'c' ? got_control : got_data).push_back(m);
+    }
+    EXPECT_EQ(got_control, control) << "seed=" << seed;
+    // Shedding drops whole data messages, so what arrives is an in-order
+    // subsequence of what was accepted, each message intact.
+    auto next = data.begin();
+    for (const std::string& m : got_data) {
+      next = std::find(next, data.end(), m);
+      ASSERT_NE(next, data.end()) << "seed=" << seed << " got " << m;
+      ++next;
+    }
+    if (seed % 2 == 1) {
+      EXPECT_EQ(got_data, data) << "seed=" << seed;
+    }
+  }
 }
 
 }  // namespace
