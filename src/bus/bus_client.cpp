@@ -21,25 +21,11 @@ BusClient::BusClient(Executor& executor, std::shared_ptr<Transport> transport,
   }
   channel_ = std::make_unique<ReliableChannel>(
       executor, transport_->local_id(), bus_, session, config_.channel,
-      [this](const Packet& p) {
-        p.encode_to(frame_);
-        transport_->send(p.dst, frame_);
+      // A round reaches the kernel in one sendmmsg on batching transports.
+      [this](std::span<const Transport::Datagram> frames) {
+        transport_->send_batch(frames);
       },
       [this](BytesView message) { on_message(message); });
-  // Burst sink: a pump round's frames reach the kernel in one sendmmsg on
-  // batching transports; non-batching transports loop, byte-identical.
-  // The frame buffers are reused from round to round.
-  channel_->set_send_frames([this](std::vector<Packet>& frames) {
-    if (burst_frames_.size() < frames.size()) {
-      burst_frames_.resize(frames.size());
-    }
-    burst_.clear();
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      frames[i].encode_to(burst_frames_[i]);
-      burst_.push_back(Transport::Datagram{frames[i].dst, burst_frames_[i]});
-    }
-    transport_->send_batch(burst_);
-  });
   if (config_.install_receive_handler) {
     transport_->set_receive_handler([this](ServiceId src, BytesView data) {
       if (std::optional<Packet> p = Packet::decode(data)) handle_packet(src, *p);

@@ -145,11 +145,6 @@ class BusClient {
   std::shared_ptr<Transport> transport_;
   ServiceId bus_;
   BusClientConfig config_;
-  // Encoded-frame buffers the channel's send paths reuse (valid only for
-  // one send call each).
-  Bytes frame_;
-  std::vector<Bytes> burst_frames_;
-  std::vector<Transport::Datagram> burst_;
   std::unique_ptr<ReliableChannel> channel_;
   std::map<std::uint64_t, Handler> handlers_;
   std::uint64_t next_sub_id_ = 1;

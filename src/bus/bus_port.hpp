@@ -68,19 +68,11 @@ class BusPort {
   virtual void member_unsubscribe(ServiceId member,
                                   std::uint64_t local_id) = 0;
 
-  /// Sends a raw frame to a member over the bus's transport endpoint.
+  /// Sends encoded frames over the bus's transport endpoint, in order, as
+  /// one Transport::send_batch call: a proxy channel's round (DESIGN.md
+  /// §12) reaches the kernel in one sendmmsg on a batching transport.
   AMUSE_AFFINITY(core_executor)
-  virtual void send_datagram(ServiceId dst, BytesView frame) = 0;
-
-  /// Sends a burst of encoded frames to one member, in order. Semantically
-  /// identical to calling send_datagram() per frame; EventBus forwards the
-  /// burst to Transport::send_batch so one proxy pump round reaches the
-  /// kernel in one sendmmsg. Default loops, so bus fakes need not care.
-  AMUSE_AFFINITY(core_executor)
-  virtual void send_datagram_batch(ServiceId dst,
-                                   std::span<const Bytes> frames) {
-    for (const Bytes& f : frames) send_datagram(dst, f);
-  }
+  virtual void send_datagrams(std::span<const Transport::Datagram> frames) = 0;
 
   /// A proxy shed an outbound event for `member` under budget exhaustion
   /// (DESIGN.md §9). The bus accounts it and surfaces it through

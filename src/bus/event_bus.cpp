@@ -385,17 +385,8 @@ void EventBus::member_unsubscribe(ServiceId member, std::uint64_t local_id) {
   }
 }
 
-void EventBus::send_datagram(ServiceId dst, BytesView frame) {
-  transport_->send(dst, frame);
-}
-
-void EventBus::send_datagram_batch(ServiceId dst,
-                                   std::span<const Bytes> frames) {
-  burst_.clear();
-  for (const Bytes& f : frames) {
-    burst_.push_back(Transport::Datagram{dst, BytesView(f)});
-  }
-  transport_->send_batch(burst_);
+void EventBus::send_datagrams(std::span<const Transport::Datagram> frames) {
+  transport_->send_batch(frames);
 }
 
 void EventBus::notify_shed(ServiceId member, const Event& event) {

@@ -215,10 +215,7 @@ class EventBus final : public BusPort {
   AMUSE_AFFINITY(core_executor)
   void member_unsubscribe(ServiceId member, std::uint64_t local_id) override;
   AMUSE_AFFINITY(core_executor)
-  void send_datagram(ServiceId dst, BytesView frame) override;
-  AMUSE_AFFINITY(core_executor)
-  void send_datagram_batch(ServiceId dst,
-                           std::span<const Bytes> frames) override;
+  void send_datagrams(std::span<const Transport::Datagram> frames) override;
   AMUSE_AFFINITY(core_executor)
   void notify_shed(ServiceId member, const Event& event) override;
   AMUSE_AFFINITY(core_executor)
@@ -315,7 +312,6 @@ class EventBus final : public BusPort {
       local_handlers_;
   std::vector<std::shared_ptr<const Handler>> local_run_;  // fan_out stack
   SubscriptionRegistry::MatchResult hit_scratch_;  // route()'s, reused
-  std::vector<Transport::Datagram> burst_;  // send_datagram_batch's, reused
   std::uint64_t next_local_id_ = 1;
   std::uint32_t proxy_incarnations_ = 0;
   std::unordered_map<ServiceId, std::uint32_t> reserved_sessions_;

@@ -112,12 +112,14 @@ void SimNetwork::send_from(SimTransport& src, ServiceId dst, BytesView data) {
   TimePoint ready =
       src.host().charge(executor_.now(), src.host().cpu().send_cost(data.size()));
 
-  std::shared_ptr<SimTransport> target = live_endpoint(dst);
+  auto it = endpoints_.find(dst);
+  std::shared_ptr<SimTransport> target =
+      it != endpoints_.end() ? it->second.lock() : nullptr;
   if (!target) {
     ++stats_.dropped_no_endpoint;
     return;
   }
-  transmit(src.host(), target.get(), ready, data, src.local_id());
+  transmit(src.host(), target, ready, data, src.local_id());
 }
 
 void SimNetwork::broadcast_from(SimTransport& src, BytesView data) {
@@ -137,11 +139,12 @@ void SimNetwork::broadcast_from(SimTransport& src, BytesView data) {
     }
   }
   for (auto& target : targets) {
-    transmit(src.host(), target.get(), ready, data, src.local_id());
+    transmit(src.host(), target, ready, data, src.local_id());
   }
 }
 
-void SimNetwork::transmit(SimHost& src_host, SimTransport* dst,
+void SimNetwork::transmit(SimHost& src_host,
+                          const std::shared_ptr<SimTransport>& dst,
                           TimePoint ready, BytesView data, ServiceId src_id) {
   SimHost& dst_host = dst->host();
   DirectedLink& link = link_between(src_host, dst_host);
@@ -183,7 +186,7 @@ void SimNetwork::transmit(SimHost& src_host, SimTransport* dst,
                             static_cast<double>(m.latency_spread.count())));
     std::uint32_t slot = acquire_slot();
     InFlight& d = in_flight_[slot];
-    d.dst = dst->local_id();
+    d.dst = dst;
     d.src = src_id;
     d.arrival = link.busy_until + latency;
     d.payload.assign(data.begin(), data.end());
@@ -193,7 +196,7 @@ void SimNetwork::transmit(SimHost& src_host, SimTransport* dst,
 
 void SimNetwork::arrive(std::uint32_t slot) {
   InFlight& d = in_flight_[slot];
-  std::shared_ptr<SimTransport> ep = live_endpoint(d.dst);
+  std::shared_ptr<SimTransport> ep = d.dst.lock();
   if (!ep || !ep->handler_) {
     ++stats_.dropped_no_endpoint;
     release_slot(slot);
@@ -213,7 +216,7 @@ void SimNetwork::arrive(std::uint32_t slot) {
 
 void SimNetwork::hand_over(std::uint32_t slot) {
   InFlight& d = in_flight_[slot];
-  std::shared_ptr<SimTransport> ep = live_endpoint(d.dst);
+  std::shared_ptr<SimTransport> ep = d.dst.lock();
   if (!ep || !ep->handler_ || !ep->host().up()) {
     ++stats_.dropped_no_endpoint;
   } else {
@@ -222,11 +225,6 @@ void SimNetwork::hand_over(std::uint32_t slot) {
     ep->handler_(d.src, d.payload);
   }
   release_slot(slot);
-}
-
-std::shared_ptr<SimTransport> SimNetwork::live_endpoint(ServiceId id) const {
-  auto it = endpoints_.find(id);
-  return it != endpoints_.end() ? it->second.lock() : nullptr;
 }
 
 std::uint32_t SimNetwork::acquire_slot() {
@@ -240,6 +238,7 @@ std::uint32_t SimNetwork::acquire_slot() {
 }
 
 void SimNetwork::release_slot(std::uint32_t slot) {
+  in_flight_[slot].dst.reset();  // let a destroyed endpoint's block go
   free_slots_.push_back(slot);
 }
 

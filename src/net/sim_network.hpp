@@ -180,9 +180,11 @@ class SimNetwork {
   /// One datagram copy between transmit() and its hand-over to the
   /// receive handler. Slots are recycled through a free list, and a
   /// recycled slot keeps its payload buffer's capacity, so a steady stream
-  /// of datagrams allocates nothing here.
+  /// of datagrams allocates nothing here. The destination is held weakly:
+  /// an endpoint destroyed in flight is a dropped_no_endpoint, with no id
+  /// lookup per stage (ports are never reused, so the id names no other).
   struct InFlight {
-    ServiceId dst;
+    std::weak_ptr<SimTransport> dst;
     ServiceId src;
     TimePoint arrival;
     Bytes payload;
@@ -192,14 +194,13 @@ class SimNetwork {
   void broadcast_from(SimTransport& src, BytesView data);
   /// Transmits one already-CPU-charged datagram over the link and schedules
   /// delivery on the destination endpoint.
-  void transmit(SimHost& src_host, SimTransport* dst, TimePoint ready,
-                BytesView data, ServiceId src_id);
+  void transmit(SimHost& src_host, const std::shared_ptr<SimTransport>& dst,
+                TimePoint ready, BytesView data, ServiceId src_id);
   /// Stage 1: the copy reaches the destination host, which queues the
   /// receive work on its CPU.
   void arrive(std::uint32_t slot);
   /// Stage 2: the host gets to it and the endpoint's handler runs.
   void hand_over(std::uint32_t slot);
-  std::shared_ptr<SimTransport> live_endpoint(ServiceId id) const;
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   DirectedLink& link_between(const SimHost& from, const SimHost& to);

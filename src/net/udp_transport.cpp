@@ -175,9 +175,13 @@ void UdpTransport::set_receive_handler(ReceiveHandler handler) {
 }
 
 void UdpTransport::send(ServiceId dst, BytesView data) {
-  sockaddr_in addr = make_addr(dst.addr(), dst.port());
-  ssize_t sent = ::sendto(unicast_fd_, data.data(), data.size(), 0,
-                          reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  send_to(make_addr(dst.addr(), dst.port()), data);
+}
+
+void UdpTransport::send_to(const sockaddr_in& addr, BytesView data) {
+  ssize_t sent =
+      ::sendto(unicast_fd_, data.data(), data.size(), 0,
+               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   datagrams_sent_.fetch_add(1, std::memory_order_relaxed);
   send_syscalls_.fetch_add(1, std::memory_order_relaxed);
   if (sent < 0) {
@@ -250,15 +254,7 @@ void UdpTransport::broadcast(BytesView data) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = inet_addr(options_.multicast_group);
   addr.sin_port = htons(options_.broadcast_port);
-  ssize_t sent = ::sendto(unicast_fd_, data.data(), data.size(), 0,
-                          reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  datagrams_sent_.fetch_add(1, std::memory_order_relaxed);
-  send_syscalls_.fetch_add(1, std::memory_order_relaxed);
-  if (sent < 0) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    bytes_sent_.fetch_add(data.size(), std::memory_order_relaxed);
-  }
+  send_to(addr, data);
 }
 
 void UdpTransport::receive_loop() {

@@ -37,6 +37,8 @@
 #include "net/transport.hpp"
 #include "sim/executor.hpp"
 
+struct sockaddr_in;
+
 namespace amuse {
 
 struct UdpOptions {
@@ -181,6 +183,8 @@ class UdpTransport final : public Transport {
   /// on the receive thread.
   void post_to(std::vector<Inbound> items);
   void send_burst_mmsg(std::span<const Datagram> batch);
+  /// One sendto on the unicast socket (send() and broadcast()).
+  void send_to(const sockaddr_in& addr, BytesView data);
 
   Executor& executor_;
   int unicast_fd_;

@@ -14,10 +14,9 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
       bus.executor(), bus.bus_id(), member_id(),
       bus.next_channel_session(member_id()),
       bus.channel_config(),
-      /*send_packet=*/
-      [this](const Packet& p) {
-        p.encode_to(frame_);
-        this->bus().send_datagram(p.dst, frame_);
+      /*send=*/
+      [this](std::span<const Transport::Datagram> frames) {
+        this->bus().send_datagrams(frames);
       },
       /*deliver=*/
       [this](BytesView message) { on_message(message); },
@@ -26,20 +25,6 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
         kLog.debug("member ", member_id().to_string(),
                    " unresponsive; queueing until purge or recovery");
       });
-  // One pump round's DATA frames flush through the bus's batch surface
-  // (and from there through one sendmmsg on a batching transport). The
-  // frame buffers are reused from round to round.
-  channel_->set_send_frames([this](std::vector<Packet>& frames) {
-    if (burst_frames_.size() < frames.size()) {
-      burst_frames_.resize(frames.size());
-    }
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      frames[i].encode_to(burst_frames_[i]);
-    }
-    this->bus().send_datagram_batch(
-        member_id(),
-        std::span<const Bytes>(burst_frames_.data(), frames.size()));
-  });
   channel_->set_on_shed([this](BytesView message) { on_shed(message); });
   channel_->set_on_pressure([this](bool under_pressure) {
     this->bus().member_pressure(member_id(), under_pressure);

@@ -50,10 +50,6 @@ class ForwardingProxy final : public Proxy {
   AMUSE_AFFINITY(core_executor) void on_message(BytesView message);
   AMUSE_AFFINITY(core_executor) void on_shed(BytesView message);
 
-  // Encoded-frame buffers the channel's send paths reuse (valid only for
-  // one send call each).
-  Bytes frame_;
-  std::vector<Bytes> burst_frames_;
   std::unique_ptr<ReliableChannel> channel_;
 };
 

@@ -53,7 +53,9 @@ void TranslatingProxy::on_datagram(BytesView data) {
         DeviceFrame ack;
         ack.type = DeviceFrameType::kAck;
         ack.seq = frame->seq;
-        bus().send_datagram(member_id(), ack.encode());
+        Bytes wire = ack.encode();
+        const Transport::Datagram d{member_id(), wire};
+        bus().send_datagrams({&d, 1});
       }
       if (seen_any_reading_ && !seq16_newer(frame->seq, last_reading_seq_)) {
         ++stats_.readings_duplicate;
@@ -112,7 +114,9 @@ void TranslatingProxy::transmit_head() {
   f.seq = head_seq_;
   f.payload = queue_.front();
   ++stats_.commands_sent;
-  bus().send_datagram(member_id(), f.encode());
+  Bytes wire = f.encode();
+  const Transport::Datagram d{member_id(), wire};
+  bus().send_datagrams({&d, 1});
 }
 
 void TranslatingProxy::on_timeout() {

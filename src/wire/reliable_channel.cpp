@@ -19,14 +19,14 @@ constexpr int kDupAckThreshold = 3;
 ReliableChannel::ReliableChannel(Executor& executor, ServiceId self,
                                  ServiceId peer, std::uint32_t session,
                                  ReliableChannelConfig config,
-                                 SendPacketFn send_packet, DeliverFn deliver,
+                                 SendFn send, DeliverFn deliver,
                                  FailFn on_fail)
     : executor_(executor),
       self_(self),
       peer_(peer),
       session_(session),
       config_(config),
-      send_packet_(std::move(send_packet)),
+      send_(std::move(send)),
       deliver_(std::move(deliver)),
       on_fail_(std::move(on_fail)),
       rto_(config.rto_initial),
@@ -252,32 +252,23 @@ ReliableChannel::FramePlan ReliableChannel::plan_frame(
   return plan;
 }
 
-bool ReliableChannel::begin_collect() {
-  if (!send_frames_ || collecting_) return false;
-  collecting_ = true;
-  return true;
+void ReliableChannel::emit(const Packet& frame) {
+  if (frame_bytes_.size() == round_frames_) frame_bytes_.emplace_back();
+  frame.encode_to(frame_bytes_[round_frames_++]);
 }
 
-void ReliableChannel::end_collect(bool opened) {
-  if (!opened) return;
-  collecting_ = false;
-  flush_egress();
-}
-
-void ReliableChannel::flush_egress() {
-  if (egress_.empty()) return;
-  if (egress_.size() == 1 || !send_frames_) {
-    for (const Packet& p : egress_) send_packet_(p);
-  } else {
-    ++stats_.frame_bursts;
-    send_frames_(egress_);
+void ReliableChannel::flush_round() {
+  if (round_frames_ == 0) return;
+  round_.clear();
+  for (std::size_t i = 0; i < round_frames_; ++i) {
+    round_.push_back(Transport::Datagram{peer_, frame_bytes_[i]});
   }
-  for (Packet& p : egress_) spare_frames_.push_back(std::move(p));
-  egress_.clear();
+  if (round_frames_ >= 2) ++stats_.frame_bursts;
+  round_frames_ = 0;
+  send_(round_);
 }
 
 void ReliableChannel::pump(bool flush) {
-  bool opened = begin_collect();
   while (!queue_.empty() && window_.size() < config_.window) {
     FramePlan plan = plan_frame(queue_, 0);
     // Nagle-style hold: a partial batch waits for more data while earlier
@@ -306,30 +297,26 @@ void ReliableChannel::pump(bool flush) {
       }
     }
   }
-  end_collect(opened);
+  flush_round();
   if (!window_.empty() && !failed_) arm_timer();
 }
 
 void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
-  // Frames are recycled: a spare keeps its payload and batch capacity.
-  Packet p;
-  if (!spare_frames_.empty()) {
-    p = std::move(spare_frames_.back());
-    spare_frames_.pop_back();
-    p.batch.clear();
-  }
+  // frame_ is reused: its payload and batch keep their capacity.
+  Packet& p = frame_;
   p.type = PacketType::kData;
   p.session = session_;
   p.src = self_;
   p.dst = peer_;
   p.seq = window_[from].seq;
   p.ack = expected_;  // piggyback the cumulative ack
+  p.batch.clear();
   if (count <= 1) {
     const Outbound& o = window_[from];
     p.flags = o.flags;
     p.payload.assign(o.payload.head.begin(), o.payload.head.end());
     // The shared tail stays by reference right up to frame assembly; the
-    // Outbound entry keeps the bytes alive for the duration of the send.
+    // Outbound entry keeps the bytes alive while the frame is encoded.
     p.payload_tail = o.payload.tail ? BytesView(*o.payload.tail) : BytesView{};
   } else {
     p.flags = kFlagBatched;
@@ -345,23 +332,17 @@ void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
   }
   record_wire(p.payload_wire_size());
   clear_ack_debt();  // the frame carries our cumulative ack
-  if (collecting_) {
-    egress_.push_back(std::move(p));
-    return;
-  }
-  send_packet_(p);
-  spare_frames_.push_back(std::move(p));
+  emit(p);
 }
 
 void ReliableChannel::transmit_window(bool count_as_retransmission) {
-  bool opened = begin_collect();
   for (std::size_t i = 0; i < window_.size();) {
     std::size_t count = plan_frame(window_, i).count;
     if (count_as_retransmission) stats_.retransmissions += count;
     transmit_range(i, count);
     i += count;
   }
-  end_collect(opened);
+  flush_round();
 }
 
 void ReliableChannel::send_ack() {
@@ -373,7 +354,8 @@ void ReliableChannel::send_ack() {
   p.ack = expected_;
   ++stats_.acks_sent;
   record_wire(0);
-  send_packet_(p);
+  emit(p);
+  flush_round();
 }
 
 void ReliableChannel::send_ack_now() {
@@ -638,6 +620,7 @@ void ReliableChannel::handle_ack(const Packet& packet) {
         rtt_pending_ = false;  // Karn: head is being retransmitted
       }
       transmit_range(0, 1);
+      flush_round();
     }
     return;
   }

@@ -38,11 +38,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
 #include "common/service_id.hpp"
+#include "net/transport.hpp"
 #include "sim/executor.hpp"
 #include "sim/timer.hpp"
 #include "wire/delivery_budget.hpp"
@@ -177,7 +179,7 @@ struct ReliableChannelStats {
   std::uint64_t batches_sent = 0;     // DATA frames carrying ≥ 2 messages
   std::uint64_t batched_messages = 0; // messages inside those frames
   std::uint64_t acks_delayed = 0;     // ack requests deferred to the timer
-  std::uint64_t frame_bursts = 0;     // ≥2-frame rounds handed to the burst sink
+  std::uint64_t frame_bursts = 0;     // sink calls carrying ≥ 2 frames
   std::uint64_t malformed_batch_dropped = 0;  // bad sub-lengths in a batch
   // Overload accounting (DESIGN.md §9): drops are counted, never silent.
   std::uint64_t events_shed = 0;      // data-class messages dropped
@@ -189,16 +191,12 @@ struct ReliableChannelStats {
 
 class ReliableChannel {
  public:
-  /// Hands an encoded frame to the transport.
-  using SendPacketFn = std::function<void(const Packet&)>;
-  /// Optional burst sink: a whole pump/retransmit round's DATA frames in
-  /// one call, so the transport can flush them through one sendmmsg
-  /// (Transport::send_batch). The frames are valid only for the call; the
-  /// vector is passed by reference so the sink may move the encodings out.
-  /// When unset (or for single-frame rounds, ACKs and fast retransmits) the
-  /// channel falls back to SendPacketFn per frame — wire bytes and frame
-  /// order are identical either way.
-  using SendFramesFn = std::function<void(std::vector<Packet>&)>;
+  /// The channel's one egress path. Every frame it emits is encoded into
+  /// channel-owned buffers and handed over in rounds: a pump or retransmit
+  /// round's DATA frames, a single-frame round, a fast retransmit or an
+  /// ACK, each as one call, in wire order. The views are valid only for
+  /// the call; the sink must not re-enter the channel.
+  using SendFn = std::function<void(std::span<const Transport::Datagram>)>;
   /// Exactly-once, in-order message delivery to the layer above.
   using DeliverFn = std::function<void(BytesView message)>;
   /// Retries exhausted for the oldest in-flight message. The channel stops
@@ -213,7 +211,7 @@ class ReliableChannel {
 
   ReliableChannel(Executor& executor, ServiceId self, ServiceId peer,
                   std::uint32_t session, ReliableChannelConfig config,
-                  SendPacketFn send_packet, DeliverFn deliver,
+                  SendFn send, DeliverFn deliver,
                   FailFn on_fail = nullptr);
   ~ReliableChannel();
 
@@ -229,10 +227,6 @@ class ReliableChannel {
   /// only copied into the wire frame (or into fragments) at transmit time.
   AMUSE_AFFINITY(owner_executor)
   bool send(SharedPayload payload, MsgClass cls = MsgClass::kData);
-
-  /// Installs the burst sink (see SendFramesFn). Null reverts to per-frame
-  /// SendPacketFn delivery.
-  void set_send_frames(SendFramesFn fn) { send_frames_ = std::move(fn); }
 
   /// Installs the shed-accounting tap (fired for every dropped data-class
   /// message, whether displaced from the queue or rejected on entry).
@@ -300,16 +294,14 @@ class ReliableChannel {
   /// batch is held back while earlier data is in flight — the ack clock
   /// flushes it (Nagle-style); flush=true sends everything that fits.
   void pump(bool flush = true);
-  /// Frames window_[from, from+count) as one DATA frame and sends it (or
-  /// appends it to the egress burst when a collect round is open).
+  /// Frames window_[from, from+count) as one DATA frame and emits it.
   void transmit_range(std::size_t from, std::size_t count);
-  /// Opens an egress collect round (no-op when no burst sink is installed
-  /// or a round is already open); returns whether this call opened it.
-  bool begin_collect();
-  /// Closes the round this call's matching begin_collect() opened and
-  /// flushes the collected frames through the burst sink.
-  void end_collect(bool opened);
-  void flush_egress();
+  /// Encodes `frame` as the next datagram of the round being built.
+  void emit(const Packet& frame);
+  /// Hands the round to the sink as one call. Whatever emits a frame
+  /// (pump, transmit_window, a fast retransmit, send_ack) flushes before
+  /// it returns, so a round never outlives the call that built it.
+  void flush_round();
   /// Go-back-N: retransmits the whole window, re-coalescing as it goes.
   void transmit_window(bool count_as_retransmission);
   void send_ack();
@@ -353,14 +345,14 @@ class ReliableChannel {
   ServiceId peer_;
   std::uint32_t session_;
   ReliableChannelConfig config_;
-  SendPacketFn send_packet_;
-  SendFramesFn send_frames_;
-  // Egress burst under collection: frames hold views into window_ entries,
-  // valid until the entries are acked — flushed before pump()/
-  // transmit_window() return, well inside that window.
-  std::vector<Packet> egress_;
-  std::vector<Packet> spare_frames_;  // sent frames, reused by transmit_range
-  bool collecting_ = false;
+  SendFn send_;
+  // Egress: frames are encoded as they are emitted into frame_bytes_[0,
+  // round_frames_), which keep their capacity from round to round;
+  // round_ holds the views handed to the sink.
+  Packet frame_;  // the DATA frame being assembled, reused
+  std::vector<Bytes> frame_bytes_;
+  std::size_t round_frames_ = 0;
+  std::vector<Transport::Datagram> round_;
   DeliverFn deliver_;
   FailFn on_fail_;
   ShedFn on_shed_;

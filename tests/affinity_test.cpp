@@ -27,14 +27,18 @@ namespace {
 
 struct ChannelFixture {
   RealExecutor ex;
-  std::vector<Packet> wire;
+  std::vector<Bytes> wire;
   ReliableChannel channel;
 
   ChannelFixture()
       : channel(ex, ServiceId::from_addr_port(0x7F000001u, 1111),
                 ServiceId::from_addr_port(0x7F000001u, 2222),
                 /*session=*/7, ReliableChannelConfig{},
-                [this](const Packet& p) { wire.push_back(p); },
+                [this](std::span<const Transport::Datagram> round) {
+                  for (const auto& d : round) {
+                    wire.emplace_back(d.data.begin(), d.data.end());
+                  }
+                },
                 [](BytesView) {}) {}
 };
 

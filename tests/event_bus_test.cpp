@@ -523,5 +523,38 @@ TEST_F(BusFixture, QuenchSkipsNoOpTablePushes) {
   EXPECT_TRUE(b->mirror().interests().contains(Filter::for_type("u")));
 }
 
+
+// Records how a BusClient's channel hands frames to its transport.
+class CountingTransport final : public Transport {
+ public:
+  ServiceId local_id() const override {
+    return ServiceId::from_addr_port(0x0A000009, 900);
+  }
+  void send(ServiceId, BytesView) override { ++sends; }
+  void send_batch(std::span<const Datagram> batch) override {
+    batch_sizes.push_back(batch.size());
+  }
+  void broadcast(BytesView) override {}
+  void set_receive_handler(ReceiveHandler) override {}
+
+  std::size_t sends = 0;
+  std::vector<std::size_t> batch_sizes;  // one entry per send_batch call
+};
+
+TEST(BusClientEgress, MultiFrameRoundIsOneSendBatchCall) {
+  SimExecutor ex;
+  auto transport = std::make_shared<CountingTransport>();
+  BusClientConfig cfg;
+  cfg.channel.max_fragment_payload = 32;  // the publish fragments
+  BusClient client(ex, transport, ServiceId::from_addr_port(0x0A000001, 1),
+                   cfg);
+  ASSERT_TRUE(client.publish(Event("big", {{"note", std::string(100, 'x')}})));
+  ASSERT_EQ(transport->batch_sizes.size(), 1u);
+  EXPECT_GE(transport->batch_sizes[0], 4u);
+  EXPECT_EQ(transport->sends, 0u);
+  EXPECT_EQ(client.channel_stats().frame_bursts, 1u);
+  EXPECT_EQ(client.channel_stats().datagrams_sent, transport->batch_sizes[0]);
+}
+
 }  // namespace
 }  // namespace amuse

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "channel_sink.hpp"
 #include "hostmodel/profiles.hpp"
 #include "net/link_profiles.hpp"
 #include "net/sim_network.hpp"
@@ -73,12 +74,12 @@ class ChannelPair {
   explicit ChannelPair(ReliableChannelConfig config = {}) {
     a = std::make_unique<ReliableChannel>(
         ex, id_a, id_b, 111, config,
-        [this](const Packet& p) { pipe(p, drop_from_a, b); },
+        each_frame([this](const Packet& p) { pipe(p, drop_from_a, b); }),
         [this](BytesView msg) { at_a.emplace_back(to_string(msg)); },
         [this] { ++failures; });
     b = std::make_unique<ReliableChannel>(
         ex, id_b, id_a, 222, config,
-        [this](const Packet& p) { pipe(p, drop_from_b, a); },
+        each_frame([this](const Packet& p) { pipe(p, drop_from_b, a); }),
         [this](BytesView msg) { at_b.emplace_back(to_string(msg)); },
         [this] { ++failures; });
   }

@@ -25,8 +25,10 @@ class FakeBus final : public BusPort {
   void member_unsubscribe(ServiceId member, std::uint64_t local_id) override {
     unsubscribes.emplace_back(member, local_id);
   }
-  void send_datagram(ServiceId dst, BytesView frame) override {
-    sent.emplace_back(dst, Bytes(frame.begin(), frame.end()));
+  void send_datagrams(std::span<const Transport::Datagram> frames) override {
+    for (const Transport::Datagram& d : frames) {
+      sent.emplace_back(d.dst, Bytes(d.data.begin(), d.data.end()));
+    }
   }
   Executor& executor() override { return ex_; }
   ServiceId bus_id() const override { return ServiceId(0xB05); }

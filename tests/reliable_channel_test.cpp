@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
 
+#include "channel_sink.hpp"
 #include "common/rng.hpp"
 #include "sim/sim_executor.hpp"
 
@@ -35,12 +38,16 @@ class ChannelPair {
     // channel a receives what b sent (sink at_a) and vice versa.
     a = std::make_unique<ReliableChannel>(
         ex, id_a, id_b, 111, config,
-        [this](const Packet& p) { pipe(p, tap_from_a, drop_from_a, b); },
+        each_frame([this](const Packet& p) {
+          pipe(p, tap_from_a, drop_from_a, b);
+        }),
         [this](BytesView msg) { at_a.emplace_back(to_string(msg)); },
         [this] { ++failures; });
     b = std::make_unique<ReliableChannel>(
         ex, id_b, id_a, 222, config_b.value_or(config),
-        [this](const Packet& p) { pipe(p, tap_from_b, drop_from_b, a); },
+        each_frame([this](const Packet& p) {
+          pipe(p, tap_from_b, drop_from_b, a);
+        }),
         [this](BytesView msg) { at_b.emplace_back(to_string(msg)); },
         [this] { ++failures; });
   }
@@ -256,13 +263,13 @@ TEST(ReliableChannel, NewSessionAdoptedAtSeqZero) {
   ReliableChannelConfig cfg;
   auto fresh = std::make_unique<ReliableChannel>(
       p.ex, p.id_a, p.id_b, /*session=*/333, cfg,
-      [&p](const Packet& pk) {
+      each_frame([&p](const Packet& pk) {
         Bytes wire = pk.encode();
         p.ex.schedule_after(milliseconds(1), [&p, wire] {
           std::optional<Packet> q = Packet::decode(wire);
           if (q) p.b->on_packet(*q);
         });
-      },
+      }),
       [](BytesView) {});
   (void)fresh->send(to_bytes("fresh"));
   p.ex.run();
@@ -320,7 +327,7 @@ TEST(ReliableChannel, RejoinedPeerNeverDeliversStaleBatchedBacklog) {
       [&](const Packet& pk) { b2_out.push_back(pk); };
   ReliableChannel b2(
       p.ex, p.id_b, p.id_a, /*session=*/334, fresh_cfg,
-      [&](const Packet& pk) { b2_send(pk); },
+      each_frame([&](const Packet& pk) { b2_send(pk); }),
       [&](BytesView m) { at_b2.emplace_back(to_string(m)); });
 
   b2.on_packet(*Packet::decode(stale_seq0));   // adoption race: seq 0
@@ -335,13 +342,13 @@ TEST(ReliableChannel, RejoinedPeerNeverDeliversStaleBatchedBacklog) {
   // The reserved-session sender delivers normally, batching included.
   ReliableChannel a2(
       p.ex, p.id_a, p.id_b, /*session=*/444, ReliableChannelConfig{},
-      [&](const Packet& pk) {
+      each_frame([&](const Packet& pk) {
         Bytes wire = pk.encode();
         p.ex.schedule_after(milliseconds(1), [&b2, wire] {
           std::optional<Packet> q = Packet::decode(wire);
           if (q) b2.on_packet(*q);
         });
-      },
+      }),
       [](BytesView) {});
   b2_send = [&](const Packet& pk) {
     Bytes wire = pk.encode();
@@ -1194,6 +1201,85 @@ TEST(ReliableChannelControlRun, KeptRunMatchesScanUnderMixedSends) {
       EXPECT_EQ(got_data, data) << "seed=" << seed;
     }
   }
+}
+
+
+// The one egress path: every round reaches the sink as one call, in wire
+// order — a pump round's frames together, and an ACK, a fast retransmit
+// and a single-frame round each alone. frame_bursts counts only the calls
+// carrying two or more frames.
+TEST(ReliableChannel, EveryRoundReachesTheSinkAsOneCall) {
+  SimExecutor ex;
+  ServiceId self = ServiceId::from_addr_port(0x0A000001, 1000);
+  ServiceId peer = ServiceId::from_addr_port(0x0A000002, 2000);
+  ReliableChannelConfig cfg;
+  cfg.max_fragment_payload = 8;  // a 30-byte message is a 4-frame train
+  cfg.ack_delay = Duration{};    // ack every DATA frame at once
+  std::vector<std::vector<Packet>> calls;
+  ReliableChannel ch(
+      ex, self, peer, /*session=*/5, cfg,
+      [&](std::span<const Transport::Datagram> round) {
+        std::vector<Packet>& call = calls.emplace_back();
+        for (const Transport::Datagram& d : round) {
+          EXPECT_EQ(d.dst, peer);
+          std::optional<Packet> p = Packet::decode(d.data);
+          ASSERT_TRUE(p.has_value());
+          call.push_back(*p);
+        }
+      },
+      [](BytesView) {});
+  auto from_peer = [&](PacketType type, std::uint32_t seq) {
+    Packet p;
+    p.type = type;
+    p.session = 9;
+    p.src = peer;
+    p.dst = self;
+    p.seq = seq;
+    p.ack = 0;  // never acks anything of ours
+    if (type == PacketType::kData) p.payload = to_bytes("hello");
+    ch.on_packet(p);
+  };
+
+  // A single-frame round.
+  ASSERT_TRUE(ch.send(to_bytes("hi")));
+  ASSERT_EQ(calls.size(), 1u);
+  ASSERT_EQ(calls[0].size(), 1u);
+  EXPECT_EQ(calls[0][0].seq, 0u);
+  EXPECT_EQ(ch.stats().frame_bursts, 0u);
+
+  // A pump round of four fragments: one call, frames in seq order.
+  ASSERT_TRUE(ch.send(to_bytes(std::string(30, 'f'))));
+  ASSERT_EQ(calls.size(), 2u);
+  ASSERT_EQ(calls[1].size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(calls[1][i].type, PacketType::kData);
+    EXPECT_EQ(calls[1][i].seq, 1 + i);
+  }
+  EXPECT_EQ(ch.stats().frame_bursts, 1u);
+
+  // Three duplicate acks: the third fast-retransmits the head, alone.
+  for (int i = 0; i < 3; ++i) from_peer(PacketType::kAck, 0);
+  ASSERT_EQ(ch.stats().fast_retransmits, 1u);
+  ASSERT_EQ(calls.size(), 3u);
+  ASSERT_EQ(calls[2].size(), 1u);
+  EXPECT_EQ(calls[2][0].type, PacketType::kData);
+  EXPECT_EQ(calls[2][0].seq, 0u);
+
+  // Peer DATA is acked at once: an ACK alone.
+  from_peer(PacketType::kData, 0);
+  ASSERT_EQ(calls.size(), 4u);
+  ASSERT_EQ(calls[3].size(), 1u);
+  EXPECT_EQ(calls[3][0].type, PacketType::kAck);
+  EXPECT_EQ(calls[3][0].ack, 1u);
+
+  // A timeout retransmits the whole window as one round.
+  ex.run_for(cfg.rto_initial);
+  ASSERT_EQ(calls.size(), 5u);
+  EXPECT_EQ(calls[4].size(), 5u);
+  EXPECT_EQ(ch.stats().frame_bursts, 2u);
+  std::uint64_t frames = 0;
+  for (const auto& call : calls) frames += call.size();
+  EXPECT_EQ(ch.stats().datagrams_sent, frames);
 }
 
 }  // namespace

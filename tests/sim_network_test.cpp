@@ -338,6 +338,29 @@ TEST_F(NetFixture, EndpointDestroyedBeforeHandOverCountsTheDrop) {
   EXPECT_EQ(net.stats().dropped_no_endpoint, 1u);
 }
 
+TEST_F(NetFixture, EndpointDestroyedInFlightCountsTheDrop) {
+  SimHost& a = net.add_host("a", profiles::ideal_host());
+  SimHost& b = net.add_host("b", profiles::ideal_host());
+  LinkModel link = profiles::perfect_link();
+  link.latency_min = milliseconds(5);
+  net.set_default_link(link);
+  auto ta = net.create_endpoint(a);
+  auto tb = net.create_endpoint(b);
+  int handled = 0;
+  tb->set_receive_handler([&](ServiceId, BytesView) { ++handled; });
+  ta->send(tb->local_id(), to_bytes("lost"));
+  // The copy is on the link until 5 ms; its endpoint goes at 1 ms, and an
+  // endpoint created afterwards on the same host never sees it.
+  ex.run_until(TimePoint(milliseconds(1)));
+  tb.reset();
+  auto tb_next = net.create_endpoint(b);
+  tb_next->set_receive_handler([&](ServiceId, BytesView) { ++handled; });
+  ex.run();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(net.stats().datagrams_delivered, 0u);
+  EXPECT_EQ(net.stats().dropped_no_endpoint, 1u);
+}
+
 TEST_F(NetFixture, EveryCopyIsDeliveredOrCountedInOneDropBucket) {
   // Conservation through the pooled in-flight slots: with duplication,
   // loss, a host going down, receive-side CPU queueing and an endpoint

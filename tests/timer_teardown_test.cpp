@@ -114,7 +114,7 @@ std::vector<TeardownCase> teardown_cases() {
          ServiceId peer = ServiceId::from_addr_port(0x0A000001u, 2);
          auto ch = std::make_shared<ReliableChannel>(
              ex, self, peer, /*session=*/1, ReliableChannelConfig{},
-             [](const Packet&) {}, [](BytesView) {});
+             [](std::span<const Transport::Datagram>) {}, [](BytesView) {});
          ch->send(to_bytes("unacked"));  // retransmit timer
          Packet data;
          data.type = PacketType::kData;
