@@ -63,7 +63,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     b.session = 0x5EED;
     b.src = amuse::ServiceId::from_addr_port(0x7F000001u, 1);
     b.dst = amuse::ServiceId::from_addr_port(0x7F000001u, 2);
-    b.payload.assign(data, data + size);
+    b.payload = amuse::SharedBytes::copy_of(amuse::BytesView(data, size));
     amuse::Bytes wire = b.encode();
     std::optional<amuse::Packet> q = amuse::Packet::decode(wire);
     if (q) {

@@ -228,6 +228,46 @@ void codec_corpus(const std::filesystem::path& dir) {
     write_file(dir, "event_unordered_duplicate.bin",
                steered(0, std::move(w).take()));
   }
+  // The three ways a body can fail to be canonical, one each: the bus
+  // re-serialises such a body instead of forwarding it as received.
+  auto body = [](std::uint16_t n) {
+    Writer w;
+    w.u48(ServiceId::from_addr_port(0x0A000003, 40003).raw());
+    w.u64(8);
+    w.i64(2000);
+    w.u16(n);
+    return w;
+  };
+  {
+    Writer w = body(2);
+    w.str("type");
+    Value(std::string("vitals.spo2")).encode(w);
+    w.str("spo2");
+    Value(std::int64_t{97}).encode(w);
+    write_file(dir, "event_names_out_of_order.bin",
+               steered(0, std::move(w).take()));
+  }
+  {
+    Writer w = body(3);
+    w.str("spo2");
+    Value(std::int64_t{91}).encode(w);
+    w.str("spo2");
+    Value(std::int64_t{97}).encode(w);
+    w.str("type");
+    Value(std::string("vitals.spo2")).encode(w);
+    write_file(dir, "event_duplicate_names.bin",
+               steered(0, std::move(w).take()));
+  }
+  {
+    Writer w = body(2);
+    w.str("alarm");
+    w.u8(static_cast<std::uint8_t>(ValueType::kBool));
+    w.u8(0x02);
+    w.str("type");
+    Value(std::string("alarm.cardiac")).encode(w);
+    write_file(dir, "event_bool_byte_two.bin",
+               steered(0, std::move(w).take()));
+  }
   write_file(dir, "filter_for_type.bin",
              steered(1, encode_filter(Filter::for_type("vitals.heartrate"))));
   write_file(

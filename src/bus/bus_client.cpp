@@ -1,5 +1,7 @@
 #include "bus/bus_client.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "wire/packet.hpp"
 
@@ -25,7 +27,7 @@ BusClient::BusClient(Executor& executor, std::shared_ptr<Transport> transport,
       [this](std::span<const Transport::Datagram> frames) {
         transport_->send_batch(frames);
       },
-      [this](BytesView message) { on_message(message); });
+      [this](const SharedBytes& message) { on_message(message); });
   if (config_.install_receive_handler) {
     transport_->set_receive_handler([this](ServiceId src, BytesView data) {
       if (std::optional<Packet> p = Packet::decode(data)) handle_packet(src, *p);
@@ -48,7 +50,8 @@ void BusClient::handle_packet(ServiceId src, const Packet& packet) {
 std::uint64_t BusClient::subscribe(const Filter& filter, Handler handler) {
   AMUSE_ASSERT_ON_EXECUTOR(executor_, "BusClient::subscribe");
   std::uint64_t id = next_sub_id_++;
-  handlers_.emplace(id, std::move(handler));
+  handlers_.emplace_back(id,
+                         std::make_unique<const Handler>(std::move(handler)));
   // Control class: subscription state must reach the bus even when the
   // outbound queue is saturated with event data.
   (void)channel_->send(BusMessage::subscribe(id, filter).encode(),
@@ -56,8 +59,16 @@ std::uint64_t BusClient::subscribe(const Filter& filter, Handler handler) {
   return id;
 }
 
+const BusClient::Handler* BusClient::handler_of(std::uint64_t id) const {
+  auto it = std::ranges::lower_bound(handlers_, id, {}, &Slot::first);
+  return it != handlers_.end() && it->first == id ? it->second.get() : nullptr;
+}
+
 void BusClient::unsubscribe(std::uint64_t id) {
-  if (handlers_.erase(id) == 0) return;
+  auto it = std::ranges::lower_bound(handlers_, id, {}, &Slot::first);
+  if (it == handlers_.end() || it->first != id) return;
+  if (dispatching_ > 0) retired_.push_back(std::move(it->second));
+  handlers_.erase(it);
   (void)channel_->send(BusMessage::unsubscribe(id).encode(),
                        MsgClass::kControl);
 }
@@ -79,7 +90,14 @@ bool BusClient::publish(Event event) {
     return false;
   }
   ++stats_.published;
-  if (!channel_->send(BusMessage::encode_publish(event))) {
+  // The message is the publish header, written inline, in front of the
+  // event's body, which the channel queues by reference.
+  SharedPayload message(event.body());
+  BusMessage::write_event_header(
+      message.resize_head(BusMessage::event_header_size(
+          BusMsgType::kPublish, 0, event.origin())),
+      BusMsgType::kPublish, {}, event.origin());
+  if (!channel_->send(std::move(message))) {
     kLog.warn("publish queue full towards bus ", bus_.to_string());
   }
   if (pressured_) {
@@ -98,7 +116,7 @@ void BusClient::request_resync(BusMsgType stream) {
                        MsgClass::kControl);
 }
 
-void BusClient::on_message(BytesView message) {
+void BusClient::on_message(const SharedBytes& message) {
   BusMessage m;
   try {
     m = BusMessage::decode(message);
@@ -117,12 +135,14 @@ void BusClient::on_message(BytesView message) {
       }
       // An id unsubscribed while the event was in flight has no handler
       // any more: the event is dropped for it.
+      ++dispatching_;
       for (std::uint64_t id : m.matched) {
-        auto it = handlers_.find(id);
-        if (it == handlers_.end()) continue;
+        const Handler* handler = handler_of(id);
+        if (handler == nullptr) continue;
         ++stats_.handler_invocations;
-        it->second(*m.event);
+        (*handler)(*m.event);
       }
+      if (--dispatching_ == 0) retired_.clear();
       break;
     }
     case BusMsgType::kInterestUpdate: {

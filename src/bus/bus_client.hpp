@@ -10,9 +10,9 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "bus/interest_table.hpp"
 #include "bus/messages.hpp"
@@ -140,13 +140,23 @@ class BusClient {
   }
 
  private:
-  AMUSE_AFFINITY(member_executor) void on_message(BytesView message);
+  AMUSE_AFFINITY(member_executor) void on_message(const SharedBytes& message);
+  using Slot = std::pair<std::uint64_t, std::unique_ptr<const Handler>>;
+  /// The handler of subscription `id`; null when unsubscribed or unknown.
+  [[nodiscard]] const Handler* handler_of(std::uint64_t id) const;
 
   std::shared_ptr<Transport> transport_;
   ServiceId bus_;
   BusClientConfig config_;
   std::unique_ptr<ReliableChannel> channel_;
-  std::map<std::uint64_t, Handler> handlers_;
+  // Live subscriptions in ascending id order. Ids come from a monotonic
+  // counter and are never reused (they are on the wire), so subscribe()
+  // appends and a lookup is a binary search over contiguous pairs. Each
+  // handler lives on the heap, so appending never moves a running one; one
+  // unsubscribed while handlers run waits in retired_ until they return.
+  std::vector<Slot> handlers_;
+  std::vector<std::unique_ptr<const Handler>> retired_;
+  int dispatching_ = 0;  // handler calls in progress
   std::uint64_t next_sub_id_ = 1;
   std::uint64_t next_pub_seq_ = 1;
   PressureFn on_pressure_;

@@ -56,8 +56,8 @@ class BusPort {
   BusPort& operator=(const BusPort&) = delete;
 
   /// A member's proxy hands the bus a fully translated event (Fig. 2 flow).
-  /// The bus stamps its metadata in place, then freezes it: from there on
-  /// every matching member shares the one instance (encode-once fan-out).
+  /// The bus stamps its metadata (a write only where it changes), then
+  /// every matching member shares the event's one body (DESIGN.md §7).
   AMUSE_AFFINITY(core_executor)
   virtual void member_publish(ServiceId member, Event event) = 0;
   /// Registers / replaces the member's subscription `local_id`.

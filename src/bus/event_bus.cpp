@@ -501,10 +501,12 @@ void EventBus::route(Event event) {
   registry_.match(event, hit);
   if (hit.empty()) ++stats_.no_subscriber;
 
-  // One shared encoding per publish: every forwarding proxy in the fan-out
-  // reuses these bytes instead of re-serialising the event per member.
-  auto enc = std::make_shared<EncodedEvent>(freeze(std::move(event)));
-  enc->set_counters(&stats_.encodes, &stats_.encode_reuses);
+  // The event is its body, shared by every link of the fan-out: adopted
+  // as the publisher sent it when canonical (names ascending, bools 0/1,
+  // timestamp and publisher already set), re-serialised otherwise — by the
+  // decoder, the edits above or the Siena round trip. One body per event.
+  ++stats_.encodes;
+  bool body_used = false;
 
   if (ha_) {
     // Spool the routed event for post-failover re-delivery (only when a
@@ -518,8 +520,9 @@ void EventBus::route(Event event) {
       }
     }
     if (remote) {
+      body_used = true;
       for (const ReplSpoolEntry& evicted :
-           repl_.spool_append(enc->event().origin(), *enc->shared_bytes())) {
+           repl_.spool_append(event.origin(), event.body())) {
         // The budget gave up on this event: failover can no longer
         // re-deliver it. Accounted before the record disappears.
         account_staleness(evicted.decode());
@@ -531,24 +534,24 @@ void EventBus::route(Event event) {
   if (config_.host) {
     // Charge the matching + translation + serialisation work to the
     // simulated CPU and fan out when the host would actually be done with
-    // it. The wire size comes from the shared encoding, which the fan-out
-    // then reuses — the old pipeline encoded here just to measure, threw
-    // the bytes away, and re-encoded once per member.
-    Duration cost = costs_.publish_cost(enc->wire_size(), registry_.size(),
+    // it. The wire size is the shared body's, which the fan-out reuses.
+    if (body_used) ++stats_.encode_reuses;
+    Duration cost = costs_.publish_cost(event.payload_size(), registry_.size(),
                                         config_.host->cpu());
     TimePoint done = config_.host->charge(executor_.now(), cost);
-    executor_.schedule_at(done, [this, enc = std::move(enc),
+    executor_.schedule_at(done, [this, event = std::move(event),
                                  hit = std::move(hit)] {
-      fan_out(*enc, hit);
+      fan_out(event, hit, /*body_used=*/true);
     });
   } else {
-    fan_out(*enc, hit);
+    fan_out(event, hit, body_used);
     hit_scratch_ = std::move(hit);
   }
 }
 
-void EventBus::fan_out(const EncodedEvent& event,
-                       const SubscriptionRegistry::MatchResult& hit) {
+void EventBus::fan_out(const Event& event,
+                       const SubscriptionRegistry::MatchResult& hit,
+                       bool body_used) {
   if (!gateway_members_.empty()) {
     // Suppression accounting for the federation A/B: an event no gateway
     // matched crossed zero inter-cell links — the downstream interest
@@ -579,8 +582,8 @@ void EventBus::fan_out(const EncodedEvent& event,
       for (std::size_t i = base; i < top; ++i) {
         std::shared_ptr<const Handler> h = std::move(local_run_[i]);
         ++stats_.local_deliveries;
-        if (observer_.on_local_deliver) observer_.on_local_deliver(event.event());
-        (*h)(event.event());
+        if (observer_.on_local_deliver) observer_.on_local_deliver(event);
+        (*h)(event);
       }
       local_run_.resize(base);
       continue;
@@ -588,7 +591,9 @@ void EventBus::fan_out(const EncodedEvent& event,
     auto pit = proxies_.find(member);
     if (pit == proxies_.end()) continue;  // purged between match and fan-out
     ++stats_.deliveries;
-    if (observer_.on_deliver) observer_.on_deliver(member, event.event(), locals);
+    if (body_used) ++stats_.encode_reuses;
+    body_used = true;
+    if (observer_.on_deliver) observer_.on_deliver(member, event, locals);
     pit->second->deliver_event(event, locals);
   }
   enforce_shared_budget();
@@ -715,9 +720,9 @@ void EventBus::redeliver_spool(Proxy& proxy, const ReplMember& snapshot) {
     if (observer_.on_redeliver) {
       observer_.on_redeliver(proxy.member_id(), event);
     }
-    EncodedEvent enc(freeze(std::move(event)));
-    enc.set_counters(&stats_.encodes, &stats_.encode_reuses);
-    proxy.deliver_event(enc, locals);
+    // The spooled body, shared: a re-delivery serialises nothing.
+    ++stats_.encode_reuses;
+    proxy.deliver_event(event, locals);
   }
   enforce_shared_budget();
 }

@@ -31,7 +31,6 @@
 #include "net/sim_network.hpp"
 #include "net/transport.hpp"
 #include "proxy/bootstrap.hpp"
-#include "pubsub/encoded_event.hpp"
 #include "sim/timer.hpp"
 
 namespace amuse {
@@ -170,8 +169,10 @@ class EventBus final : public BusPort {
     std::uint64_t denied_subscribe = 0;
     std::uint64_t quench_updates = 0;   // cell-view diffs broadcast
     std::uint64_t tables_elided = 0;    // admissions answered with a confirm
-    std::uint64_t encodes = 0;          // event bodies serialised
-    std::uint64_t encode_reuses = 0;    // cached bodies reused by proxies
+    std::uint64_t encodes = 0;          // routed bodies (adopted as received
+                                        // or serialised), one per event
+    std::uint64_t encode_reuses = 0;    // further uses of a routed body
+                                        // (spool, members past the first)
     std::uint64_t events_shed = 0;      // queued deliveries dropped, counted
     std::uint64_t flow_control_signals = 0;  // pressure on/off broadcasts
     std::uint64_t interests_propagated = 0;  // interest pushes to links
@@ -265,9 +266,11 @@ class EventBus final : public BusPort {
   AMUSE_AFFINITY(core_executor) void enable_federation();
   // stamp + translation + cost + match + fan-out
   AMUSE_AFFINITY(core_executor) void route(Event event);
+  /// `body_used`: the body already had a use (the cost model, the spool),
+  /// so every member delivery counts as a reuse.
   AMUSE_AFFINITY(core_executor)
-  void fan_out(const EncodedEvent& event,
-               const SubscriptionRegistry::MatchResult& hit);
+  void fan_out(const Event& event,
+               const SubscriptionRegistry::MatchResult& hit, bool body_used);
   /// Recomputes the interest table from the registry and pushes whatever
   /// changed: the cell-view diff to every non-gateway member (when
   /// quenching is on) and per-link interest diffs to gateway members.

@@ -111,7 +111,11 @@ Bytes BusMessage::encode() const {
 }
 
 BusMessage BusMessage::decode(BytesView data) {
-  Reader r(data);
+  return decode(SharedBytes::copy_of(data));
+}
+
+BusMessage BusMessage::decode(const SharedBytes& data) {
+  Reader r(data.view());
   BusMessage m;
   auto raw = r.u8();
   const bool stamped = (raw & kOriginFlag) != 0;
@@ -125,18 +129,16 @@ BusMessage BusMessage::decode(BytesView data) {
     throw DecodeError(std::string("origin flag on ") + to_string(m.type));
   }
   switch (m.type) {
-    case BusMsgType::kPublish: {
-      Origin origin = stamped ? read_origin(r) : Origin{};
-      m.event = Event::decode(r);
-      m.event->set_origin(origin);
-      break;
-    }
+    case BusMsgType::kPublish:
     case BusMsgType::kEvent: {
-      std::uint16_t n = r.u16();
-      m.matched.reserve(n);
-      for (std::uint16_t i = 0; i < n; ++i) m.matched.push_back(r.u64());
+      if (m.type == BusMsgType::kEvent) {
+        std::uint16_t n = r.u16();
+        m.matched.reserve(n);
+        for (std::uint16_t i = 0; i < n; ++i) m.matched.push_back(r.u64());
+      }
       Origin origin = stamped ? read_origin(r) : Origin{};
-      m.event = Event::decode(r);
+      // The body is the rest of the message: indexed in place.
+      m.event = Event::decode(data.slice(r.raw(r.remaining())));
       m.event->set_origin(origin);
       break;
     }
@@ -190,22 +192,45 @@ const StreamHeader* BusMessage::stream() const {
   return nullptr;
 }
 
+std::size_t BusMessage::event_header_size(BusMsgType type,
+                                         std::size_t matched,
+                                         const Origin& origin) {
+  return 1 + (type == BusMsgType::kEvent ? 2 + 8 * matched : 0) +
+         (origin.stamped() ? Origin::kWireSize : 0);
+}
+
+void BusMessage::write_event_header(std::span<std::uint8_t> out,
+                                    BusMsgType type,
+                                    std::span<const std::uint64_t> matched,
+                                    const Origin& origin) {
+  std::uint8_t* p = out.data();
+  auto put = [&p](std::uint64_t v, int n) {
+    for (int i = n - 1; i >= 0; --i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  put(type_byte(type, origin), 1);
+  if (type == BusMsgType::kEvent) {
+    put(matched.size(), 2);
+    for (std::uint64_t id : matched) put(id, 8);
+  }
+  if (origin.stamped()) {
+    put(origin.cell.raw(), 6);
+    put(origin.epoch, 8);
+    put(origin.seq, 8);
+  }
+}
+
 Bytes BusMessage::encode_event_header(
     std::span<const std::uint64_t> matched, const Origin& origin) {
-  Writer w(1 + 2 + 8 * matched.size() + (origin.stamped() ? Origin::kWireSize : 0));
-  w.u8(type_byte(BusMsgType::kEvent, origin));
-  w.u16(static_cast<std::uint16_t>(matched.size()));
-  for (std::uint64_t id : matched) w.u64(id);
-  write_origin(w, origin);
-  return std::move(w).take();
+  Bytes out(event_header_size(BusMsgType::kEvent, matched.size(), origin));
+  write_event_header(out, BusMsgType::kEvent, matched, origin);
+  return out;
 }
 
 Bytes BusMessage::encode_publish(const Event& e) {
-  Writer w(Event::kEncodeReserve);
-  w.u8(type_byte(BusMsgType::kPublish, e.origin()));
-  write_origin(w, e.origin());
-  e.encode(w);
-  return std::move(w).take();
+  Bytes out(event_header_size(BusMsgType::kPublish, 0, e.origin()));
+  write_event_header(out, BusMsgType::kPublish, {}, e.origin());
+  out.insert(out.end(), e.body().begin(), e.body().end());
+  return out;
 }
 
 BusMessage BusMessage::publish(Event e) {

@@ -14,6 +14,11 @@
 //                              kPublish: u8 type [origin] body
 //                              kEvent:   u8 type u16 n u64×n [origin] body
 //                              origin:   u48 cell u64 epoch u64 seq (22 B)
+//                            The body is the rest of the message: the
+//                            event's canonical encoding, which decode()
+//                            indexes in place in the received buffer and
+//                            senders queue by reference behind the header
+//                            (DESIGN.md §7).
 // kSubscribe member → bus    local subscription id + content filter
 // kUnsubscribe member → bus  local subscription id
 // kFlowControl  bus → member backpressure: a member queue crossed its
@@ -109,7 +114,8 @@ struct BusMessage {
   BusMsgType type = BusMsgType::kPublish;
   /// kSubscribe / kUnsubscribe: the member's local subscription id.
   std::uint64_t sub_id = 0;
-  /// kPublish / kEvent (its origin() rides the frame header).
+  /// kPublish / kEvent (its origin() rides the frame header). Decoded, it
+  /// shares the message's buffer.
   std::optional<Event> event;
   /// kSubscribe.
   std::optional<Filter> filter;
@@ -127,14 +133,25 @@ struct BusMessage {
   [[nodiscard]] const StreamHeader* stream() const;
 
   [[nodiscard]] Bytes encode() const;
-  /// Throws DecodeError on malformed input.
+  /// Throws DecodeError on malformed input. A decoded event shares
+  /// `data`'s buffer: the kPublish/kEvent body is indexed where it lies.
+  [[nodiscard]] static BusMessage decode(const SharedBytes& data);
+  /// As above, first copying `data` into a fresh shared buffer.
   [[nodiscard]] static BusMessage decode(BytesView data);
 
-  /// The kEvent wire format is a small per-member header (message type,
-  /// matched subscription ids, origin stamp) followed by the event body, so
-  /// a fan-out can encode the body once and share it:
-  ///   encode_event_header(m, e.origin()) ++ encode_event(e)
-  ///       == deliver(e, m).encode()
+  /// A kPublish or kEvent message is a small header (message type, for
+  /// kEvent the matched subscription ids, the origin stamp) followed by
+  /// the event body, so the body's shared bytes travel as they are:
+  ///   header ++ e.body() == publish(e).encode() / deliver(e, m).encode()
+  /// The header's size; `matched` must be empty for kPublish.
+  [[nodiscard]] static std::size_t event_header_size(BusMsgType type,
+                                                     std::size_t matched,
+                                                     const Origin& origin);
+  /// Writes that header into `out`, which holds exactly its size.
+  static void write_event_header(std::span<std::uint8_t> out, BusMsgType type,
+                                 std::span<const std::uint64_t> matched,
+                                 const Origin& origin);
+  /// The kEvent header as owned bytes.
   [[nodiscard]] static Bytes encode_event_header(
       std::span<const std::uint64_t> matched, const Origin& origin = {});
   /// One-shot kPublish encoding without copying the event into a message.

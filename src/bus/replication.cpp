@@ -23,13 +23,13 @@ constexpr std::uint8_t kOpStandbyPurge = 9;
 // exactly as the kEvent header carries it, then the body.
 void write_spool_entry(Writer& w, const ReplSpoolEntry& e) {
   e.origin.encode(w);
-  w.blob32(e.event);
+  w.blob32(e.event.view());
 }
 
 ReplSpoolEntry read_spool_entry(Reader& r) {
   ReplSpoolEntry e;
   e.origin = Origin::decode(r);
-  e.event = r.blob32();
+  e.event = SharedBytes::copy_of(r.raw(r.u32()));
   return e;
 }
 
@@ -274,7 +274,7 @@ void ReplLog::sub_removed(ServiceId member, std::uint64_t local_id) {
 }
 
 std::vector<ReplSpoolEntry> ReplLog::spool_append(const Origin& origin,
-                                                  Bytes event) {
+                                                  SharedBytes event) {
   spool_bytes_ += event.size();
   state_.spool.push_back(ReplSpoolEntry{origin, std::move(event)});
   std::size_t mark = ops_.size();

@@ -49,7 +49,9 @@ inline constexpr Duration kReplLeaseInterval = std::chrono::milliseconds(400);
 /// the stamp members dedup on.
 struct ReplSpoolEntry {
   Origin origin;
-  Bytes event;  ///< encode_event() bytes.
+  /// The routed event's body, shared with the event itself: spooling
+  /// copies no bytes.
+  SharedBytes event;
 
   /// The routed event: the decoded body with its origin restored.
   [[nodiscard]] Event decode() const;
@@ -134,7 +136,7 @@ class ReplLog {
   /// Returns the evicted entries so the bus can account each one as a
   /// staleness-shed before the record disappears.
   [[nodiscard]] std::vector<ReplSpoolEntry> spool_append(const Origin& origin,
-                                                         Bytes event);
+                                                         SharedBytes event);
   void counters_changed(std::uint32_t session_base,
                         std::uint32_t proxy_incarnations,
                         std::uint64_t origin_seq);

@@ -84,6 +84,40 @@ std::string Reader::str() {
   return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
+SharedBytes::SharedBytes(Bytes bytes) {
+  auto owned = std::make_shared<Bytes>(std::move(bytes));
+  data_ = owned->data();
+  size_ = owned->size();
+  adopted_ = owned.get();
+  owner_ = std::move(owned);
+}
+
+SharedBytes SharedBytes::copy_of(BytesView bytes) {
+  SharedBytes out;
+  if (bytes.empty()) return out;
+  auto buf = std::make_shared_for_overwrite<std::uint8_t[]>(bytes.size());
+  std::memcpy(buf.get(), bytes.data(), bytes.size());
+  out.data_ = buf.get();
+  out.size_ = bytes.size();
+  out.owner_ = std::move(buf);
+  return out;
+}
+
+SharedBytes SharedBytes::unowned(BytesView bytes) {
+  SharedBytes out;
+  out.data_ = bytes.data();
+  out.size_ = bytes.size();
+  return out;
+}
+
+SharedBytes SharedBytes::slice(BytesView part) const {
+  SharedBytes out;
+  out.owner_ = owner_;
+  out.data_ = part.data();
+  out.size_ = part.size();
+  return out;
+}
+
 Bytes to_bytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }

@@ -5,11 +5,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace amuse {
@@ -117,6 +119,80 @@ class Reader {
 
   BytesView data_;
   std::size_t pos_ = 0;
+};
+
+/// An immutable byte range that shares ownership of the buffer it lies in.
+/// Copies and slices share the buffer, never its bytes; the buffer lives as
+/// long as its last handle. A received frame's payload, the messages and
+/// event bodies cut from it, and every fan-out link that queues a body all
+/// hold one buffer (DESIGN.md §7).
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  /// Adopts `bytes` without copying them.
+  explicit SharedBytes(Bytes bytes);
+  SharedBytes(const SharedBytes&) = default;
+  SharedBytes& operator=(const SharedBytes&) = default;
+  /// Moving leaves the source empty.
+  SharedBytes(SharedBytes&& other) noexcept { swap(other); }
+  SharedBytes& operator=(SharedBytes&& other) noexcept {
+    SharedBytes(std::move(other)).swap(*this);
+    return *this;
+  }
+  void swap(SharedBytes& other) noexcept {
+    owner_.swap(other.owner_);
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(adopted_, other.adopted_);
+  }
+  SharedBytes& operator=(Bytes bytes) {
+    return *this = SharedBytes(std::move(bytes));
+  }
+  /// A fresh buffer holding a copy of `bytes`: one allocation, none when
+  /// `bytes` is empty.
+  [[nodiscard]] static SharedBytes copy_of(BytesView bytes);
+  /// Views bytes that outlive every handle (static data); owns nothing.
+  [[nodiscard]] static SharedBytes unowned(BytesView bytes);
+
+  /// `part`, a sub-range of this range, sharing this buffer.
+  [[nodiscard]] SharedBytes slice(BytesView part) const;
+
+  [[nodiscard]] const std::uint8_t* data() const { return data_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] const std::uint8_t* begin() const { return data_; }
+  [[nodiscard]] const std::uint8_t* end() const { return data_ + size_; }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const {
+    return data_[i];
+  }
+  [[nodiscard]] BytesView view() const { return {data_, size_}; }
+  void clear() { *this = SharedBytes(); }
+
+  /// Byte equality.
+  friend bool operator==(const SharedBytes& a, BytesView b) {
+    return a.size_ == b.size() &&
+           (a.size_ == 0 || std::memcmp(a.data_, b.data(), a.size_) == 0);
+  }
+
+  /// Runs `f(Bytes&)` on a buffer only this handle holds, then views the
+  /// result: the adopted buffer itself when this handle is its sole owner
+  /// and covers all of it, else a fresh copy (copy-on-write).
+  template <typename F>
+  void edit(F&& f) {
+    if (adopted_ == nullptr || owner_.use_count() != 1) {
+      *this = SharedBytes(Bytes(begin(), end()));
+    }
+    f(*adopted_);
+    data_ = adopted_->data();
+    size_ = adopted_->size();
+  }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  Bytes* adopted_ = nullptr;  // the owner, when it is an adopted Bytes
+                              // this range covers
 };
 
 /// Convenience: copy a string's bytes into a Bytes value.

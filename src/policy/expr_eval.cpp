@@ -2,7 +2,7 @@
 
 namespace amuse {
 
-bool truthy(const Value& v) {
+bool truthy(ValueView v) {
   switch (v.type()) {
     case ValueType::kBool:
       return v.as_bool();
@@ -20,48 +20,47 @@ bool truthy(const Value& v) {
 
 namespace {
 
-bool truthy_or_false(const std::optional<Value>& v) {
+bool truthy_or_false(const std::optional<ValueView>& v) {
   return v.has_value() && truthy(*v);
 }
 
-bool compare(Op op, const Value& a, const Value& b) {
-  // Reuse the filter constraint semantics so policies and subscriptions
-  // agree on what "hr > 120" means for every type combination.
-  Constraint c{"", op, b};
-  return c.matches(a);
+bool compare(Op op, ValueView a, ValueView b) {
+  // The filter constraint semantics, so policies and subscriptions agree
+  // on what "hr > 120" means for every type combination.
+  return satisfies(a, op, b);
 }
 
 }  // namespace
 
-std::optional<Value> eval_expr(const PolicyExpr& expr, const Event& trigger) {
+std::optional<ValueView> eval_expr(const PolicyExpr& expr,
+                                   const Event& trigger) {
   using Kind = PolicyExpr::Kind;
   switch (expr.kind) {
     case Kind::kLiteral:
-      return expr.literal;
-    case Kind::kAttr: {
-      const Value* v = trigger.get(expr.attr);
-      if (v) return *v;
-      return std::nullopt;
-    }
+      return ValueView(expr.literal);
+    case Kind::kAttr:
+      return trigger.get(expr.attr);
     case Kind::kExists:
-      return Value(trigger.has(expr.attr));
+      return ValueView(trigger.has(expr.attr));
     case Kind::kNot:
-      return Value(!truthy_or_false(eval_expr(*expr.lhs, trigger)));
+      return ValueView(!truthy_or_false(eval_expr(*expr.lhs, trigger)));
     case Kind::kAnd: {
       if (!truthy_or_false(eval_expr(*expr.lhs, trigger))) {
-        return Value(false);
+        return ValueView(false);
       }
-      return Value(truthy_or_false(eval_expr(*expr.rhs, trigger)));
+      return ValueView(truthy_or_false(eval_expr(*expr.rhs, trigger)));
     }
     case Kind::kOr: {
-      if (truthy_or_false(eval_expr(*expr.lhs, trigger))) return Value(true);
-      return Value(truthy_or_false(eval_expr(*expr.rhs, trigger)));
+      if (truthy_or_false(eval_expr(*expr.lhs, trigger))) {
+        return ValueView(true);
+      }
+      return ValueView(truthy_or_false(eval_expr(*expr.rhs, trigger)));
     }
     case Kind::kCmp: {
-      std::optional<Value> a = eval_expr(*expr.lhs, trigger);
-      std::optional<Value> b = eval_expr(*expr.rhs, trigger);
-      if (!a || !b) return Value(false);
-      return Value(compare(expr.cmp_op, *a, *b));
+      std::optional<ValueView> a = eval_expr(*expr.lhs, trigger);
+      std::optional<ValueView> b = eval_expr(*expr.rhs, trigger);
+      if (!a || !b) return ValueView(false);
+      return ValueView(compare(expr.cmp_op, *a, *b));
     }
   }
   return std::nullopt;
@@ -69,7 +68,7 @@ std::optional<Value> eval_expr(const PolicyExpr& expr, const Event& trigger) {
 
 bool eval_condition(const PolicyExpr* expr, const Event& trigger) {
   if (!expr) return true;
-  std::optional<Value> v = eval_expr(*expr, trigger);
+  std::optional<ValueView> v = eval_expr(*expr, trigger);
   return v.has_value() && truthy(*v);
 }
 

@@ -67,8 +67,8 @@ void ObligationEngine::run_action(const PolicyAction& action,
       }
       Event out(action.target);
       for (const PolicyAssignment& as : action.args) {
-        std::optional<Value> v = eval_expr(*as.expr, trigger);
-        if (v) out.set(as.name, std::move(*v));
+        std::optional<ValueView> v = eval_expr(*as.expr, trigger);
+        if (v) out.set(as.name, *v);
         // Absent source attribute: omit rather than fabricate.
       }
       out.set("x-policy", policy_name);

@@ -19,7 +19,7 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
         this->bus().send_datagrams(frames);
       },
       /*deliver=*/
-      [this](BytesView message) { on_message(message); },
+      [this](const SharedBytes& message) { on_message(message); },
       /*on_fail=*/
       [this] {
         kLog.debug("member ", member_id().to_string(),
@@ -31,20 +31,21 @@ ForwardingProxy::ForwardingProxy(BusPort& bus, MemberInfo info)
   });
 }
 
-void ForwardingProxy::deliver_event(const EncodedEvent& event,
+void ForwardingProxy::deliver_event(const Event& event,
                                     std::span<const std::uint64_t> matched) {
-  // Encode-once fan-out: only the small per-member header (message type,
-  // matched subscription ids, origin stamp) is built here; the event body
-  // rides along as the publish-wide shared encoding.
-  SharedPayload payload{
-      BusMessage::encode_event_header(matched, event.event().origin()),
-      event.shared_bytes()};
+  // Only the small per-member header (message type, matched subscription
+  // ids, origin stamp) is written here, inline in the queue entry; the
+  // event body rides along as the publish-wide shared bytes.
+  SharedPayload payload(event.body());
+  BusMessage::write_event_header(
+      payload.resize_head(BusMessage::event_header_size(
+          BusMsgType::kEvent, matched.size(), event.origin())),
+      BusMsgType::kEvent, matched, event.origin());
   if (!channel_->send(std::move(payload))) {
     // The channel counted the drop and fired the shed tap (the bus's
     // notify_shed already ran): accounted, never silent.
     kLog.warn("outbound budget exhausted for member ",
-              member_id().to_string(), "; shed event ",
-              event.event().type());
+              member_id().to_string(), "; shed event ", event.type());
   }
 }
 
@@ -87,7 +88,7 @@ std::size_t ForwardingProxy::pending() const {
   return channel_->queued() + channel_->in_flight();
 }
 
-void ForwardingProxy::on_message(BytesView message) {
+void ForwardingProxy::on_message(const SharedBytes& message) {
   BusMessage m;
   try {
     m = BusMessage::decode(message);

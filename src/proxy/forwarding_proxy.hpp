@@ -4,7 +4,9 @@
 // The member speaks the bus wire protocol itself (a BusClient); the proxy's
 // job is the generic part only — the reliable, ordered, exactly-once
 // channel with its persistent outbound queue, and dispatch of the member's
-// bus messages (publish/subscribe/unsubscribe) into the core.
+// bus messages (publish/subscribe/unsubscribe) into the core. A delivery
+// is the member's own small header, written inline, in front of the
+// event's shared body: nothing is serialised or copied per member.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,7 @@ class ForwardingProxy final : public Proxy {
   ForwardingProxy(BusPort& bus, MemberInfo info);
 
   AMUSE_AFFINITY(core_executor)
-  void deliver_event(const EncodedEvent& event,
+  void deliver_event(const Event& event,
                      std::span<const std::uint64_t> matched) override;
   AMUSE_AFFINITY(core_executor) void on_datagram(BytesView data) override;
   AMUSE_AFFINITY(core_executor) void on_purge() override;
@@ -47,7 +49,7 @@ class ForwardingProxy final : public Proxy {
   void resume() { channel_->poke(); }
 
  private:
-  AMUSE_AFFINITY(core_executor) void on_message(BytesView message);
+  AMUSE_AFFINITY(core_executor) void on_message(const SharedBytes& message);
   AMUSE_AFFINITY(core_executor) void on_shed(BytesView message);
 
   std::unique_ptr<ReliableChannel> channel_;

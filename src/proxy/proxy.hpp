@@ -20,7 +20,6 @@
 #include "bus/bus_port.hpp"
 #include "bus/messages.hpp"
 #include "common/annotations.hpp"
-#include "pubsub/encoded_event.hpp"
 
 namespace amuse {
 
@@ -34,11 +33,11 @@ class Proxy {
 
   /// Bus → member: queue a matched event for ordered, acknowledged
   /// delivery. `matched` holds the member's local subscription ids. The
-  /// event arrives as the fan-out's shared encode-once value: proxies that
-  /// forward the wire protocol reuse its cached body bytes, proxies that
-  /// translate read the shared immutable event; none copy it.
+  /// event is the fan-out's one shared value: proxies that forward the
+  /// wire protocol queue its body bytes by reference, proxies that
+  /// translate read its attributes; none copy it.
   AMUSE_AFFINITY(core_executor)
-  virtual void deliver_event(const EncodedEvent& event,
+  virtual void deliver_event(const Event& event,
                              std::span<const std::uint64_t> matched) = 0;
 
   /// Raw datagram arriving on the bus endpoint from this member.

@@ -26,10 +26,10 @@ TranslatingProxy::TranslatingProxy(BusPort& bus, MemberInfo info,
   }
 }
 
-void TranslatingProxy::deliver_event(const EncodedEvent& event,
+void TranslatingProxy::deliver_event(const Event& event,
                                      std::span<const std::uint64_t> matched) {
   (void)matched;  // a raw device has no notion of subscription ids
-  std::optional<Bytes> command = codec_->encode_command(event.event());
+  std::optional<Bytes> command = codec_->encode_command(event);
   if (!command) {
     ++stats_.events_untranslatable;
     return;

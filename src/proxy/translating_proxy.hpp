@@ -32,7 +32,7 @@ class TranslatingProxy final : public Proxy {
                    TranslatingProxyConfig config = {});
 
   AMUSE_AFFINITY(core_executor)
-  void deliver_event(const EncodedEvent& event,
+  void deliver_event(const Event& event,
                      std::span<const std::uint64_t> matched) override;
   AMUSE_AFFINITY(core_executor) void on_datagram(BytesView data) override;
   AMUSE_AFFINITY(core_executor) void on_purge() override;

@@ -3,21 +3,14 @@
 namespace amuse {
 
 Bytes encode_event(const Event& e) {
-  Writer w(Event::kEncodeReserve);
-  e.encode(w);
-  return std::move(w).take();
-}
-
-std::shared_ptr<const Bytes> encode_event_shared(const Event& e) {
-  return std::make_shared<const Bytes>(encode_event(e));
+  return Bytes(e.body().begin(), e.body().end());
 }
 
 Event decode_event(BytesView b) {
-  Reader r(b);
-  Event e = Event::decode(r);
-  if (!r.done()) throw DecodeError("trailing bytes after event");
-  return e;
+  return Event::decode(SharedBytes::copy_of(b));
 }
+
+Event decode_event(SharedBytes b) { return Event::decode(std::move(b)); }
 
 Bytes encode_filter(const Filter& f) {
   Writer w;

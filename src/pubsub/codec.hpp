@@ -8,12 +8,13 @@
 
 namespace amuse {
 
+/// A copy of the event's body (Event::body() shares it instead).
 [[nodiscard]] Bytes encode_event(const Event& e);
-/// The event encoding as shared-immutable bytes — the form the delivery
-/// pipeline caches per publish and shares across all fan-out links.
-[[nodiscard]] std::shared_ptr<const Bytes> encode_event_shared(const Event& e);
-/// Throws DecodeError on malformed input.
+/// Throws DecodeError on malformed input. Copies `b` into a fresh shared
+/// buffer (one allocation) and indexes it.
 [[nodiscard]] Event decode_event(BytesView b);
+/// As above, indexing `b` in place: the event shares its buffer.
+[[nodiscard]] Event decode_event(SharedBytes b);
 
 [[nodiscard]] Bytes encode_filter(const Filter& f);
 [[nodiscard]] Filter decode_filter(BytesView b);

@@ -6,9 +6,11 @@
 // constrain any attribute. Bus metadata (publisher id, publisher sequence
 // number, timestamp, origin stamp) travels beside the attributes so the
 // event bus can enforce per-sender ordering and exactly-once end to end —
-// and so no content filter can ever match on it.
+// and so no content filter can ever match on it. An Event is its encoding:
+// one shared buffer of bytes plus an index into it (see class Event).
 #pragma once
 
+#include <array>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -43,28 +45,50 @@ struct Origin {
   [[nodiscard]] static Origin decode(Reader& r);
 };
 
+/// One event: an immutable shared buffer holding its canonical encoding
+/// (the encode_event() bytes), plus a small inline index giving each
+/// attribute's name and value offsets and its type tag. Decoding validates
+/// the bytes and builds the index; reading an attribute yields a ValueView
+/// into the buffer. Copies share the buffer, so the core forwards the bytes
+/// a publisher sent and every link of a fan-out queues them by reference
+/// (DESIGN.md §7).
+///
+/// The canonical encoding: u48 publisher, u64 publisher sequence, i64
+/// timestamp, u16 n, then n attributes in strictly ascending name order,
+/// each u16 name length + name, u8 value tag, value (i64 | f64 | one byte
+/// 0/1 | u16 length + text | u32 length + bytes). A body that is not
+/// canonical (names out of order or repeated, a bool byte other than 0 or
+/// 1) is re-serialised canonically when decoded; the last of repeated
+/// names wins.
 class Event {
  public:
-  /// Attributes in ascending name order, names unique. One flat vector:
-  /// an event carries a handful of attributes, so a binary search over
-  /// contiguous pairs beats a node-per-attribute map on every lookup and
-  /// costs one allocation to decode instead of one per attribute.
-  using Attributes = std::vector<std::pair<std::string, Value>>;
+  /// The fixed header before the attributes: publisher, sequence,
+  /// timestamp, attribute count.
+  static constexpr std::size_t kHeaderSize = 6 + 8 + 8 + 2;
 
-  /// Writer reserve for one encoded event: a typical event plus its bus
-  /// header fits, so encoding allocates once.
-  static constexpr std::size_t kEncodeReserve = 256;
-
-  Event() = default;
+  Event();
+  Event(const Event&) = default;
+  Event& operator=(const Event&) = default;
+  /// Moving leaves the source an empty event.
+  Event(Event&& other) noexcept;
+  Event& operator=(Event&& other) noexcept;
   /// Shorthand: Event("alarm.cardiac", {{"level", "high"}, {"hr", 188}}).
-  explicit Event(std::string type,
+  /// The first of repeated names is kept; `type` overrides a "type" entry.
+  explicit Event(std::string_view type,
                  std::initializer_list<std::pair<const std::string, Value>>
                      attrs = {});
 
-  Event& set(std::string name, Value value);
-  [[nodiscard]] bool has(std::string_view name) const;
-  /// Returns nullptr when absent.
-  [[nodiscard]] const Value* get(std::string_view name) const;
+  /// Sets one attribute. Splices the buffer in place when this event is
+  /// its only holder; copies it first when it is shared (copy-on-write).
+  Event& set(std::string_view name, ValueView value);
+  Event& set(std::string_view name, const Value& value) {
+    return set(name, ValueView(value));
+  }
+  [[nodiscard]] bool has(std::string_view name) const {
+    return find(name) != nullptr;
+  }
+  /// A view into this event's buffer; nullopt when absent.
+  [[nodiscard]] std::optional<ValueView> get(std::string_view name) const;
   /// Returns `fallback` when absent or not the requested type.
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t fallback = 0) const;
@@ -74,61 +98,128 @@ class Event {
                                        std::string fallback = "") const;
 
   /// The conventional "type" attribute ("" when unset or non-string). A
-  /// view into the stored attribute — valid as long as the event is alive
-  /// and the attribute unmodified; routing, authorisation and logging read
-  /// it on every hop, so it must not allocate.
-  [[nodiscard]] std::string_view type() const {
-    const Value* v = get("type");
-    if (!v || v->type() != ValueType::kString) return {};
-    return v->as_string();
+  /// view into the buffer: routing, authorisation and logging read it on
+  /// every hop, so it must not allocate.
+  [[nodiscard]] std::string_view type() const;
+
+  /// One attribute, as views into the buffer.
+  struct Attribute {
+    std::string_view name;
+    ValueView value;
+  };
+  class Attributes;
+  /// The attributes in ascending name order.
+  [[nodiscard]] Attributes attributes() const;
+  [[nodiscard]] std::size_t size() const { return count_; }
+
+  // Bus metadata (not attributes, so no content filter can match on it):
+  // publisher, sequence and timestamp are the body's header, set by the
+  // bus client on publish and by the bus on routing; the origin travels in
+  // the bus frame header (bus/messages) and is held beside the body.
+  [[nodiscard]] ServiceId publisher() const {
+    return ServiceId(read_be(0, 6));
   }
-
-  [[nodiscard]] const Attributes& attributes() const { return attrs_; }
-  [[nodiscard]] std::size_t size() const { return attrs_.size(); }
-
-  // Bus metadata (not attributes; set by the bus client on publish and by
-  // the bus on routing). encode()/decode() carry publisher, sequence and
-  // timestamp; the origin travels in the bus frame header (bus/messages).
-  [[nodiscard]] ServiceId publisher() const { return publisher_; }
-  [[nodiscard]] std::uint64_t publisher_seq() const { return publisher_seq_; }
-  [[nodiscard]] TimePoint timestamp() const { return timestamp_; }
+  [[nodiscard]] std::uint64_t publisher_seq() const { return read_be(6, 8); }
+  [[nodiscard]] TimePoint timestamp() const {
+    return TimePoint(Duration(static_cast<std::int64_t>(read_be(14, 8))));
+  }
   [[nodiscard]] const Origin& origin() const { return origin_; }
-  void set_publisher(ServiceId id) { publisher_ = id; }
-  void set_publisher_seq(std::uint64_t seq) { publisher_seq_ = seq; }
-  void set_timestamp(TimePoint t) { timestamp_ = t; }
+  void set_publisher(ServiceId id) { write_be(0, 6, id.raw()); }
+  void set_publisher_seq(std::uint64_t seq) { write_be(6, 8, seq); }
+  void set_timestamp(TimePoint t) {
+    write_be(14, 8, static_cast<std::uint64_t>(t.time_since_epoch().count()));
+  }
   void set_origin(const Origin& origin) { origin_ = origin; }
 
+  /// Same attributes with equal values (numerics compare across int and
+  /// double, as Value::equals); metadata is not compared.
   [[nodiscard]] bool operator==(const Event& other) const;
 
-  /// Approximate wire size in bytes (used by cost models).
-  [[nodiscard]] std::size_t payload_size() const;
+  /// Wire size of the body in bytes (used by cost models).
+  [[nodiscard]] std::size_t payload_size() const { return body_.size(); }
 
   [[nodiscard]] std::string to_string() const;
 
-  void encode(Writer& w) const;
-  [[nodiscard]] static Event decode(Reader& r);
+  /// The canonical encoding, shared: what every link of a fan-out queues.
+  [[nodiscard]] const SharedBytes& body() const { return body_; }
+  void encode(Writer& w) const { w.raw(body_.view()); }
+  /// Validates `body` (exactly one encoded event) and indexes it in place,
+  /// sharing its buffer. Throws DecodeError on malformed input.
+  [[nodiscard]] static Event decode(SharedBytes body);
 
  private:
-  /// Up to this many attributes, get() scans instead of binary-searching.
-  static constexpr std::size_t kLinearLookup = 16;
+  /// One attribute's place in the body: its name's offset and length and
+  /// its value tag; the value follows the tag.
+  struct Slot {
+    std::uint32_t name = 0;
+    std::uint16_t name_len = 0;
+    ValueType tag = ValueType::kInt;
+  };
+  /// Attributes indexed without a heap allocation; a larger event keeps
+  /// its whole index in `spill_`.
+  static constexpr std::size_t kInlineSlots = 12;
 
-  Attributes attrs_;
-  ServiceId publisher_;
-  std::uint64_t publisher_seq_ = 0;
-  TimePoint timestamp_{};
+  [[nodiscard]] const Slot* slots() const {
+    return count_ <= kInlineSlots ? inline_.data() : spill_.data();
+  }
+  [[nodiscard]] Slot* slots() {
+    return count_ <= kInlineSlots ? inline_.data() : spill_.data();
+  }
+  [[nodiscard]] std::string_view name_of(const Slot& s) const {
+    return {reinterpret_cast<const char*>(body_.data()) + s.name, s.name_len};
+  }
+  [[nodiscard]] ValueView value_of(const Slot& s) const;
+  [[nodiscard]] const Slot* find(std::string_view name) const;
+  [[nodiscard]] std::uint64_t read_be(std::size_t at, std::size_t n) const;
+  void write_be(std::size_t at, std::size_t n, std::uint64_t v);
+  /// Scans body_, rebuilding the index. False when the body is valid but
+  /// not canonical (the index is then unusable); throws when malformed.
+  bool index();
+  /// Replaces body_ with the canonical encoding of its own attributes.
+  void canonicalise();
+
+  SharedBytes body_;
+  std::uint32_t count_ = 0;
+  std::array<Slot, kInlineSlots> inline_{};
+  std::vector<Slot> spill_;
   Origin origin_;
 };
 
-/// The delivery pipeline's handle on a published event. Once an event
-/// enters the bus it is frozen: every layer (matcher, cost lambda, proxies,
-/// local handlers) shares the same immutable instance instead of copying
-/// the attribute map at each hop.
-using EventPtr = std::shared_ptr<const Event>;
+class Event::Attributes {
+ public:
+  class iterator {
+   public:
+    using value_type = Attribute;
+    using difference_type = std::ptrdiff_t;
+    iterator() = default;
+    iterator(const Event* e, const Slot* s) : e_(e), s_(s) {}
+    Attribute operator*() const { return {e_->name_of(*s_), e_->value_of(*s_)}; }
+    iterator& operator++() {
+      ++s_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++s_;
+      return old;
+    }
+    bool operator==(const iterator& o) const { return s_ == o.s_; }
 
-/// Freezes a mutable event into the shared-immutable form used by the
-/// delivery pipeline.
-[[nodiscard]] inline EventPtr freeze(Event e) {
-  return std::make_shared<const Event>(std::move(e));
-}
+   private:
+    const Event* e_ = nullptr;
+    const Slot* s_ = nullptr;
+  };
+  explicit Attributes(const Event& e) : e_(&e) {}
+  [[nodiscard]] iterator begin() const { return {e_, e_->slots()}; }
+  [[nodiscard]] iterator end() const {
+    return {e_, e_->slots() + e_->count_};
+  }
+  [[nodiscard]] std::size_t size() const { return e_->count_; }
+
+ private:
+  const Event* e_;
+};
+
+inline Event::Attributes Event::attributes() const { return Attributes(*this); }
 
 }  // namespace amuse

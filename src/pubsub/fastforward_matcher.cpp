@@ -37,7 +37,7 @@ int order(std::string_view x, std::string_view c) {
   return cmp < 0 ? 1 : cmp > 0 ? 2 : 3;
 }
 
-std::string_view as_chars(const Bytes& b) {
+std::string_view as_chars(BytesView b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
 }
 
@@ -165,18 +165,16 @@ bool FastForwardMatcher::passes(const Test& t, const Binding& b) const {
       r = b.sid == t.sid ? 3 : 1;
       break;
     case Test::Eval::kStrOrder:
-      r = order(b.value->as_string(), text(t));
-      break;
     case Test::Eval::kBytesOrder:
       // char_traits<char> compares as unsigned char, as Bytes does.
-      r = order(as_chars(b.value->as_bytes()), text(t));
+      r = order(b.text, text(t));
       break;
     case Test::Eval::kPrefix:
-      return b.value->as_string().starts_with(text(t));
+      return b.text.starts_with(text(t));
     case Test::Eval::kSuffix:
-      return b.value->as_string().ends_with(text(t));
+      return b.text.ends_with(text(t));
     case Test::Eval::kContains:
-      return b.value->as_string().find(text(t)) != std::string::npos;
+      return b.text.find(text(t)) != std::string_view::npos;
     case Test::Eval::kExists:
       break;
   }
@@ -385,7 +383,7 @@ void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
     if (ait == attrs_.end()) continue;
     const AttrIndex& ai = ait->second;
     Binding& b = bound_[ai.slot];
-    b.value = &value;
+    b.present = true;
     b.sid = 0;
     switch (value.type()) {
       case ValueType::kInt:
@@ -399,13 +397,15 @@ void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
         break;
       case ValueType::kString:
         b.family = Family::kStr;
+        b.text = value.as_string();
         if (ai.by_id > 0) {
-          auto sit = strings_.find(value.as_string());
+          auto sit = strings_.find(b.text);
           if (sit != strings_.end()) b.sid = sit->second.id;
         }
         break;
       case ValueType::kBytes:
         b.family = Family::kBytes;
+        b.text = as_chars(value.as_bytes());
         break;
     }
     present_.push_back(&ai);
@@ -414,7 +414,7 @@ void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
   auto visit = [&](const Entry& entry) {
     bool all = entry.all_of([&](const Test& t) {
       const Binding& b = bound_[t.slot];
-      return b.value != nullptr && passes(t, b);
+      return b.present && passes(t, b);
     });
     if (all) out.push_back(entry.id);
   };
@@ -452,10 +452,10 @@ void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
           visit_bucket(it->second);
         }
       }
-      const std::string& s = b.value->as_string();
+      const std::string_view s = b.text;
       for (const PrefixLevel& level : ai.prefixes) {
         if (level.length > s.size()) break;
-        std::string_view head = std::string_view(s).substr(0, level.length);
+        std::string_view head = s.substr(0, level.length);
         auto it = level.buckets.find(head);
         if (it != level.buckets.end()) visit_bucket(it->second);
       }
@@ -464,7 +464,7 @@ void FastForwardMatcher::match(const Event& e, std::vector<SubId>& out) const {
   }
 
   for (const Entry& entry : all_) out.push_back(entry.id);
-  for (const AttrIndex* index : present_) bound_[index->slot].value = nullptr;
+  for (const AttrIndex* index : present_) bound_[index->slot].present = false;
 }
 
 }  // namespace amuse

@@ -155,7 +155,8 @@ class FastForwardMatcher final : public Matcher {
 
   /// One event attribute resolved for the current match.
   struct Binding {
-    const Value* value = nullptr;  // nullptr: the event lacks it
+    bool present = false;          // false: the event lacks it
+    std::string_view text;         // a string or byte string's bytes
     double num = 0;                // numeric value, or a bool as 0/1
     std::uint32_t sid = 0;         // id of an interned string value, or 0
     Family family = Family::kNone;

@@ -23,17 +23,19 @@ const char* to_string(Op op) {
 namespace {
 
 /// Values are order-comparable when both are numeric or both share a type.
-bool comparable(const Value& a, const Value& b) {
+bool comparable(ValueView a, ValueView b) {
   return (a.is_numeric() && b.is_numeric()) || a.type() == b.type();
 }
 
-bool both_strings(const Value& a, const Value& b) {
+bool both_strings(ValueView a, ValueView b) {
   return a.type() == ValueType::kString && b.type() == ValueType::kString;
 }
 
 }  // namespace
 
-bool Constraint::matches(const Value& v) const {
+bool Constraint::matches(ValueView v) const { return satisfies(v, op, value); }
+
+bool satisfies(ValueView v, Op op, ValueView value) {
   switch (op) {
     case Op::kExists:
       return true;
@@ -57,7 +59,7 @@ bool Constraint::matches(const Value& v) const {
              v.as_string().ends_with(value.as_string());
     case Op::kContains:
       return both_strings(v, value) &&
-             v.as_string().find(value.as_string()) != std::string::npos;
+             v.as_string().find(value.as_string()) != std::string_view::npos;
   }
   return false;
 }
@@ -173,7 +175,7 @@ Filter Filter::for_type_prefix(std::string prefix) {
 
 bool Filter::matches(const Event& e) const {
   for (const Constraint& c : constraints_) {
-    const Value* v = e.get(c.attribute);
+    std::optional<ValueView> v = e.get(c.attribute);
     if (!v || !c.matches(*v)) return false;
   }
   return true;

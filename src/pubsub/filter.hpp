@@ -30,13 +30,16 @@ enum class Op : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Op op);
 
+/// Does value `v` stand in relation `op` to the constant `c`?
+[[nodiscard]] bool satisfies(ValueView v, Op op, ValueView c);
+
 struct Constraint {
   std::string attribute;
   Op op = Op::kExists;
   Value value;
 
   /// Does a concrete attribute value satisfy this constraint?
-  [[nodiscard]] bool matches(const Value& v) const;
+  [[nodiscard]] bool matches(ValueView v) const;
 
   /// Sound-but-incomplete implication: "every value satisfying *this also
   /// satisfies `weaker`" (both on the same attribute).

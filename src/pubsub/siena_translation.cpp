@@ -6,7 +6,7 @@
 namespace amuse {
 namespace {
 
-std::string format_value(const Value& v) {
+std::string format_value(ValueView v) {
   switch (v.type()) {
     case ValueType::kInt:
       return "int:" + std::to_string(v.as_int());
@@ -19,7 +19,7 @@ std::string format_value(const Value& v) {
       return v.as_bool() ? "bool:true" : "bool:false";
     case ValueType::kString:
       return "str:" + std::to_string(v.as_string().size()) + ":" +
-             v.as_string();
+             std::string(v.as_string());
     case ValueType::kBytes:
       return "bytes:" + std::to_string(v.as_bytes().size()) + ":" +
              to_hex(v.as_bytes());

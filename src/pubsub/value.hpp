@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/bytes.hpp"
@@ -25,6 +26,58 @@ enum class ValueType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ValueType t);
 
+class Value;
+
+/// A non-owning look at one typed value: an int, double or bool held by
+/// value, a string or byte string as a view into bytes someone else owns
+/// (an event's body, a filter's constant). What the matchers, the policy
+/// engine and typed events read; it lives no longer than those bytes.
+class ValueView {
+ public:
+  ValueView() : type_(ValueType::kInt) {}  // int 0, as Value()
+  ValueView(const Value& v);  // NOLINT(runtime/explicit)
+  explicit ValueView(std::int64_t v) : type_(ValueType::kInt) { num_.i = v; }
+  explicit ValueView(double v) : type_(ValueType::kDouble) { num_.d = v; }
+  explicit ValueView(bool v) : type_(ValueType::kBool) { num_.b = v; }
+  explicit ValueView(std::string_view v)
+      : type_(ValueType::kString), text_(v.data()), len_(v.size()) {}
+  explicit ValueView(BytesView v)
+      : type_(ValueType::kBytes),
+        text_(reinterpret_cast<const char*>(v.data())),
+        len_(v.size()) {}
+
+  [[nodiscard]] ValueType type() const { return type_; }
+  [[nodiscard]] bool is_numeric() const {
+    return type_ == ValueType::kInt || type_ == ValueType::kDouble;
+  }
+  /// Numeric view (int promoted to double). Precondition: is_numeric().
+  [[nodiscard]] double as_double() const {
+    return type_ == ValueType::kInt ? static_cast<double>(num_.i) : num_.d;
+  }
+  [[nodiscard]] std::int64_t as_int() const { return num_.i; }
+  [[nodiscard]] bool as_bool() const { return num_.b; }
+  [[nodiscard]] std::string_view as_string() const { return {text_, len_}; }
+  [[nodiscard]] BytesView as_bytes() const {
+    return {reinterpret_cast<const std::uint8_t*>(text_), len_};
+  }
+
+  /// As Value::equals / Value::compare.
+  [[nodiscard]] bool equals(ValueView other) const;
+  [[nodiscard]] int compare(ValueView other) const;
+  [[nodiscard]] std::string to_string() const;
+  void encode(Writer& w) const;
+
+ private:
+  ValueType type_;
+  union {
+    std::int64_t i;
+    double d;
+    bool b;
+  } num_{};
+  const char* text_ = nullptr;
+  std::size_t len_ = 0;
+};
+
 class Value {
  public:
   Value() : v_(std::int64_t{0}) {}
@@ -35,6 +88,8 @@ class Value {
   Value(std::string v) : v_(std::move(v)) {}          // NOLINT
   Value(const char* v) : v_(std::string(v)) {}        // NOLINT
   Value(Bytes v) : v_(std::move(v)) {}                // NOLINT
+  /// An owning copy of a viewed value.
+  explicit Value(ValueView v);
 
   // Inline: the matchers and the policy engine ask for the type of every
   // attribute they test.
@@ -61,20 +116,27 @@ class Value {
   /// Structural equality; numerics compare cross-type by value, so
   /// Value(3) == Value(3.0) — filters and events may mix int and double
   /// encodings for the same logical quantity (devices send what they can).
-  [[nodiscard]] bool equals(const Value& other) const;
+  [[nodiscard]] bool equals(const Value& other) const {
+    return ValueView(*this).equals(other);
+  }
 
   /// Total order within a type family (numeric family unified). Ordering
   /// across unrelated types is well-defined but arbitrary (by type tag),
   /// which the matchers use for index keys.
-  [[nodiscard]] int compare(const Value& other) const;
+  [[nodiscard]] int compare(const Value& other) const {
+    return ValueView(*this).compare(other);
+  }
 
   /// Human/Siena-readable form, e.g. `int:42`, `str:"abc"`, `bytes:4:a1b2…`.
-  [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] std::string to_string() const {
+    return ValueView(*this).to_string();
+  }
 
-  void encode(Writer& w) const;
+  void encode(Writer& w) const { ValueView(*this).encode(w); }
   [[nodiscard]] static Value decode(Reader& r);
 
  private:
+  friend class ValueView;
   std::variant<std::int64_t, double, bool, std::string, Bytes> v_;
 };
 

@@ -66,8 +66,9 @@ void FederationGateway::forward(const Event& e) {
       return;
     }
   }
-  // One copy end-to-end: the destination client assigns our publisher
-  // identity; the origin stamp crosses untouched.
+  // One copy of the body end-to-end: the event shares the received bytes
+  // until the destination client stamps our publisher identity into them;
+  // the origin stamp crosses untouched.
   if (!to_.publish(Event(e))) {
     ++stats_.dropped_disconnected;
     return;

@@ -81,7 +81,7 @@ std::optional<std::string> TypeRegistry::validate(const Event& e) const {
   const EventType* t = find(type_name);
   if (!t) return "unknown event type '" + type_name + "'";
   for (const FieldSpec& f : t->all_fields()) {
-    const Value* v = e.get(f.name);
+    std::optional<ValueView> v = e.get(f.name);
     if (!v) {
       if (f.required) {
         return "missing required field '" + f.name + "' of type '" +

@@ -5,20 +5,20 @@
 namespace amuse {
 
 void DeliveryBudget::charge(const SharedPayload& payload) {
-  used_ += payload.head.size();
-  if (payload.tail) {
-    if (tail_refs_[payload.tail.get()]++ == 0) {
-      used_ += payload.tail->size();
+  used_ += payload.head().size();
+  if (!payload.tail().empty()) {
+    if (tail_refs_[payload.tail().data()]++ == 0) {
+      used_ += payload.tail().size();
     }
   }
 }
 
 void DeliveryBudget::release(const SharedPayload& payload) {
-  used_ -= payload.head.size();
-  if (payload.tail) {
-    auto it = tail_refs_.find(payload.tail.get());
+  used_ -= payload.head().size();
+  if (!payload.tail().empty()) {
+    auto it = tail_refs_.find(payload.tail().data());
     if (it != tail_refs_.end() && --it->second == 0) {
-      used_ -= payload.tail->size();
+      used_ -= payload.tail().size();
       tail_refs_.erase(it);
     }
   }

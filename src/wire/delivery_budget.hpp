@@ -7,7 +7,7 @@
 // history in memory. Each channel charges the ledger when it retains a
 // payload and releases it when the entry is acked, shed, or reset.
 //
-// SharedPayload awareness: the encode-once fan-out (DESIGN.md §7) queues one
+// SharedPayload awareness: the fan-out (DESIGN.md §7) queues one
 // shared event body across N member channels. Charging that body N times
 // would overstate real memory N-fold and make the bus-wide budget shed far
 // too early, so shared tails are refcounted — the bytes are charged on the
@@ -25,7 +25,7 @@
 
 namespace amuse {
 
-struct SharedPayload;
+class SharedPayload;
 
 class DeliveryBudget {
  public:
@@ -48,9 +48,9 @@ class DeliveryBudget {
   std::size_t limit_;
   std::size_t used_ = 0;
   // Shared tail → number of queue entries (across all channels) retaining
-  // it. Keyed by the buffer address: SharedPayload tails are immutable and
-  // a given Bytes object is shared by pointer across the fan-out.
-  std::unordered_map<const Bytes*, std::size_t> tail_refs_;
+  // it. Keyed by the address of its first byte: SharedPayload tails are
+  // immutable, and one event body is the same bytes across the fan-out.
+  std::unordered_map<const std::uint8_t*, std::size_t> tail_refs_;
 };
 
 }  // namespace amuse

@@ -60,9 +60,10 @@ bool walk_batch(BytesView payload, Visit&& visit) {
 }  // namespace
 
 std::size_t Packet::payload_wire_size() const {
-  if (batch.empty()) return payload.size() + payload_tail.size();
+  if (batch.empty()) return payload.size();
+  const std::size_t prefix = (flags & kFlagBatched) != 0 ? 2 : 0;
   std::size_t total = 0;
-  for (const Sub& s : batch) total += 2 + s.head.size() + s.tail.size();
+  for (const Sub& s : batch) total += prefix + s.head.size() + s.tail.size();
   return total;
 }
 
@@ -90,15 +91,12 @@ void Packet::encode_to(Bytes& out) const {
   w.u32(seq);
   w.u32(ack);
   w.u16(static_cast<std::uint16_t>(total));
-  if (batch.empty()) {
-    w.raw(payload);
-    w.raw(payload_tail);
-  } else {
-    for (const Sub& s : batch) {
-      w.u16(static_cast<std::uint16_t>(s.head.size() + s.tail.size()));
-      w.raw(s.head);
-      w.raw(s.tail);
-    }
+  w.raw(payload.view());
+  const bool prefixed = (flags & kFlagBatched) != 0;
+  for (const Sub& s : batch) {
+    if (prefixed) w.u16(static_cast<std::uint16_t>(s.head.size() + s.tail.size()));
+    w.raw(s.head);
+    w.raw(s.tail);
   }
   std::uint32_t crc = crc32(w.bytes());
   w.u32(crc);
@@ -129,12 +127,13 @@ std::optional<Packet> Packet::decode(BytesView datagram) {
     p.dst = ServiceId(r.u48());
     p.seq = r.u32();
     p.ack = r.u32();
-    p.payload = r.blob16();
+    BytesView payload = r.raw(r.u16());
     if (!r.done()) return std::nullopt;  // trailing garbage under valid CRC
     if (p.type == PacketType::kData && (p.flags & kFlagBatched) != 0 &&
-        !walk_batch(p.payload, [](BytesView) {})) {
+        !walk_batch(payload, [](BytesView) {})) {
       return std::nullopt;  // sub-lengths do not tile the payload
     }
+    p.payload = SharedBytes::copy_of(payload);
     return p;
   } catch (const DecodeError&) {
     return std::nullopt;

@@ -79,27 +79,23 @@ struct Packet {
   ServiceId dst;
   std::uint32_t seq = 0;
   std::uint32_t ack = 0;
-  Bytes payload;
-  /// Encode-time only: extra payload bytes appended directly after
-  /// `payload` in the frame (one u16 length prefix covers both). Lets the
-  /// reliable channel frame a shared event body without first copying it
-  /// behind the owned header. Non-owning — must be alive during encode();
-  /// decode() never sets it (the receiver sees one contiguous payload).
-  BytesView payload_tail{};
+  /// The frame's payload. decode() copies it out of the datagram once,
+  /// into a shared buffer that every message and event body cut from the
+  /// frame keeps alive instead of copying.
+  SharedBytes payload;
 
-  /// One sub-message of a batched DATA frame. head/tail mirror the
-  /// payload/payload_tail split: each sub blits an owned header view plus
-  /// a shared event-body view straight into the frame, so coalescing
-  /// never copies the fan-out's shared bytes.
+  /// One sub-message of a DATA frame being encoded: an owned header view
+  /// plus a shared event-body view, blitted straight into the frame, so
+  /// framing never copies a fan-out's shared bytes.
   struct Sub {
     BytesView head{};
     BytesView tail{};
   };
-  /// Encode-time only: when non-empty (requires kData + kFlagBatched,
-  /// `payload`/`payload_tail` must then be empty) encode() writes each sub
-  /// as `u16(head+tail size) ++ head ++ tail` under the outer payload
-  /// length. Non-owning — views must be alive during encode(); decode()
-  /// never fills it (use split_batch() on the contiguous payload).
+  /// Encode-time only: when non-empty, `payload` must be empty and encode()
+  /// writes these instead — with kFlagBatched each as `u16(head+tail size)
+  /// ++ head ++ tail`, without it exactly one, bare. Non-owning — views
+  /// must be alive during encode(); decode() never fills it (use
+  /// split_batch() on the payload).
   std::vector<Sub> batch{};
 
   static constexpr std::uint16_t kMagic = 0xA5EB;

@@ -45,14 +45,26 @@ ReliableChannel::~ReliableChannel() {
 
 std::size_t ReliableChannel::in_flight() const { return window_.size(); }
 
+std::span<std::uint8_t> SharedPayload::resize_head(std::size_t n) {
+  if (n <= kInlineHead) {
+    heap_head_.clear();
+    inline_len_ = static_cast<std::uint8_t>(n);
+    return std::span(inline_head_).first(n);
+  }
+  inline_len_ = 0;
+  heap_head_.resize(n);
+  return heap_head_;
+}
+
 Bytes SharedPayload::flatten() const {
-  Bytes whole = head;
-  if (tail) whole.insert(whole.end(), tail->begin(), tail->end());
+  BytesView h = head();
+  Bytes whole(h.begin(), h.end());
+  whole.insert(whole.end(), tail_.begin(), tail_.end());
   return whole;
 }
 
 bool ReliableChannel::send(Bytes message, MsgClass cls) {
-  return send(SharedPayload{std::move(message), nullptr}, cls);
+  return send(SharedPayload(std::move(message)), cls);
 }
 
 bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
@@ -95,11 +107,10 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
       std::size_t len = std::min(frag, message.size() - off);
       bool last = off + len >= message.size();
       Outbound o{0, last ? std::uint16_t{0} : kFlagMoreFragments,
-                 SharedPayload{
+                 SharedPayload(
                      Bytes(message.begin() + static_cast<std::ptrdiff_t>(off),
                            message.begin() +
-                               static_cast<std::ptrdiff_t>(off + len)),
-                     nullptr},
+                               static_cast<std::ptrdiff_t>(off + len))),
                  /*batchable=*/false, cls};
       ++stats_.fragments_sent;
       enqueue_at(pos++, std::move(o));
@@ -161,8 +172,8 @@ bool ReliableChannel::shed_oldest_data() {
   for (std::size_t i = start; i < end; ++i) {
     const SharedPayload& pl = queue_[i].payload;
     bytes += pl.size();
-    whole.insert(whole.end(), pl.head.begin(), pl.head.end());
-    if (pl.tail) whole.insert(whole.end(), pl.tail->begin(), pl.tail->end());
+    whole.insert(whole.end(), pl.head().begin(), pl.head().end());
+    whole.insert(whole.end(), pl.tail().begin(), pl.tail().end());
   }
   for (std::size_t i = start; i < end; ++i) release_entry(queue_[i]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(start),
@@ -179,14 +190,7 @@ void ReliableChannel::account_shed(std::size_t bytes,
                                    const SharedPayload& payload) {
   ++stats_.events_shed;
   stats_.bytes_shed += bytes;
-  if (on_shed_) {
-    if (payload.tail) {
-      Bytes whole = payload.flatten();
-      on_shed_(whole);
-    } else {
-      on_shed_(payload.head);
-    }
-  }
+  if (on_shed_) on_shed_(payload.flatten());
 }
 
 void ReliableChannel::charge_entry(const Outbound& entry) {
@@ -302,7 +306,7 @@ void ReliableChannel::pump(bool flush) {
 }
 
 void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
-  // frame_ is reused: its payload and batch keep their capacity.
+  // frame_ is reused: its batch keeps its capacity.
   Packet& p = frame_;
   p.type = PacketType::kData;
   p.session = session_;
@@ -311,22 +315,14 @@ void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
   p.seq = window_[from].seq;
   p.ack = expected_;  // piggyback the cumulative ack
   p.batch.clear();
-  if (count <= 1) {
-    const Outbound& o = window_[from];
-    p.flags = o.flags;
-    p.payload.assign(o.payload.head.begin(), o.payload.head.end());
-    // The shared tail stays by reference right up to frame assembly; the
-    // Outbound entry keeps the bytes alive while the frame is encoded.
-    p.payload_tail = o.payload.tail ? BytesView(*o.payload.tail) : BytesView{};
-  } else {
-    p.flags = kFlagBatched;
-    p.payload.clear();
-    p.payload_tail = {};
-    for (std::size_t i = 0; i < count; ++i) {
-      const SharedPayload& pl = window_[from + i].payload;
-      p.batch.push_back(Packet::Sub{
-          BytesView(pl.head), pl.tail ? BytesView(*pl.tail) : BytesView{}});
-    }
+  // The shared tails stay by reference right up to frame assembly; the
+  // Outbound entries keep the bytes alive while the frame is encoded.
+  p.flags = count <= 1 ? window_[from].flags : kFlagBatched;
+  for (std::size_t i = 0; i < count; ++i) {
+    const SharedPayload& pl = window_[from + i].payload;
+    p.batch.push_back(Packet::Sub{pl.head(), pl.tail().view()});
+  }
+  if (count > 1) {
     ++stats_.batches_sent;
     stats_.batched_messages += count;
   }
@@ -500,10 +496,12 @@ void ReliableChannel::handle_data(const Packet& packet) {
     sub_count = *n;
     sub_flags = packet.flags & static_cast<std::uint16_t>(~kFlagBatched);
   }
-  // The sub-messages are walked in place, front to back.
-  BytesView rest(packet.payload);
+  // The sub-messages are walked in place, front to back, each sharing
+  // the frame's buffer.
+  BytesView rest = packet.payload.view();
   auto next_sub = [&] {
-    return batched ? Packet::next_sub(rest) : BytesView(packet.payload);
+    return batched ? packet.payload.slice(Packet::next_sub(rest))
+                   : packet.payload;
   };
   // The frame covers seqs [packet.seq, packet.seq + count) — one message
   // per sub. Range arithmetic in 64 bits so a forged seq near the top of
@@ -542,7 +540,7 @@ void ReliableChannel::handle_data(const Packet& packet) {
     std::size_t skip = expected_ - first;
     stats_.duplicates_dropped += skip;
     for (std::size_t i = 0; i < sub_count; ++i) {
-      BytesView sub = next_sub();
+      SharedBytes sub = next_sub();
       if (i < skip) continue;
       ++expected_;
       deliver_or_reassemble(sub_flags, sub);
@@ -563,11 +561,10 @@ void ReliableChannel::handle_data(const Packet& packet) {
   // cumulative acks are the sender's fast-retransmit signal.
   for (std::size_t i = 0; i < sub_count; ++i) {
     auto seq = static_cast<std::uint32_t>(first + i);
-    BytesView sub = next_sub();
+    SharedBytes sub = next_sub();
     if (reorder_.size() < config_.max_reorder && !reorder_.contains(seq)) {
       ++stats_.out_of_order_buffered;
-      reorder_.emplace(
-          seq, std::make_pair(sub_flags, Bytes(sub.begin(), sub.end())));
+      reorder_.emplace(seq, std::make_pair(sub_flags, std::move(sub)));
     } else {
       ++stats_.duplicates_dropped;
     }
@@ -576,7 +573,7 @@ void ReliableChannel::handle_data(const Packet& packet) {
 }
 
 void ReliableChannel::deliver_or_reassemble(std::uint16_t flags,
-                                            BytesView payload) {
+                                            const SharedBytes& payload) {
   bool more = (flags & kFlagMoreFragments) != 0;
   if (discarding_) {
     // An earlier fragment of this message overflowed: swallow the rest.
@@ -601,7 +598,7 @@ void ReliableChannel::deliver_or_reassemble(std::uint16_t flags,
   if (!more) {
     ++stats_.messages_delivered;
     ++stats_.messages_reassembled;
-    Bytes whole = std::move(reassembly_);
+    SharedBytes whole(std::move(reassembly_));
     reassembly_ = Bytes{};
     if (deliver_) deliver_(whole);
   }

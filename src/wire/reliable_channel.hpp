@@ -33,6 +33,7 @@
 // callback for publisher backpressure. See DESIGN.md §9.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -146,19 +147,45 @@ struct ReliableChannelConfig {
 };
 
 /// One outbound message assembled from an owned per-message head and an
-/// optional shared immutable tail (the fan-out's encode-once event body).
-/// The channel queues and retransmits the tail by reference — the bytes are
-/// never re-owned or copied per member; they are only blitted into the
-/// datagram frame at transmit time.
-struct SharedPayload {
-  Bytes head;
-  std::shared_ptr<const Bytes> tail;  // may be null (head-only message)
+/// optional shared immutable tail (the fan-out's event body). The channel
+/// queues and retransmits the tail by reference — the bytes are never
+/// re-owned or copied per member; they are only blitted into the datagram
+/// frame at transmit time. A short head (a bus message's per-member
+/// header) is kept inline, so queueing one costs no heap allocation.
+class SharedPayload {
+ public:
+  /// Heads up to this many bytes are stored inline: a kEvent header with
+  /// four matched ids, or one with an origin stamp. Kept small because
+  /// every queued entry carries it.
+  static constexpr std::size_t kInlineHead = 38;
 
+  SharedPayload() = default;
+  /// A message of `head` followed by the shared `tail`.
+  explicit SharedPayload(Bytes head, SharedBytes tail = {})
+      : tail_(std::move(tail)), heap_head_(std::move(head)) {}
+  /// A message whose head is still to be written (resize_head()).
+  explicit SharedPayload(SharedBytes tail) : tail_(std::move(tail)) {}
+
+  /// Sizes the head to `n` bytes (inline when they fit) and returns them
+  /// for writing.
+  std::span<std::uint8_t> resize_head(std::size_t n);
+
+  [[nodiscard]] BytesView head() const {
+    return inline_len_ != 0 ? BytesView(inline_head_.data(), inline_len_)
+                            : BytesView(heap_head_);
+  }
+  [[nodiscard]] const SharedBytes& tail() const { return tail_; }
   [[nodiscard]] std::size_t size() const {
-    return head.size() + (tail ? tail->size() : 0);
+    return head().size() + tail_.size();
   }
   /// Materialises head+tail into one owned buffer (fragmentation path).
   [[nodiscard]] Bytes flatten() const;
+
+ private:
+  SharedBytes tail_;
+  Bytes heap_head_;
+  std::uint8_t inline_len_ = 0;
+  std::array<std::uint8_t, kInlineHead> inline_head_{};
 };
 
 struct ReliableChannelStats {
@@ -197,8 +224,10 @@ class ReliableChannel {
   /// ACK, each as one call, in wire order. The views are valid only for
   /// the call; the sink must not re-enter the channel.
   using SendFn = std::function<void(std::span<const Transport::Datagram>)>;
-  /// Exactly-once, in-order message delivery to the layer above.
-  using DeliverFn = std::function<void(BytesView message)>;
+  /// Exactly-once, in-order message delivery to the layer above. The
+  /// message shares the received frame's buffer (a reassembled one, its
+  /// own), so a body decoded from it can outlive the call without a copy.
+  using DeliverFn = std::function<void(const SharedBytes& message)>;
   /// Retries exhausted for the oldest in-flight message. The channel stops
   /// retransmitting until poke() or a packet from the peer arrives.
   using FailFn = std::function<void()>;
@@ -381,13 +410,13 @@ class ReliableChannel {
   double rttvar_ns_ = 0.0;
   bool have_srtt_ = false;
 
-  void deliver_or_reassemble(std::uint16_t flags, BytesView payload);
+  void deliver_or_reassemble(std::uint16_t flags, const SharedBytes& payload);
 
   // Receiver state.
   bool peer_session_known_ = false;
   std::uint32_t peer_session_ = 0;
   std::uint32_t expected_ = 0;  // next sequence to deliver
-  std::map<std::uint32_t, std::pair<std::uint16_t, Bytes>> reorder_;
+  std::map<std::uint32_t, std::pair<std::uint16_t, SharedBytes>> reorder_;
   // Delayed-ack state: frames delivered since the last ack we sent (ours
   // or piggybacked), and the coalescing timer.
   int ack_debt_ = 0;

@@ -8,6 +8,7 @@
 #include "bus/bus_client.hpp"
 #include "lossless_network.hpp"
 #include "sim/sim_executor.hpp"
+#include "wire/reliable_channel.hpp"
 
 namespace amuse {
 namespace {
@@ -140,6 +141,39 @@ TEST_F(BusFixture, UnsubscribeStopsDelivery) {
   ex.run();
   EXPECT_EQ(got, 1);
   EXPECT_EQ(bus->stats().no_subscriber, 1u);
+}
+
+TEST_F(BusFixture, ClientHandlerMayChangeSubscriptionsFromInsideItsCall) {
+  auto bus = make_bus();
+  auto pub = make_client(*bus, "svc", "service");
+  auto sub = make_client(*bus, "svc", "service");
+  int first = 0;
+  int second = 0;
+  int added = 0;
+  std::uint64_t first_id = 0;
+  std::uint64_t second_id = 0;
+  first_id = sub->subscribe(Filter::for_type("t"), [&](const Event&) {
+    ++first;
+    // Drops itself and the other matched handler, then subscribes enough
+    // new handlers to move the client's storage — all while running.
+    sub->unsubscribe(first_id);
+    sub->unsubscribe(second_id);
+    for (int i = 0; i < 64; ++i) {
+      sub->subscribe(Filter::for_type("never"),
+                     [&](const Event&) { ++added; });
+    }
+    EXPECT_EQ(first_id, 1u);  // captures still readable
+  });
+  second_id =
+      sub->subscribe(Filter::for_type("t"), [&](const Event&) { ++second; });
+  ex.run();
+
+  pub->publish(Event("t"));
+  pub->publish(Event("t"));
+  ex.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);  // unsubscribed while the event was dispatched
+  EXPECT_EQ(added, 0);
 }
 
 TEST_F(BusFixture, ContentFiltersSelectByAttributes) {
@@ -455,6 +489,159 @@ TEST_F(BusFixture, EncodesOncePerPublishAcrossFanout) {
   // …and every further member in the fan-out reuses the cached bytes.
   EXPECT_EQ(bus->stats().encode_reuses,
             bus->stats().deliveries - bus->stats().encodes);
+}
+
+// ---- Forwarding the body as received, or re-serialised canonically.
+
+// A member that speaks the wire protocol in raw bytes: a message it sends
+// reaches the bus exactly as given, and it keeps every message the bus
+// sends it as it arrived, before any decoding.
+struct RawMember {
+  RawMember(SimExecutor& ex, std::shared_ptr<Transport> t, ServiceId bus)
+      : transport(std::move(t)),
+        channel(ex, transport->local_id(), bus, /*session=*/7, {},
+                [this](std::span<const Transport::Datagram> frames) {
+                  transport->send_batch(frames);
+                },
+                [this](const SharedBytes& m) {
+                  received.emplace_back(m.begin(), m.end());
+                }) {
+    transport->set_receive_handler([this](ServiceId, BytesView data) {
+      if (std::optional<Packet> p = Packet::decode(data)) channel.on_packet(*p);
+    });
+  }
+
+  /// The event bodies of the kEvent messages received, headers stripped.
+  [[nodiscard]] std::vector<Bytes> bodies() const {
+    std::vector<Bytes> out;
+    for (const Bytes& m : received) {
+      auto type = static_cast<std::uint8_t>(m[0] & ~kOriginFlag);
+      if (type != static_cast<std::uint8_t>(BusMsgType::kEvent)) continue;
+      std::size_t n = (std::size_t{m[1]} << 8) | m[2];
+      std::size_t header = 3 + 8 * n + ((m[0] & kOriginFlag) != 0 ? 22 : 0);
+      out.emplace_back(m.begin() + static_cast<std::ptrdiff_t>(header),
+                       m.end());
+    }
+    return out;
+  }
+
+  std::shared_ptr<Transport> transport;
+  ReliableChannel channel;
+  std::vector<Bytes> received;
+};
+
+// An event body as written by hand: the header, then `attrs` exactly in
+// the order and with the bytes given (each a name and its tagged value).
+Bytes body_of(ServiceId publisher,
+              const std::vector<std::pair<std::string, Bytes>>& attrs) {
+  Writer w;
+  w.u48(publisher.raw());
+  w.u64(4);
+  w.i64(5000);
+  w.u16(static_cast<std::uint16_t>(attrs.size()));
+  for (const auto& [name, value] : attrs) {
+    w.str(name);
+    w.raw(value);
+  }
+  return std::move(w).take();
+}
+
+Bytes tagged(const Value& v) {
+  Writer w;
+  v.encode(w);
+  return std::move(w).take();
+}
+
+Bytes publish_message(BytesView body, const Origin& origin = {}) {
+  Bytes m(BusMessage::event_header_size(BusMsgType::kPublish, 0, origin));
+  BusMessage::write_event_header(m, BusMsgType::kPublish, {}, origin);
+  m.insert(m.end(), body.begin(), body.end());
+  return m;
+}
+
+TEST_F(BusFixture, NonCanonicalBodiesReachSubscribersReserialised) {
+  auto bus = make_bus();
+  auto pub_t = net.create_endpoint();
+  ServiceId pub_id = pub_t->local_id();
+  bus->add_member(MemberInfo{pub_id, "svc", "service"});
+  RawMember pub(ex, std::move(pub_t), bus->bus_id());
+  auto sub_t = net.create_endpoint();
+  bus->add_member(MemberInfo{sub_t->local_id(), "svc", "service"});
+  RawMember sub(ex, std::move(sub_t), bus->bus_id());
+  (void)sub.channel.send(
+      BusMessage::subscribe(1, Filter::for_type_prefix("t.")).encode(),
+      MsgClass::kControl);
+  ex.run();
+
+  const Bytes type = tagged(Value("t.x"));
+  const Bytes bool_two{static_cast<std::uint8_t>(ValueType::kBool), 0x02};
+  struct Case {
+    Bytes sent;
+    Bytes canonical;
+  };
+  const std::vector<Case> cases{
+      // Names out of order: sorted.
+      {body_of(pub_id, {{"type", type}, {"hr", tagged(Value(80))}}),
+       body_of(pub_id, {{"hr", tagged(Value(80))}, {"type", type}})},
+      // A repeated name: the last one wins.
+      {body_of(pub_id, {{"hr", tagged(Value(80))},
+                        {"hr", tagged(Value(95))},
+                        {"type", type}}),
+       body_of(pub_id, {{"hr", tagged(Value(95))}, {"type", type}})},
+      // A bool byte of 2: true, written as 1.
+      {body_of(pub_id, {{"alarm", bool_two}, {"type", type}}),
+       body_of(pub_id, {{"alarm", tagged(Value(true))}, {"type", type}})},
+      // Canonical already, but published under another id: the bus
+      // stamps the admitted member's.
+      {body_of(ServiceId(0x77), {{"hr", tagged(Value(80))}, {"type", type}}),
+       body_of(pub_id, {{"hr", tagged(Value(80))}, {"type", type}})},
+      // Canonical and published under its own id: forwarded as sent.
+      {body_of(pub_id, {{"hr", tagged(Value(70))}, {"type", type}}),
+       body_of(pub_id, {{"hr", tagged(Value(70))}, {"type", type}})},
+  };
+  for (const Case& c : cases) {
+    ASSERT_TRUE(pub.channel.send(publish_message(c.sent)));
+  }
+  ex.run();
+
+  std::vector<Bytes> got = sub.bodies();
+  ASSERT_EQ(got.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(got[i], cases[i].canonical) << "case " << i;
+  }
+  EXPECT_EQ(bus->stats().encodes, cases.size());
+}
+
+TEST_F(BusFixture, GatewayRelayIsForwardedUnderTheGatewaysId) {
+  auto bus = make_bus();
+  auto gw_t = net.create_endpoint();
+  ServiceId gw_id = gw_t->local_id();
+  bus->add_member(MemberInfo{gw_id, "smc.gateway", std::string(kGatewayRole)});
+  RawMember gateway(ex, std::move(gw_t), bus->bus_id());
+  auto sub_t = net.create_endpoint();
+  bus->add_member(MemberInfo{sub_t->local_id(), "svc", "service"});
+  RawMember sub(ex, std::move(sub_t), bus->bus_id());
+  (void)sub.channel.send(
+      BusMessage::subscribe(1, Filter::for_type("t.relayed")).encode(),
+      MsgClass::kControl);
+  ex.run();
+
+  // A canonical body from a publisher in the far cell, relayed under that
+  // cell's origin stamp: the origin travels on, the publisher becomes the
+  // gateway member's id.
+  const Bytes type = tagged(Value("t.relayed"));
+  const ServiceId far_publisher(0x0A0B0C0D0E0F);
+  const Origin far{ServiceId(0xFA), 2, 9};
+  ASSERT_TRUE(gateway.channel.send(publish_message(
+      body_of(far_publisher, {{"n", tagged(Value(3))}, {"type", type}}), far)));
+  ex.run();
+
+  std::vector<Bytes> got = sub.bodies();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], body_of(gw_id, {{"n", tagged(Value(3))}, {"type", type}}));
+  ASSERT_FALSE(sub.received.empty());
+  BusMessage m = BusMessage::decode(sub.received.back());
+  EXPECT_EQ(m.event->origin(), far);
 }
 
 TEST_F(BusFixture, LocalHandlersShareOneImmutableEvent) {

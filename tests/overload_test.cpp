@@ -26,13 +26,13 @@ namespace {
 // DeliveryBudget: the refcounted bus-wide ledger.
 
 SharedPayload shared_payload(std::size_t head_bytes,
-                             std::shared_ptr<const Bytes> tail) {
-  return SharedPayload{Bytes(head_bytes, 0x41), std::move(tail)};
+                             SharedBytes tail) {
+  return SharedPayload(Bytes(head_bytes, 0x41), std::move(tail));
 }
 
 TEST(DeliveryBudget, ChargesSharedTailOncePerRetainer) {
   DeliveryBudget budget(100);
-  auto tail = std::make_shared<const Bytes>(Bytes(50, 0x42));
+  auto tail = SharedBytes(Bytes(50, 0x42));
   SharedPayload p1 = shared_payload(10, tail);
   SharedPayload p2 = shared_payload(5, tail);
 
@@ -54,11 +54,11 @@ TEST(DeliveryBudget, ChargesSharedTailOncePerRetainer) {
 
 TEST(DeliveryBudget, OverLimitIsStrict) {
   DeliveryBudget budget(20);
-  SharedPayload p = shared_payload(20, nullptr);
+  SharedPayload p = shared_payload(20, {});
   budget.charge(p);
   EXPECT_EQ(budget.used(), 20u);
   EXPECT_FALSE(budget.over_limit());  // exactly at the limit is legal
-  SharedPayload extra = shared_payload(1, nullptr);
+  SharedPayload extra = shared_payload(1, {});
   budget.charge(extra);
   EXPECT_TRUE(budget.over_limit());
   budget.release(extra);
@@ -263,9 +263,9 @@ TEST(ChannelBudget, SharedLedgerCountsFanOutTailOnce) {
   p2.drop_from_a = [](const Packet&) { return true; };
 
   // The fan-out shape: one encode-once body queued to two members.
-  auto body = std::make_shared<const Bytes>(Bytes(500, 0x45));
-  ASSERT_TRUE(p1.a->send(SharedPayload{to_bytes("h1"), body}));
-  ASSERT_TRUE(p2.a->send(SharedPayload{to_bytes("h2"), body}));
+  auto body = SharedBytes(Bytes(500, 0x45));
+  ASSERT_TRUE(p1.a->send(SharedPayload(to_bytes("h1"), body)));
+  ASSERT_TRUE(p2.a->send(SharedPayload(to_bytes("h2"), body)));
   EXPECT_EQ(ledger->used(), 2u + 2u + 500u);  // both heads, body once
 
   p1.drop_from_a = nullptr;

@@ -79,9 +79,6 @@ MemberInfo member() {
   return MemberInfo{ServiceId(0xDE1), "fake.device", "sensor"};
 }
 
-// Wraps a fresh event the way the bus fan-out would.
-EncodedEvent wrap(Event e) { return EncodedEvent(freeze(std::move(e))); }
-
 DeviceFrame reading(std::uint16_t seq, const std::string& text) {
   DeviceFrame f;
   f.type = DeviceFrameType::kReading;
@@ -153,8 +150,8 @@ TEST_F(TranslatingFixture, UndecodableReadingCountedAndAcked) {
 
 TEST_F(TranslatingFixture, CommandsAreStopAndWait) {
   TranslatingProxy proxy(bus, member(), std::make_unique<FakeCodec>(), cfg);
-  proxy.deliver_event(wrap(Event("fake.cmd", {{"n", 1}})), {});
-  proxy.deliver_event(wrap(Event("fake.cmd", {{"n", 2}})), {});
+  proxy.deliver_event(Event("fake.cmd", {{"n", 1}}), {});
+  proxy.deliver_event(Event("fake.cmd", {{"n", 2}}), {});
   // Only the head of the queue is in flight.
   ASSERT_EQ(bus.sent.size(), 1u);
   auto cmd1 = DeviceFrame::decode(bus.sent[0].second);
@@ -176,7 +173,7 @@ TEST_F(TranslatingFixture, CommandsAreStopAndWait) {
 TEST_F(TranslatingFixture, CommandsRetransmitUntilAcked) {
   cfg.resend_interval = milliseconds(50);
   TranslatingProxy proxy(bus, member(), std::make_unique<FakeCodec>(), cfg);
-  proxy.deliver_event(wrap(Event("fake.cmd", {{"n", 9}})), {});
+  proxy.deliver_event(Event("fake.cmd", {{"n", 9}}), {});
   ex.run_for(milliseconds(400));
   EXPECT_GE(proxy.stats().command_retransmits, 2u);
   EXPECT_GE(bus.sent.size(), 3u);
@@ -190,7 +187,7 @@ TEST_F(TranslatingFixture, StallsAfterMaxRetriesAndRecoversOnAck) {
   cfg.resend_interval = milliseconds(10);
   cfg.max_retries = 2;
   TranslatingProxy proxy(bus, member(), std::make_unique<FakeCodec>(), cfg);
-  proxy.deliver_event(wrap(Event("fake.cmd", {{"n", 9}})), {});
+  proxy.deliver_event(Event("fake.cmd", {{"n", 9}}), {});
   ex.run_for(seconds(5));
   EXPECT_TRUE(proxy.stalled());
   std::size_t sent_before = bus.sent.size();
@@ -208,15 +205,15 @@ TEST_F(TranslatingFixture, StallsAfterMaxRetriesAndRecoversOnAck) {
 
 TEST_F(TranslatingFixture, UntranslatableEventsSkipped) {
   TranslatingProxy proxy(bus, member(), std::make_unique<FakeCodec>(), cfg);
-  proxy.deliver_event(wrap(Event("not.for.this.device")), {});
+  proxy.deliver_event(Event("not.for.this.device"), {});
   EXPECT_TRUE(bus.sent.empty());
   EXPECT_EQ(proxy.stats().events_untranslatable, 1u);
 }
 
 TEST_F(TranslatingFixture, PurgeDestroysOutboundQueue) {
   TranslatingProxy proxy(bus, member(), std::make_unique<FakeCodec>(), cfg);
-  proxy.deliver_event(wrap(Event("fake.cmd", {{"n", 1}})), {});
-  proxy.deliver_event(wrap(Event("fake.cmd", {{"n", 2}})), {});
+  proxy.deliver_event(Event("fake.cmd", {{"n", 1}}), {});
+  proxy.deliver_event(Event("fake.cmd", {{"n", 2}}), {});
   EXPECT_EQ(proxy.pending(), 2u);
   proxy.on_purge();
   EXPECT_EQ(proxy.pending(), 0u);
@@ -239,7 +236,7 @@ TEST_F(TranslatingFixture, QueueOverflowCounted) {
   cfg.max_queue = 2;
   TranslatingProxy proxy(bus, member(), std::make_unique<FakeCodec>(), cfg);
   for (int i = 0; i < 5; ++i) {
-    proxy.deliver_event(wrap(Event("fake.cmd", {{"n", i}})), {});
+    proxy.deliver_event(Event("fake.cmd", {{"n", i}}), {});
   }
   EXPECT_EQ(proxy.pending(), 2u);
   EXPECT_EQ(proxy.stats().queue_overflow, 3u);
@@ -258,9 +255,8 @@ TEST(ForwardingFanout, DeliveredFramesAreByteIdenticalAcrossMembers) {
   e.set_publisher_seq(3);
   std::vector<std::uint64_t> matched{3, 9};
 
-  EncodedEvent enc = wrap(e);
-  p1.deliver_event(enc, matched);
-  p2.deliver_event(enc, matched);
+  p1.deliver_event(e, matched);
+  p2.deliver_event(e, matched);
 
   ASSERT_EQ(bus.sent.size(), 2u);
   std::optional<Packet> f1 = Packet::decode(bus.sent[0].second);

@@ -558,10 +558,10 @@ TEST(ReliableChannelFragmentation, AdaptiveRtoStillLearns) {
 
 TEST(ReliableChannelSharedPayload, HeadAndTailArriveAsOneMessage) {
   ChannelPair p;
-  auto tail = std::make_shared<const Bytes>(to_bytes("shared-body"));
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("head:"), tail}));
+  auto tail = SharedBytes(to_bytes("shared-body"));
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("head:"), tail)));
   // The same tail can back many messages without copying.
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("other:"), tail}));
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("other:"), tail)));
   p.ex.run();
   ASSERT_EQ(p.at_b.size(), 2u);
   EXPECT_EQ(p.at_b[0], "head:shared-body");
@@ -570,7 +570,7 @@ TEST(ReliableChannelSharedPayload, HeadAndTailArriveAsOneMessage) {
 
 TEST(ReliableChannelSharedPayload, NullTailIsHeadOnly) {
   ChannelPair p;
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("solo"), nullptr}));
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("solo"))));
   p.ex.run();
   ASSERT_EQ(p.at_b.size(), 1u);
   EXPECT_EQ(p.at_b[0], "solo");
@@ -587,8 +587,8 @@ TEST(ReliableChannelSharedPayload, TailSurvivesSenderReleasingItsReference) {
     return pk.type == PacketType::kData && ++dropped <= 2;
   };
   {
-    auto tail = std::make_shared<const Bytes>(to_bytes("-persistent"));
-    ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("msg"), tail}));
+    auto tail = SharedBytes(to_bytes("-persistent"));
+    ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("msg"), tail)));
   }  // sender's reference gone; only the channel holds the bytes now
   p.ex.run();
   ASSERT_EQ(p.at_b.size(), 1u);
@@ -604,8 +604,8 @@ TEST(ReliableChannelSharedPayload, OversizeSharedMessageIsFragmented) {
   for (std::size_t i = 0; i < body.size(); ++i) {
     body[i] = static_cast<std::uint8_t>(i);
   }
-  auto tail = std::make_shared<const Bytes>(body);
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("hdr"), tail}));
+  auto tail = SharedBytes(body);
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("hdr"), tail)));
   p.ex.run();
   ASSERT_EQ(p.at_b.size(), 1u);
   Bytes expected = to_bytes("hdr");
@@ -894,10 +894,10 @@ TEST(ReliableChannelCoalescing, OversizedMessageTravelsAloneUnbatched) {
 
 TEST(ReliableChannelCoalescing, SharedTailsBlitIntoBatchedFrames) {
   ChannelPair p;
-  auto tail = std::make_shared<const Bytes>(to_bytes("|shared-body"));
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("h0"), tail}));
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("h1"), tail}));
-  ASSERT_TRUE(p.a->send(SharedPayload{to_bytes("h2"), tail}));
+  auto tail = SharedBytes(to_bytes("|shared-body"));
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("h0"), tail)));
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("h1"), tail)));
+  ASSERT_TRUE(p.a->send(SharedPayload(to_bytes("h2"), tail)));
   p.ex.run();
   ASSERT_EQ(p.at_b.size(), 3u);
   EXPECT_EQ(p.at_b[0], "h0|shared-body");

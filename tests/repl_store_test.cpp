@@ -54,7 +54,7 @@ struct JournalHistory {
     log.counters_changed(100, 7, 2);
     mark();
     (void)log.spool_append(Origin{ServiceId(0xC0), 1, 1},
-                           encode_event(Event("a")));
+                           Event("a").body());
     mark();
     log.sub_removed(ServiceId(5), 1);
     mark();
@@ -347,7 +347,7 @@ void spool_vitals(JournalHistory& h) {
   vitals.set_publisher(ServiceId(5));
   vitals.set_publisher_seq(3);
   (void)h.log.spool_append(Origin{ServiceId(0xC0), 1, 2},
-                           encode_event(vitals));
+                           vitals.body());
   h.mark();
 }
 

@@ -25,7 +25,7 @@ Origin origin(std::uint64_t epoch, std::uint64_t seq) {
   return Origin{ServiceId(0xC0), epoch, seq};
 }
 
-Bytes event_bytes(const char* type) { return encode_event(Event(type)); }
+SharedBytes event_bytes(const char* type) { return Event(type).body(); }
 
 // A log with one member and one subscription, pending ops drained — the
 // state a live bus is in between mutations (the bus always drains before

@@ -90,7 +90,7 @@ TEST(Event, TypedGettersWithFallbacks) {
   EXPECT_EQ(e.get_string("i", "fb"), "fb");
   EXPECT_TRUE(e.has("b"));
   EXPECT_FALSE(e.has("nope"));
-  EXPECT_EQ(e.get("nope"), nullptr);
+  EXPECT_FALSE(e.get("nope").has_value());
 }
 
 TEST(Event, SetReplacesValue) {
@@ -161,7 +161,7 @@ TEST(Event, SetKeepsAttributesSortedByName) {
   Event e("t");
   e.set("m", 1).set("b", 2).set("z", 3).set("a", 4).set("m", 5);
   std::vector<std::string> names;
-  for (const auto& [name, value] : e.attributes()) names.push_back(name);
+  for (const auto& [name, value] : e.attributes()) names.emplace_back(name);
   EXPECT_EQ(names, (std::vector<std::string>{"a", "b", "m", "type", "z"}));
   EXPECT_EQ(e.get_int("m"), 5);
   EXPECT_EQ(e.get_int("a"), 4);
@@ -172,6 +172,34 @@ TEST(Event, ConstructorKeepsFirstDuplicateAndTypeWins) {
   EXPECT_EQ(e.get_int("x"), 1);
   EXPECT_EQ(e.type(), "t");
   EXPECT_EQ(e.size(), 2u);
+}
+
+TEST(Event, DecodeIndexesACanonicalBodyInPlace) {
+  Event e("vitals.heartrate", {{"hr", 80}, {"patient", "P07"}});
+  SharedBytes wire(encode_event(e));
+  Event d = decode_event(wire);
+  // No copy: the event views the received bytes.
+  EXPECT_EQ(d.body().data(), wire.data());
+  EXPECT_EQ(d, e);
+  const auto* text =
+      reinterpret_cast<const std::uint8_t*>(d.get("patient")->as_string().data());
+  EXPECT_GE(text, wire.data());
+  EXPECT_LT(text, wire.data() + wire.size());
+}
+
+TEST(Event, SetOnASharedBufferCopiesFirst) {
+  Event a("t", {{"x", 1}});
+  Event b = a;
+  EXPECT_EQ(a.body().data(), b.body().data());  // a copy shares the bytes
+  b.set("x", 2).set("y", "new");
+  b.set_publisher(ServiceId(9));
+  EXPECT_EQ(a.get_int("x"), 1);
+  EXPECT_FALSE(a.has("y"));
+  EXPECT_EQ(a.publisher(), ServiceId());
+  EXPECT_EQ(b.get_int("x"), 2);
+  EXPECT_EQ(b.get_string("y"), "new");
+  EXPECT_EQ(b.publisher(), ServiceId(9));
+  EXPECT_EQ(decode_event(encode_event(b)), b);
 }
 
 TEST(Event, DecodeSortsUnorderedNamesAndLastDuplicateWins) {
@@ -189,7 +217,7 @@ TEST(Event, DecodeSortsUnorderedNamesAndLastDuplicateWins) {
 
   Event e = decode_event(w.bytes());
   std::vector<std::string> names;
-  for (const auto& [name, value] : e.attributes()) names.push_back(name);
+  for (const auto& [name, value] : e.attributes()) names.emplace_back(name);
   EXPECT_EQ(names,
             (std::vector<std::string>{"bed", "hr", "spo2", "type"}));
   EXPECT_EQ(e.get_int("hr"), 95);
