@@ -290,6 +290,7 @@ int run_smoke() {
       ++violations;
     }
   };
+#if defined(AMUSE_HAVE_MMSG)
   check(batched_rate >= legacy_rate, "batched events/sec >= legacy");
   for (const CellResult& br : brs) {
     check(br.rx.recv_batches > 0, "receiver posted multi-datagram batches");
@@ -298,6 +299,24 @@ int run_smoke() {
     check(br.rx.buffers_recycled > 0, "receive slots recycled via freelist");
     check(br.delivered > legacy.events / 2, "batched path delivered majority");
   }
+  const char* verdict = "batched >= legacy, counters consistent";
+#else
+  // Built without recvmmsg/sendmmsg: both cells take the per-datagram
+  // path, so there is no batched path to compare, only its counters.
+  for (const std::vector<CellResult>* rs : {&lrs, &brs}) {
+    for (const CellResult& r : *rs) {
+      check(r.tx.send_syscalls == r.tx.datagrams_sent,
+            "one send syscall per datagram");
+      check(r.rx.recv_syscalls == r.rx.datagrams_received &&
+                r.rx.max_recv_batch == 1,
+            "one receive syscall per datagram");
+    }
+  }
+  for (const CellResult& br : brs) {
+    check(br.delivered > legacy.events / 2, "batched path delivered majority");
+  }
+  const char* verdict = "per-datagram path only, counters consistent";
+#endif
   for (const CellResult& lr : lrs) {
     check(lr.delivered > legacy.events / 2, "legacy path delivered majority");
   }
@@ -305,7 +324,7 @@ int run_smoke() {
     std::fprintf(stderr, "udp_datapath smoke: %d violation(s)\n", violations);
     return 1;
   }
-  std::printf("udp_datapath smoke: batched >= legacy, counters consistent\n");
+  std::printf("udp_datapath smoke: %s\n", verdict);
   return 0;
 }
 

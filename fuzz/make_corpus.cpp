@@ -28,6 +28,7 @@
 
 #include "bus/messages.hpp"
 #include "constraint_cases.hpp"
+#include "event_frame.hpp"
 #include "common/bytes.hpp"
 #include "pubsub/codec.hpp"
 #include "wire/packet.hpp"
@@ -112,17 +113,16 @@ void packet_corpus(const std::filesystem::path& dir) {
   // An event delivery assembled the SharedPayload way: per-member header
   // plus the encode-once shared event body (what ForwardingProxy sends).
   {
-    const std::vector<std::uint64_t> matched{4, 9};
-    Bytes head = BusMessage::encode_event_header(matched);
-    Bytes body = encode_event(sample_event());
-    Bytes joined = head;
-    joined.insert(joined.end(), body.begin(), body.end());
+    const std::uint64_t matched[] = {4, 9};
     write_file(dir, "data_event_shared_payload.bin",
-               data_frame(2, 0, std::move(joined)).encode());
+               data_frame(2, 0,
+                          event_frame(BusMsgType::kEvent, sample_event(),
+                                      matched))
+                   .encode());
   }
   // A kPublish message as a member's client would send it.
   write_file(dir, "data_publish.bin",
-             data_frame(1, 0, BusMessage::encode_publish(sample_event()))
+             data_frame(1, 0, event_frame(BusMsgType::kPublish, sample_event()))
                  .encode());
   // Discovery protocol frames, including the JoinAccept with the reserved
   // proxy-channel session (the newest wire field).

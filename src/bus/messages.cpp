@@ -1,6 +1,7 @@
 #include "bus/messages.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace amuse {
 
@@ -18,10 +19,6 @@ const char* to_string(BusMsgType t) {
 }
 
 namespace {
-
-void write_origin(Writer& w, const Origin& origin) {
-  if (origin.stamped()) origin.encode(w);
-}
 
 Origin read_origin(Reader& r) {
   Origin o = Origin::decode(r);
@@ -68,21 +65,13 @@ void read_stream(Reader& r, StreamHeader& h) {
 
 Bytes BusMessage::encode() const {
   Writer w;
-  const bool carries_event =
-      type == BusMsgType::kPublish || type == BusMsgType::kEvent;
-  const Origin origin = carries_event ? event->origin() : Origin{};
-  w.u8(type_byte(type, origin));
+  w.u8(static_cast<std::uint8_t>(type));
   switch (type) {
     case BusMsgType::kPublish:
-      write_origin(w, origin);
-      event->encode(w);
-      break;
     case BusMsgType::kEvent:
-      w.u16(static_cast<std::uint16_t>(matched.size()));
-      for (std::uint64_t id : matched) w.u64(id);
-      write_origin(w, origin);
-      event->encode(w);
-      break;
+      throw std::logic_error(
+          "BusMessage::encode: event frames are written by "
+          "write_event_header()");
     case BusMsgType::kSubscribe:
       w.u64(sub_id);
       filter->encode(w);
@@ -132,9 +121,8 @@ BusMessage BusMessage::decode(const SharedBytes& data) {
     case BusMsgType::kPublish:
     case BusMsgType::kEvent: {
       if (m.type == BusMsgType::kEvent) {
-        std::uint16_t n = r.u16();
-        m.matched.reserve(n);
-        for (std::uint16_t i = 0; i < n; ++i) m.matched.push_back(r.u64());
+        std::size_t n = r.u16();
+        m.matched = MatchedIds(data.slice(r.raw(8 * n)));
       }
       Origin origin = stamped ? read_origin(r) : Origin{};
       // The body is the rest of the message: indexed in place.
@@ -203,49 +191,16 @@ void BusMessage::write_event_header(std::span<std::uint8_t> out,
                                     BusMsgType type,
                                     std::span<const std::uint64_t> matched,
                                     const Origin& origin) {
-  std::uint8_t* p = out.data();
-  auto put = [&p](std::uint64_t v, int n) {
-    for (int i = n - 1; i >= 0; --i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
-  };
-  put(type_byte(type, origin), 1);
+  std::uint8_t* p = store_be<1>(out.data(), type_byte(type, origin));
   if (type == BusMsgType::kEvent) {
-    put(matched.size(), 2);
-    for (std::uint64_t id : matched) put(id, 8);
+    p = store_be<2>(p, matched.size());
+    for (std::uint64_t id : matched) p = store_be<8>(p, id);
   }
   if (origin.stamped()) {
-    put(origin.cell.raw(), 6);
-    put(origin.epoch, 8);
-    put(origin.seq, 8);
+    p = store_be<6>(p, origin.cell.raw());
+    p = store_be<8>(p, origin.epoch);
+    store_be<8>(p, origin.seq);
   }
-}
-
-Bytes BusMessage::encode_event_header(
-    std::span<const std::uint64_t> matched, const Origin& origin) {
-  Bytes out(event_header_size(BusMsgType::kEvent, matched.size(), origin));
-  write_event_header(out, BusMsgType::kEvent, matched, origin);
-  return out;
-}
-
-Bytes BusMessage::encode_publish(const Event& e) {
-  Bytes out(event_header_size(BusMsgType::kPublish, 0, e.origin()));
-  write_event_header(out, BusMsgType::kPublish, {}, e.origin());
-  out.insert(out.end(), e.body().begin(), e.body().end());
-  return out;
-}
-
-BusMessage BusMessage::publish(Event e) {
-  BusMessage m;
-  m.type = BusMsgType::kPublish;
-  m.event = std::move(e);
-  return m;
-}
-
-BusMessage BusMessage::deliver(Event e, std::vector<std::uint64_t> matched) {
-  BusMessage m;
-  m.type = BusMsgType::kEvent;
-  m.event = std::move(e);
-  m.matched = std::move(matched);
-  return m;
 }
 
 BusMessage BusMessage::subscribe(std::uint64_t sub_id, Filter f) {

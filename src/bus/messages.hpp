@@ -18,7 +18,9 @@
 //                            event's canonical encoding, which decode()
 //                            indexes in place in the received buffer and
 //                            senders queue by reference behind the header
-//                            (DESIGN.md §7).
+//                            (DESIGN.md §7). write_event_header() is the
+//                            one encoder of these two types; decode()
+//                            reads the matched ids in place too.
 // kSubscribe member → bus    local subscription id + content filter
 // kUnsubscribe member → bus  local subscription id
 // kFlowControl  bus → member backpressure: a member queue crossed its
@@ -61,6 +63,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <vector>
@@ -88,6 +91,51 @@ enum class BusMsgType : std::uint8_t {
 /// Type-byte flag: an Origin stamp follows the kPublish/kEvent header.
 /// Decoding rejects it on every other message type.
 inline constexpr std::uint8_t kOriginFlag = 0x80;
+
+/// The matched subscription ids of a decoded kEvent, read in place: a view
+/// of the message's u64×n run, sharing its buffer, each id loaded
+/// big-endian as it is visited. Decoding a delivery allocates nothing for
+/// its ids.
+class MatchedIds {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = std::uint64_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = std::uint64_t;
+
+    iterator() = default;
+    explicit iterator(const std::uint8_t* p) : p_(p) {}
+    std::uint64_t operator*() const { return load_be<8>(p_); }
+    iterator& operator++() {
+      p_ += 8;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator was = *this;
+      p_ += 8;
+      return was;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const std::uint8_t* p_ = nullptr;
+  };
+
+  MatchedIds() = default;
+  /// `ids` holds whole u64s (its size is a multiple of 8).
+  explicit MatchedIds(SharedBytes ids) : ids_(std::move(ids)) {}
+
+  [[nodiscard]] std::size_t size() const { return ids_.size() / 8; }
+  [[nodiscard]] bool empty() const { return ids_.empty(); }
+  [[nodiscard]] iterator begin() const { return iterator(ids_.begin()); }
+  [[nodiscard]] iterator end() const { return iterator(ids_.end()); }
+
+ private:
+  SharedBytes ids_;
+};
 
 /// The payload of a kInterestUpdate message: a state-stream frame whose
 /// state is the member's filter table (FilterSet::digest()). A full frame
@@ -120,7 +168,7 @@ struct BusMessage {
   /// kSubscribe.
   std::optional<Filter> filter;
   /// kEvent: the member's local subscription ids the event matched.
-  std::vector<std::uint64_t> matched;
+  MatchedIds matched;
   /// kFlowControl: true = queues crossed the high-water mark, pause
   /// publishing; false = drained to the low-water mark, resume.
   bool pressure = false;
@@ -132,6 +180,9 @@ struct BusMessage {
   /// The state-stream header of a kInterestUpdate / kReplUpdate, else null.
   [[nodiscard]] const StreamHeader* stream() const;
 
+  /// Encodes the five subscription and control types. A kPublish or kEvent
+  /// is written with write_event_header() and its event's body; asking
+  /// encode() for one throws std::logic_error.
   [[nodiscard]] Bytes encode() const;
   /// Throws DecodeError on malformed input. A decoded event shares
   /// `data`'s buffer: the kPublish/kEvent body is indexed where it lies.
@@ -141,9 +192,8 @@ struct BusMessage {
 
   /// A kPublish or kEvent message is a small header (message type, for
   /// kEvent the matched subscription ids, the origin stamp) followed by
-  /// the event body, so the body's shared bytes travel as they are:
-  ///   header ++ e.body() == publish(e).encode() / deliver(e, m).encode()
-  /// The header's size; `matched` must be empty for kPublish.
+  /// the event body, so the body's shared bytes travel as they are behind
+  /// it. The header's size; `matched` must be empty for kPublish.
   [[nodiscard]] static std::size_t event_header_size(BusMsgType type,
                                                      std::size_t matched,
                                                      const Origin& origin);
@@ -151,15 +201,6 @@ struct BusMessage {
   static void write_event_header(std::span<std::uint8_t> out, BusMsgType type,
                                  std::span<const std::uint64_t> matched,
                                  const Origin& origin);
-  /// The kEvent header as owned bytes.
-  [[nodiscard]] static Bytes encode_event_header(
-      std::span<const std::uint64_t> matched, const Origin& origin = {});
-  /// One-shot kPublish encoding without copying the event into a message.
-  [[nodiscard]] static Bytes encode_publish(const Event& e);
-
-  [[nodiscard]] static BusMessage publish(Event e);
-  [[nodiscard]] static BusMessage deliver(Event e,
-                                          std::vector<std::uint64_t> matched);
   [[nodiscard]] static BusMessage subscribe(std::uint64_t sub_id, Filter f);
   [[nodiscard]] static BusMessage unsubscribe(std::uint64_t sub_id);
   [[nodiscard]] static BusMessage flow_control(bool pressure);

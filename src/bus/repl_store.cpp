@@ -11,11 +11,6 @@ namespace {
 
 constexpr std::size_t kRecordHeader = 1 + 4 + 4;  // type + length + crc
 
-std::uint32_t read_u32(const std::uint8_t* p) {
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-}
-
 }  // namespace
 
 void frame_repl_record(Bytes& out, std::uint8_t type, BytesView payload) {
@@ -37,9 +32,10 @@ JournalReplay replay_repl_journal(BytesView journal) {
   bool have_snapshot = false;
   while (off < journal.size()) {
     if (journal.size() - off < kRecordHeader) break;  // short header → torn
-    std::uint8_t type = journal[off];
-    std::uint32_t len = read_u32(journal.data() + off + 1);
-    std::uint32_t crc = read_u32(journal.data() + off + 5);
+    const std::uint8_t* header = journal.data() + off;
+    std::uint8_t type = header[0];
+    std::uint64_t len = load_be<4>(header + 1);
+    auto crc = static_cast<std::uint32_t>(load_be<4>(header + 5));
     if (journal.size() - off - kRecordHeader < len) break;  // short payload
     BytesView payload(journal.data() + off + kRecordHeader, len);
     if (crc32(payload) != crc) break;  // bit rot / torn write

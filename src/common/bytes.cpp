@@ -10,10 +10,7 @@ namespace {
 template <std::size_t N>
 void append_be(Bytes& buf, std::uint64_t v) {
   std::uint8_t out[N];
-  for (std::size_t i = 0; i < N; ++i) {
-    out[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
-  }
-  buf.insert(buf.end(), out, out + N);
+  buf.insert(buf.end(), out, store_be<N>(out, v));
 }
 }  // namespace
 
@@ -54,8 +51,7 @@ void Writer::patch_u16(std::size_t pos, std::uint16_t v) {
   if (pos + 2 > buf_.size()) {
     throw std::out_of_range("patch_u16: position past end of buffer");
   }
-  buf_[pos] = static_cast<std::uint8_t>(v >> 8);
-  buf_[pos + 1] = static_cast<std::uint8_t>(v);
+  store_be<2>(buf_.data() + pos, v);
 }
 
 void Reader::truncated(std::size_t n) const {

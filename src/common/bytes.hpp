@@ -27,6 +27,27 @@ class DecodeError : public std::runtime_error {
   explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// The `N` bytes at `p` as a big-endian unsigned value. Unchecked: the
+/// caller has bounds-checked `p`. The one big-endian load in the codebase.
+template <std::size_t N>
+[[nodiscard]] inline std::uint64_t load_be(const std::uint8_t* p) {
+  static_assert(N >= 1 && N <= 8);
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < N; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+/// Writes the low `N` bytes of `v` at `p`, big-endian; returns `p + N`.
+/// The one big-endian store in the codebase.
+template <std::size_t N>
+inline std::uint8_t* store_be(std::uint8_t* p, std::uint64_t v) {
+  static_assert(N >= 1 && N <= 8);
+  for (std::size_t i = 0; i < N; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
+  }
+  return p + N;
+}
+
 /// Appends fixed-width integers (big-endian), length-prefixed strings and
 /// blobs to a growing byte buffer.
 class Writer {
@@ -111,8 +132,7 @@ class Reader {
   template <std::size_t N>
   std::uint64_t be() {
     need(N);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < N; ++i) v = (v << 8) | data_[pos_ + i];
+    std::uint64_t v = load_be<N>(data_.data() + pos_);
     pos_ += N;
     return v;
   }

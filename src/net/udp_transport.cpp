@@ -314,12 +314,7 @@ bool UdpTransport::drain_batched(int fd) {
     for (Bytes& b : slots) buffers_->release(std::move(b));
     return false;
   }
-  recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
-  if (static_cast<std::uint64_t>(n) >
-      max_recv_batch_.load(std::memory_order_relaxed)) {
-    max_recv_batch_.store(static_cast<std::uint64_t>(n),
-                          std::memory_order_relaxed);
-  }
+  note_harvest(static_cast<std::uint64_t>(n));
 
   std::vector<Inbound> items;
   items.reserve(static_cast<std::size_t>(n));
@@ -361,7 +356,7 @@ void UdpTransport::drain_legacy(int fd) {
     buffers_->release(std::move(slot));
     return;
   }
-  recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
+  note_harvest(1);
   ServiceId src_id = ServiceId::from_addr_port(ntohl(src.sin_addr.s_addr),
                                                ntohs(src.sin_port));
   if (src_id == id_) {
@@ -375,6 +370,14 @@ void UdpTransport::drain_legacy(int fd) {
   items.push_back(
       Inbound{src_id, std::move(slot), static_cast<std::size_t>(got)});
   post_to(std::move(items));
+}
+
+void UdpTransport::note_harvest(std::uint64_t n) {
+  recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
+  // Only the receive thread writes it: a plain load-compare-store.
+  if (n > max_recv_batch_.load(std::memory_order_relaxed)) {
+    max_recv_batch_.store(n, std::memory_order_relaxed);
+  }
 }
 
 void UdpTransport::post_to(std::vector<Inbound> items) {

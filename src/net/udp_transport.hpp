@@ -70,7 +70,7 @@ struct UdpTransportStats {
   std::uint64_t bytes_received = 0;
   std::uint64_t recv_syscalls = 0;       // recvfrom/recvmmsg calls returning >= 1 datagram
   std::uint64_t recv_batches = 0;        // executor posts carrying >= 2 datagrams
-  std::uint64_t max_recv_batch = 0;      // largest single recvmmsg harvest
+  std::uint64_t max_recv_batch = 0;      // largest single harvest
   std::uint64_t buffers_recycled = 0;    // receive slots served from the freelist
   std::uint64_t buffers_fresh = 0;       // receive slots newly allocated
   std::uint64_t dropped_no_handler = 0;  // arrived with no handler installed
@@ -179,6 +179,8 @@ class UdpTransport final : public Transport {
   void drain_fd(int fd);
   bool drain_batched(int fd);
   void drain_legacy(int fd);
+  /// Counts one receive syscall that harvested `n` >= 1 datagrams.
+  void note_harvest(std::uint64_t n);
   /// Posts one delivery task for a harvest, preserving arrival order. Runs
   /// on the receive thread.
   void post_to(std::vector<Inbound> items);

@@ -52,7 +52,7 @@ struct DeviceFrame {
     if (t < 1 || t > 3) return std::nullopt;
     DeviceFrame f;
     f.type = static_cast<DeviceFrameType>(t);
-    f.seq = static_cast<std::uint16_t>((data[2] << 8) | data[3]);
+    f.seq = static_cast<std::uint16_t>(load_be<2>(data.data() + 2));
     f.payload.assign(data.begin() + 4, data.end());
     return f;
   }

@@ -15,12 +15,6 @@ constexpr std::array<std::uint8_t, Event::kHeaderSize> kEmptyBody{};
 // Offset of the attribute count in the header.
 constexpr std::size_t kCountAt = Event::kHeaderSize - 2;
 
-std::uint64_t be_at(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
 // Attribute names are a few bytes long: compared in a plain loop instead
 // of through a memcmp call.
 bool same_name(std::string_view a, std::string_view b) {
@@ -103,32 +97,25 @@ std::size_t value_size(ValueView v) {
   return 0;
 }
 
-std::uint8_t* put_be(std::uint8_t* p, std::uint64_t v, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (8 * (n - 1 - i)));
-  }
-  return p + n;
-}
-
 // Writes `v`'s tag and encoding (as ValueView::encode) at `p`.
 void put_value(std::uint8_t* p, ValueView v) {
   *p++ = static_cast<std::uint8_t>(v.type());
   switch (v.type()) {
     case ValueType::kInt:
-      put_be(p, static_cast<std::uint64_t>(v.as_int()), 8);
+      store_be<8>(p, static_cast<std::uint64_t>(v.as_int()));
       break;
     case ValueType::kDouble:
-      put_be(p, std::bit_cast<std::uint64_t>(v.as_double()), 8);
+      store_be<8>(p, std::bit_cast<std::uint64_t>(v.as_double()));
       break;
     case ValueType::kBool:
       *p = v.as_bool() ? 1 : 0;
       break;
     case ValueType::kString:
-      p = put_be(p, v.as_string().size(), 2);
+      p = store_be<2>(p, v.as_string().size());
       std::copy_n(v.as_string().data(), v.as_string().size(), p);
       break;
     case ValueType::kBytes:
-      p = put_be(p, v.as_bytes().size(), 4);
+      p = store_be<4>(p, v.as_bytes().size());
       std::copy_n(v.as_bytes().data(), v.as_bytes().size(), p);
       break;
   }
@@ -194,7 +181,7 @@ bool Event::index() {
     if (k > size - pos) [[unlikely]] truncated(k, pos, size - pos);
   };
   need(kHeaderSize);
-  const auto n = static_cast<std::uint16_t>(be_at(base + kCountAt, 2));
+  const auto n = static_cast<std::uint16_t>(load_be<2>(base + kCountAt));
   pos = kHeaderSize;
   spill_.clear();
   Slot* out = inline_.data();
@@ -210,7 +197,7 @@ bool Event::index() {
   for (std::uint16_t i = 0; i < n; ++i) {
     Slot s;
     need(2);
-    s.name_len = static_cast<std::uint16_t>(be_at(base + pos, 2));
+    s.name_len = static_cast<std::uint16_t>(load_be<2>(base + pos));
     pos += 2;
     need(std::size_t{s.name_len} + 1);
     s.name = static_cast<std::uint32_t>(pos);
@@ -230,11 +217,11 @@ bool Event::index() {
         break;
       case ValueType::kString:
         need(2);
-        len = 2 + be_at(base + pos, 2);
+        len = 2 + load_be<2>(base + pos);
         break;
       case ValueType::kBytes:
         need(4);
-        len = 4 + be_at(base + pos, 4);
+        len = 4 + load_be<4>(base + pos);
         break;
       default:
         throw DecodeError("unknown value type tag " + std::to_string(tag));
@@ -268,16 +255,16 @@ ValueView Event::value_of(const Slot& s) const {
   const std::uint8_t* p = body_.data() + s.name + s.name_len + 1;
   switch (s.tag) {
     case ValueType::kInt:
-      return ValueView(static_cast<std::int64_t>(be_at(p, 8)));
+      return ValueView(static_cast<std::int64_t>(load_be<8>(p)));
     case ValueType::kDouble:
-      return ValueView(std::bit_cast<double>(be_at(p, 8)));
+      return ValueView(std::bit_cast<double>(load_be<8>(p)));
     case ValueType::kBool:
       return ValueView(*p != 0);
     case ValueType::kString:
       return ValueView(std::string_view(reinterpret_cast<const char*>(p + 2),
-                                        be_at(p, 2)));
+                                        load_be<2>(p)));
     case ValueType::kBytes:
-      return ValueView(BytesView(p + 4, be_at(p, 4)));
+      return ValueView(BytesView(p + 4, load_be<4>(p)));
   }
   return ValueView(std::int64_t{0});
 }
@@ -351,7 +338,7 @@ Event& Event::set(std::string_view name, ValueView value) {
     enc = large.data();
   }
   if (!replace) {
-    put_be(enc, name.size(), 2);
+    store_be<2>(enc, name.size());
     std::copy_n(name.data(), name.size(), enc + 2);
   }
   put_value(enc + name_bytes, value);
@@ -365,19 +352,10 @@ Event& Event::set(std::string_view name, ValueView value) {
     auto at = b.begin() + static_cast<std::ptrdiff_t>(from);
     at = b.erase(at, b.begin() + static_cast<std::ptrdiff_t>(to));
     b.insert(at, enc, enc + size);
-    if (!replace) put_be(b.data() + kCountAt, count_ + 1, 2);
+    if (!replace) store_be<2>(b.data() + kCountAt, count_ + 1);
   });
   index();
   return *this;
-}
-
-std::uint64_t Event::read_be(std::size_t at, std::size_t n) const {
-  return be_at(body_.data() + at, n);
-}
-
-void Event::write_be(std::size_t at, std::size_t n, std::uint64_t v) {
-  if (read_be(at, n) == v) return;  // unchanged: keep sharing the buffer
-  body_.edit([&](Bytes& b) { put_be(b.data() + at, v, n); });
 }
 
 bool Event::operator==(const Event& other) const {

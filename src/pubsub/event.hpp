@@ -117,17 +117,17 @@ class Event {
   // bus client on publish and by the bus on routing; the origin travels in
   // the bus frame header (bus/messages) and is held beside the body.
   [[nodiscard]] ServiceId publisher() const {
-    return ServiceId(read_be(0, 6));
+    return ServiceId(read_be<6>(0));
   }
-  [[nodiscard]] std::uint64_t publisher_seq() const { return read_be(6, 8); }
+  [[nodiscard]] std::uint64_t publisher_seq() const { return read_be<8>(6); }
   [[nodiscard]] TimePoint timestamp() const {
-    return TimePoint(Duration(static_cast<std::int64_t>(read_be(14, 8))));
+    return TimePoint(Duration(static_cast<std::int64_t>(read_be<8>(14))));
   }
   [[nodiscard]] const Origin& origin() const { return origin_; }
-  void set_publisher(ServiceId id) { write_be(0, 6, id.raw()); }
-  void set_publisher_seq(std::uint64_t seq) { write_be(6, 8, seq); }
+  void set_publisher(ServiceId id) { write_be<6>(0, id.raw()); }
+  void set_publisher_seq(std::uint64_t seq) { write_be<8>(6, seq); }
   void set_timestamp(TimePoint t) {
-    write_be(14, 8, static_cast<std::uint64_t>(t.time_since_epoch().count()));
+    write_be<8>(14, static_cast<std::uint64_t>(t.time_since_epoch().count()));
   }
   void set_origin(const Origin& origin) { origin_ = origin; }
 
@@ -170,8 +170,15 @@ class Event {
   }
   [[nodiscard]] ValueView value_of(const Slot& s) const;
   [[nodiscard]] const Slot* find(std::string_view name) const;
-  [[nodiscard]] std::uint64_t read_be(std::size_t at, std::size_t n) const;
-  void write_be(std::size_t at, std::size_t n, std::uint64_t v);
+  template <std::size_t N>
+  [[nodiscard]] std::uint64_t read_be(std::size_t at) const {
+    return load_be<N>(body_.data() + at);
+  }
+  template <std::size_t N>
+  void write_be(std::size_t at, std::uint64_t v) {
+    if (read_be<N>(at) == v) return;  // unchanged: keep sharing the buffer
+    body_.edit([&](Bytes& b) { store_be<N>(b.data() + at, v); });
+  }
   /// Scans body_, rebuilding the index. False when the body is valid but
   /// not canonical (the index is then unusable); throws when malformed.
   bool index();

@@ -155,7 +155,7 @@ std::optional<std::size_t> Packet::batch_count(BytesView payload) {
 }
 
 BytesView Packet::next_sub(BytesView& rest) {
-  std::size_t len = (std::size_t{rest[0]} << 8) | rest[1];
+  std::size_t len = load_be<2>(rest.data());
   BytesView sub = rest.subspan(2, len);
   rest = rest.subspan(2 + len);
   return sub;

@@ -38,12 +38,9 @@ ReliableChannel::~ReliableChannel() {
   // callbacks): the owner is tearing the channel down and may itself be
   // mid-destruction.
   if (config_.shared_budget) {
-    for (const Outbound& o : window_) config_.shared_budget->release(o.payload);
-    for (const Outbound& o : queue_) config_.shared_budget->release(o.payload);
+    for (const Outbound& o : log_) config_.shared_budget->release(o.payload);
   }
 }
-
-std::size_t ReliableChannel::in_flight() const { return window_.size(); }
 
 std::span<std::uint8_t> SharedPayload::resize_head(std::size_t n) {
   if (n <= kInlineHead) {
@@ -78,7 +75,7 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
     // budget — shed the oldest queued data first to make room, and drop
     // the newcomer only when shedding cannot free enough. Control traffic
     // bypasses both (it is small, rare, and protocol-load-bearing).
-    if (queue_.size() + pieces > config_.max_queue) {
+    if (queued() + pieces > config_.max_queue) {
       account_shed(total, payload);
       return false;
     }
@@ -92,21 +89,25 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
       }
     }
   }
-  if (cls == MsgClass::kControl) ++stats_.control_sent;
-  std::size_t pos = enqueue_position(cls);
-  // Control pieces join the leading run; data appends behind it.
-  if (cls == MsgClass::kControl) control_run_ += pieces;
+  // Control jumps the queued data but stays FIFO among control; data
+  // appends.
+  std::size_t pos = log_.size();
+  if (cls == MsgClass::kControl) {
+    ++stats_.control_sent;
+    pos = data_start();
+    control_end_ = pos + pieces;
+  }
   if (pieces == 1) {
-    enqueue_at(pos, Outbound{0, 0, std::move(payload), true, cls});
+    enqueue_at(pos, Outbound{0, std::move(payload), true, cls});
   } else {
     // Fragment: a message too large for one frame is materialised —
     // fragments re-own their slice regardless, so the shared tail saves
-    // nothing here. The train enters the queue contiguously at `pos`.
+    // nothing here. The train enters the log contiguously at `pos`.
     Bytes message = payload.flatten();
     for (std::size_t off = 0; off < message.size(); off += frag) {
       std::size_t len = std::min(frag, message.size() - off);
       bool last = off + len >= message.size();
-      Outbound o{0, last ? std::uint16_t{0} : kFlagMoreFragments,
+      Outbound o{last ? std::uint16_t{0} : kFlagMoreFragments,
                  SharedPayload(
                      Bytes(message.begin() + static_cast<std::ptrdiff_t>(off),
                            message.begin() +
@@ -121,24 +122,13 @@ bool ReliableChannel::send(SharedPayload payload, MsgClass cls) {
   return true;
 }
 
-std::size_t ReliableChannel::enqueue_position(MsgClass cls) const {
-  return cls == MsgClass::kControl ? control_run_ : queue_.size();
-}
-
-std::size_t ReliableChannel::scan_control_run() const {
-  // Control jumps the data backlog but stays FIFO among control: it goes
-  // after the leading run of control entries. A fragment train is never
-  // split — its continuation entries are not valid insertion points, and
-  // a train whose head already moved into the window pins the queue front
-  // (interleaving a foreign message would corrupt reassembly).
-  std::size_t pos = 0;
-  bool in_train = !window_.empty() &&
-                  (window_.back().flags & kFlagMoreFragments) != 0;
-  while (pos < queue_.size()) {
-    const Outbound& o = queue_[pos];
-    bool continuation = in_train;
-    in_train = (o.flags & kFlagMoreFragments) != 0;
-    if (!continuation && o.cls != MsgClass::kControl) break;
+std::size_t ReliableChannel::data_start() const {
+  // A fragment train is never split: a train whose head is already in the
+  // window pins the queue front (interleaving a foreign message would
+  // corrupt reassembly). Only the window's edge can fall inside a train.
+  std::size_t pos = std::max(control_end_, in_flight_);
+  while (pos > 0 && pos < log_.size() &&
+         (log_[pos - 1].flags & kFlagMoreFragments) != 0) {
     ++pos;
   }
   return pos;
@@ -146,39 +136,36 @@ std::size_t ReliableChannel::scan_control_run() const {
 
 void ReliableChannel::enqueue_at(std::size_t pos, Outbound entry) {
   charge_entry(entry);
-  if (pos == queue_.size()) {
-    queue_.push_back(std::move(entry));
+  if (pos == log_.size()) {
+    log_.push_back(std::move(entry));
   } else {
-    queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(pos),
-                  std::move(entry));
+    log_.insert(log_.begin() + static_cast<std::ptrdiff_t>(pos),
+                std::move(entry));
   }
 }
 
 bool ReliableChannel::shed_oldest_data() {
-  // Head of the oldest data-class message lying wholly in the queue: the
-  // first entry past the leading run of control entries and of fragments
-  // continuing a train begun in the window (the peer may already hold its
-  // first pieces).
-  std::size_t start = control_run_;
-  if (start >= queue_.size()) return false;
+  // Head of the oldest data-class message lying wholly in the queue (the
+  // peer may already hold the first pieces of a train begun in the window).
+  std::size_t start = data_start();
+  if (start >= log_.size()) return false;
   // The whole fragment train sheds as one message (it was one send()).
   std::size_t end = start + 1;
-  while (end < queue_.size() &&
-         (queue_[end - 1].flags & kFlagMoreFragments) != 0) {
+  while (end < log_.size() &&
+         (log_[end - 1].flags & kFlagMoreFragments) != 0) {
     ++end;
   }
   Bytes whole;
   std::size_t bytes = 0;
   for (std::size_t i = start; i < end; ++i) {
-    const SharedPayload& pl = queue_[i].payload;
+    const SharedPayload& pl = log_[i].payload;
     bytes += pl.size();
     whole.insert(whole.end(), pl.head().begin(), pl.head().end());
     whole.insert(whole.end(), pl.tail().begin(), pl.tail().end());
   }
-  for (std::size_t i = start; i < end; ++i) release_entry(queue_[i]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(start),
-               queue_.begin() + static_cast<std::ptrdiff_t>(end));
-  control_run_ = scan_control_run();
+  for (std::size_t i = start; i < end; ++i) release_entry(log_[i]);
+  log_.erase(log_.begin() + static_cast<std::ptrdiff_t>(start),
+             log_.begin() + static_cast<std::ptrdiff_t>(end));
   ++stats_.events_shed;
   stats_.bytes_shed += bytes;
   if (on_shed_) on_shed_(whole);
@@ -235,14 +222,15 @@ std::size_t ReliableChannel::batch_byte_budget() const {
 }
 
 ReliableChannel::FramePlan ReliableChannel::plan_frame(
-    const std::deque<Outbound>& entries, std::size_t from) const {
+    std::size_t from) const {
   FramePlan plan;
-  if (!coalescing() || !entries[from].batchable) return plan;  // {1, closed}
+  if (!coalescing() || !log_[from].batchable) return plan;  // {1, closed}
+  const std::size_t end = from < in_flight_ ? in_flight_ : log_.size();
   std::size_t budget = batch_byte_budget();
-  std::size_t bytes = 2 + entries[from].payload.size();
+  std::size_t bytes = 2 + log_[from].payload.size();
   std::size_t count = 1;
-  while (from + count < entries.size()) {
-    const Outbound& next = entries[from + count];
+  while (from + count < end) {
+    const Outbound& next = log_[from + count];
     if (!next.batchable || count >= config_.max_batch_messages) {
       return {count, true};
     }
@@ -273,36 +261,27 @@ void ReliableChannel::flush_round() {
 }
 
 void ReliableChannel::pump(bool flush) {
-  while (!queue_.empty() && window_.size() < config_.window) {
-    FramePlan plan = plan_frame(queue_, 0);
+  while (in_flight_ < log_.size() && in_flight_ < config_.window) {
+    FramePlan plan = plan_frame(in_flight_);
     // Nagle-style hold: a partial batch waits for more data while earlier
     // frames are in flight — the returning ack flushes it.
-    if (!flush && !plan.closed && !window_.empty()) break;
-    std::size_t count =
-        std::min(plan.count, config_.window - window_.size());
-    std::size_t frame_start = window_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      Outbound o = std::move(queue_.front());
-      o.seq = next_seq_++;
-      queue_.pop_front();
-      window_.push_back(std::move(o));
-      ++stats_.messages_sent;
-      // The run loses its head; a data head leaving may open a run on its
-      // train's continuations (bounded by the train, so O(1) amortised).
-      control_run_ = control_run_ > 0 ? control_run_ - 1 : scan_control_run();
-    }
+    if (!flush && !plan.closed && in_flight_ != 0) break;
+    std::size_t count = std::min(plan.count, config_.window - in_flight_);
+    std::size_t frame_start = in_flight_;
+    in_flight_ += count;
+    stats_.messages_sent += count;
     if (!failed_) {
       transmit_range(frame_start, count);
       // First transmission of a fresh frame: candidate RTT sample.
       if (!rtt_pending_) {
         rtt_pending_ = true;
-        rtt_seq_ = window_[frame_start].seq;
+        rtt_seq_ = base_ + static_cast<std::uint32_t>(frame_start);
         rtt_sent_ = executor_.now();
       }
     }
   }
   flush_round();
-  if (!window_.empty() && !failed_) arm_timer();
+  if (in_flight_ != 0 && !failed_) arm_timer();
 }
 
 void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
@@ -312,14 +291,14 @@ void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
   p.session = session_;
   p.src = self_;
   p.dst = peer_;
-  p.seq = window_[from].seq;
+  p.seq = base_ + static_cast<std::uint32_t>(from);
   p.ack = expected_;  // piggyback the cumulative ack
   p.batch.clear();
   // The shared tails stay by reference right up to frame assembly; the
   // Outbound entries keep the bytes alive while the frame is encoded.
-  p.flags = count <= 1 ? window_[from].flags : kFlagBatched;
+  p.flags = count <= 1 ? log_[from].flags : kFlagBatched;
   for (std::size_t i = 0; i < count; ++i) {
-    const SharedPayload& pl = window_[from + i].payload;
+    const SharedPayload& pl = log_[from + i].payload;
     p.batch.push_back(Packet::Sub{pl.head(), pl.tail().view()});
   }
   if (count > 1) {
@@ -332,8 +311,8 @@ void ReliableChannel::transmit_range(std::size_t from, std::size_t count) {
 }
 
 void ReliableChannel::transmit_window(bool count_as_retransmission) {
-  for (std::size_t i = 0; i < window_.size();) {
-    std::size_t count = plan_frame(window_, i).count;
+  for (std::size_t i = 0; i < in_flight_;) {
+    std::size_t count = plan_frame(i).count;
     if (count_as_retransmission) stats_.retransmissions += count;
     transmit_range(i, count);
     i += count;
@@ -399,7 +378,7 @@ void ReliableChannel::arm_timer() {
 }
 
 void ReliableChannel::on_timeout() {
-  if (window_.empty() || failed_) return;
+  if (in_flight_ == 0 || failed_) return;
   if (retries_ >= config_.max_retries) {
     failed_ = true;
     if (on_fail_) on_fail_();
@@ -443,19 +422,18 @@ void ReliableChannel::poke() {
   rto_ = base_rto();
   transmit_window(/*count_as_retransmission=*/false);
   pump();
-  if (!window_.empty()) arm_timer();
+  if (in_flight_ != 0) arm_timer();
 }
 
 void ReliableChannel::reset() {
   retransmit_timer_.cancel();
-  for (const Outbound& o : window_) release_entry(o);
-  for (const Outbound& o : queue_) release_entry(o);
-  window_.clear();
-  queue_.clear();
-  control_run_ = 0;
-  // Keep next_seq_ monotonic within this session so a reset sender can't
+  for (const Outbound& o : log_) release_entry(o);
+  log_.clear();
+  control_end_ = 0;
+  // Keep seqs monotonic within this session so a reset sender can't
   // collide with sequence numbers the peer may already have buffered.
-  base_ = next_seq_;
+  base_ += static_cast<std::uint32_t>(in_flight_);
+  in_flight_ = 0;
   retries_ = 0;
   rto_ = base_rto();
   rtt_pending_ = false;
@@ -606,14 +584,14 @@ void ReliableChannel::deliver_or_reassemble(std::uint16_t flags,
 
 void ReliableChannel::handle_ack(const Packet& packet) {
   std::uint32_t acked = packet.ack;
-  if (acked == base_ && !window_.empty() && !failed_) {
+  if (acked == base_ && in_flight_ != 0 && !failed_) {
     // Duplicate cumulative ack: the peer is receiving our later messages
     // past a hole. Fast-retransmit the window head without waiting for the
     // (possibly heavily backed-off) timer.
     if (++dup_acks_ >= kDupAckThreshold) {
       dup_acks_ = 0;
       ++stats_.fast_retransmits;
-      if (rtt_pending_ && rtt_seq_ == window_.front().seq) {
+      if (rtt_pending_ && rtt_seq_ == base_) {
         rtt_pending_ = false;  // Karn: head is being retransmitted
       }
       transmit_range(0, 1);
@@ -622,12 +600,17 @@ void ReliableChannel::handle_ack(const Packet& packet) {
     return;
   }
   if (acked <= base_) return;  // stale
-  if (acked > next_seq_) return;  // nonsense (corrupt peer)
+  // Nonsense (corrupt peer): an ack past the window.
+  if (acked - base_ > in_flight_) return;
   dup_acks_ = 0;
-  while (!window_.empty() && window_.front().seq < acked) {
-    release_entry(window_.front());
-    window_.pop_front();
+  // The acked prefix of the window leaves the log.
+  const std::size_t n = acked - base_;
+  for (std::size_t i = 0; i < n; ++i) {
+    release_entry(log_.front());
+    log_.pop_front();
   }
+  in_flight_ -= n;
+  control_end_ -= std::min(control_end_, n);
   base_ = acked;
   bool sampled = false;
   if (rtt_pending_ && acked > rtt_seq_) {
@@ -648,7 +631,7 @@ void ReliableChannel::handle_ack(const Packet& packet) {
     failed_ = false;  // the peer is evidently alive again
   }
   pump();
-  if (!window_.empty()) arm_timer();
+  if (in_flight_ != 0) arm_timer();
   update_pressure();
 }
 

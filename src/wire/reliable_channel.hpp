@@ -282,8 +282,8 @@ class ReliableChannel {
   /// awaiting delivery".
   AMUSE_AFFINITY(owner_executor) void reset();
 
-  [[nodiscard]] std::size_t in_flight() const;
-  [[nodiscard]] std::size_t queued() const { return queue_.size(); }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
+  [[nodiscard]] std::size_t queued() const { return log_.size() - in_flight_; }
   /// Payload bytes retained across the queue and the in-flight window.
   [[nodiscard]] std::size_t retained_bytes() const { return retained_bytes_; }
   /// True between a high-watermark crossing and the low-watermark drain.
@@ -298,8 +298,9 @@ class ReliableChannel {
   [[nodiscard]] std::uint32_t session() const { return session_; }
 
  private:
+  /// A message (or one fragment of one) in the outbound log. Its seq is
+  /// not stored: it is base_ plus its position in the log.
   struct Outbound {
-    std::uint32_t seq;
     std::uint16_t flags;
     SharedPayload payload;
     bool batchable = true;  // false for fragments: never coalesced
@@ -316,14 +317,17 @@ class ReliableChannel {
 
   [[nodiscard]] bool coalescing() const;
   [[nodiscard]] std::size_t batch_byte_budget() const;
-  [[nodiscard]] FramePlan plan_frame(const std::deque<Outbound>& entries,
-                                     std::size_t from) const;
-  /// Moves queue_ entries into the window and transmits them, coalescing
+  /// Plans the frame starting at log_[from]. A frame never straddles the
+  /// window's edge: it coalesces within the window when retransmitting and
+  /// within the queue when pumping.
+  [[nodiscard]] FramePlan plan_frame(std::size_t from) const;
+  /// Advances the window over queued entries and transmits them, coalescing
   /// where the budgets allow. With flush=false (the send() path) a partial
   /// batch is held back while earlier data is in flight — the ack clock
   /// flushes it (Nagle-style); flush=true sends everything that fits.
   void pump(bool flush = true);
-  /// Frames window_[from, from+count) as one DATA frame and emits it.
+  /// Frames log_[from, from+count), seqs from base_ + from, as one DATA
+  /// frame and emits it.
   void transmit_range(std::size_t from, std::size_t count);
   /// Encodes `frame` as the next datagram of the round being built.
   void emit(const Packet& frame);
@@ -345,18 +349,15 @@ class ReliableChannel {
   /// Outgoing DATA piggybacks the cumulative ack: nothing left to delay.
   void clear_ack_debt();
   void record_wire(std::size_t payload_bytes);
-  /// Retention accounting: every entry entering/leaving queue_ or window_
-  /// passes through exactly one of these.
+  /// Retention accounting: every entry entering/leaving log_ passes
+  /// through exactly one of these.
   void charge_entry(const Outbound& entry);
   void release_entry(const Outbound& entry);
-  /// Where a new message's piece(s) enter queue_: data appends, control
-  /// goes after the leading run of control entries without splitting any
-  /// fragment train.
-  [[nodiscard]] std::size_t enqueue_position(MsgClass cls) const;
-  /// The length of that leading run, by scanning queue_ (control_run_ is
-  /// this value kept current, so a control send does not rescan).
-  [[nodiscard]] std::size_t scan_control_run() const;
-  /// Charges `entry` and inserts it at queue_[pos].
+  /// The first log position queued data may hold: past the window, past
+  /// the queued control, and past the rest of a fragment train whose head
+  /// is in the window. A control send enters here; a shed starts here.
+  [[nodiscard]] std::size_t data_start() const;
+  /// Charges `entry` and inserts it at log_[pos].
   void enqueue_at(std::size_t pos, Outbound entry);
   /// Counts a dropped data-class message and fires the shed tap.
   void account_shed(std::size_t bytes, const SharedPayload& payload);
@@ -387,19 +388,21 @@ class ReliableChannel {
   ShedFn on_shed_;
   PressureFn on_pressure_;
 
-  // Sender state.
-  std::uint32_t next_seq_ = 0;   // next sequence number to assign
-  std::uint32_t base_ = 0;       // oldest unacked sequence
-  std::deque<Outbound> window_;  // in flight: [base_, next_seq_)
-  std::deque<Outbound> queue_;   // not yet in the window (seq unassigned)
-  std::size_t control_run_ = 0;  // == scan_control_run()
-  friend struct ReliableChannelProbe;  // tests compare the two
+  // Sender state: one log of everything not yet acked. Its first
+  // in_flight_ entries are the window, seqs [base_, base_ + in_flight_);
+  // the rest are queued, control ahead of data.
+  std::deque<Outbound> log_;
+  std::size_t in_flight_ = 0;
+  std::uint32_t base_ = 0;       // seq of log_[0], the oldest unacked
+  // Just past the last control piece queued; lowered as acks drop the
+  // log's prefix, so it never falls inside a fragment train.
+  std::size_t control_end_ = 0;
   Duration rto_;
   int retries_ = 0;
   int dup_acks_ = 0;
   Timer retransmit_timer_;
   bool failed_ = false;
-  std::size_t retained_bytes_ = 0;  // payload bytes in queue_ + window_
+  std::size_t retained_bytes_ = 0;  // payload bytes in log_
   bool pressured_ = false;
 
   // RTT estimation (one outstanding sample; Karn's rule).

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "event_frame.hpp"
 #include "pubsub/codec.hpp"
 
 namespace amuse {
@@ -12,46 +15,78 @@ TEST(BusMessage, PublishRoundTrip) {
   Event e("vitals.heartrate", {{"hr", 72}});
   e.set_publisher(ServiceId(5));
   e.set_publisher_seq(9);
-  BusMessage m = BusMessage::publish(e);
-  BusMessage back = BusMessage::decode(m.encode());
+  BusMessage back = BusMessage::decode(event_frame(BusMsgType::kPublish, e));
   EXPECT_EQ(back.type, BusMsgType::kPublish);
   ASSERT_TRUE(back.event.has_value());
   EXPECT_EQ(*back.event, e);
   EXPECT_EQ(back.event->publisher_seq(), 9u);
+  EXPECT_TRUE(back.matched.empty());
 }
 
 TEST(BusMessage, DeliverCarriesMatchedIds) {
   Event e("t");
-  BusMessage m = BusMessage::deliver(e, {3, 1, 7});
-  BusMessage back = BusMessage::decode(m.encode());
+  const std::uint64_t matched[] = {3, 1, 0xFEDCBA9876543210ULL};
+  BusMessage back =
+      BusMessage::decode(event_frame(BusMsgType::kEvent, e, matched));
   EXPECT_EQ(back.type, BusMsgType::kEvent);
-  EXPECT_EQ(back.matched, (std::vector<std::uint64_t>{3, 1, 7}));
+  EXPECT_EQ(ids_of(back.matched),
+            (std::vector<std::uint64_t>{3, 1, 0xFEDCBA9876543210ULL}));
+  EXPECT_EQ(back.matched.size(), 3u);
   EXPECT_EQ(*back.event, e);
 }
 
 TEST(BusMessage, EventHeaderPlusBodyMatchesDeliverEncoding) {
-  // The encode-once fan-out sends header ++ shared-body; the result must be
-  // indistinguishable on the wire from the whole-message encoding.
+  // The encode-once fan-out sends header ++ shared body: the header is
+  // the type byte, for kEvent the u16 id count and the u64 ids.
   Event e("vitals.heartrate", {{"hr", 72}, {"unit", "bpm"}});
   e.set_publisher(ServiceId(5));
   e.set_publisher_seq(9);
-  std::vector<std::uint64_t> matched{4, 2};
+  const Bytes body = encode_event(e);
+  const std::vector<std::uint64_t> matched{4, 2};
 
-  Bytes framed = BusMessage::encode_event_header(matched);
-  Bytes body = encode_event(e);
-  framed.insert(framed.end(), body.begin(), body.end());
-
-  EXPECT_EQ(framed, BusMessage::deliver(e, matched).encode());
+  Bytes framed = event_frame(BusMsgType::kEvent, e, matched);
+  Bytes deliver{0x02,                    // type
+                0x00, 0x02,              // id count
+                0, 0, 0, 0, 0, 0, 0, 4,  // ids
+                0, 0, 0, 0, 0, 0, 0, 2};
+  deliver.insert(deliver.end(), body.begin(), body.end());
+  EXPECT_EQ(framed, deliver);
   BusMessage back = BusMessage::decode(framed);
   EXPECT_EQ(back.type, BusMsgType::kEvent);
-  EXPECT_EQ(back.matched, matched);
+  EXPECT_EQ(ids_of(back.matched), matched);
   EXPECT_EQ(*back.event, e);
+
+  Bytes publish{0x01};
+  publish.insert(publish.end(), body.begin(), body.end());
+  EXPECT_EQ(event_frame(BusMsgType::kPublish, e), publish);
 }
 
-TEST(BusMessage, EncodePublishMatchesMessageEncoding) {
-  Event e("control.threshold", {{"value", 3.5}});
-  e.set_publisher(ServiceId(8));
-  EXPECT_EQ(BusMessage::encode_publish(e), BusMessage::publish(e).encode());
+TEST(BusMessage, EventIdCountPastTheMessageIsRejected) {
+  Event e("t", {{"n", 1}});
+  const std::uint64_t matched[] = {7};
+  Bytes wire = event_frame(BusMsgType::kEvent, e, matched);
+  // Every cut inside the header, and a count naming more ids than the
+  // whole message holds.
+  for (std::size_t len = 1; len < 1 + 2 + 8; ++len) {
+    EXPECT_THROW((void)BusMessage::decode(BytesView(wire.data(), len)),
+                 DecodeError)
+        << len;
+  }
+  wire[1] = 0xFF;
+  wire[2] = 0xFF;
+  EXPECT_THROW((void)BusMessage::decode(wire), DecodeError);
+  Bytes ids_only{0x02, 0x00, 0x02, 0, 0, 0, 0, 0, 0, 0, 7};
+  EXPECT_THROW((void)BusMessage::decode(ids_only), DecodeError);
+}
+
+TEST(BusMessage, EncodeRefusesEventTypes) {
+  // write_event_header() is the one encoder of event frames.
+  for (BusMsgType type : {BusMsgType::kPublish, BusMsgType::kEvent}) {
+    BusMessage m;
+    m.type = type;
+    m.event = Event("t");
+    EXPECT_THROW((void)m.encode(), std::logic_error);
+  }
 }
 
 TEST(BusMessage, SubscribeRoundTrip) {
@@ -158,13 +193,11 @@ TEST(FederationOriginCodec, UnstampedFramesAreByteIdenticalToGolden) {
   Bytes deliver = concat({0x02, 0x00, 0x02, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
                           0, 0, 0, 0, 1},
                          kGoldenBody);
-  EXPECT_EQ(BusMessage::publish(e).encode(), publish);
-  EXPECT_EQ(BusMessage::encode_publish(e), publish);
-  EXPECT_EQ(BusMessage::deliver(e, {3, 1}).encode(), deliver);
-  const std::vector<std::uint64_t> matched{3, 1};
-  EXPECT_EQ(concat(BusMessage::encode_event_header(matched, e.origin()),
-                   encode_event(e)),
-            deliver);
+  const std::uint64_t matched[] = {3, 1};
+  EXPECT_EQ(event_frame(BusMsgType::kPublish, e), publish);
+  EXPECT_EQ(event_frame(BusMsgType::kEvent, e, matched), deliver);
+  EXPECT_EQ(ids_of(BusMessage::decode(deliver).matched),
+            (std::vector<std::uint64_t>{3, 1}));
 }
 
 // ---- The state-stream frames (bus/state_stream.hpp). Incremental and full
@@ -240,25 +273,29 @@ TEST(FederationOriginCodec, StampedFramesRoundTrip) {
   const Origin origin{ServiceId(0x0A0000020002ULL), 3, 0x0102030405060708ULL};
   e.set_origin(origin);
 
-  // The stamp rides the header, 22 B, behind the type byte's flag bit;
-  // the body is the same shared encoding.
-  Bytes publish = BusMessage::publish(e).encode();
-  EXPECT_EQ(Origin::kWireSize, 22u);
-  EXPECT_EQ(publish.size(), 1 + Origin::kWireSize + kGoldenBody.size());
-  EXPECT_EQ(publish[0], 0x01 | kOriginFlag);
-  EXPECT_EQ(BusMessage::encode_publish(e), publish);
+  // The stamp rides the header, 22 B (u48 cell, u64 epoch, u64 seq),
+  // behind the type byte's flag bit; the body is the same shared encoding.
+  const Bytes stamp{0x0a, 0x00, 0x00, 0x02, 0x00, 0x02,  // cell
+                    0, 0, 0, 0, 0, 0, 0, 3,              // epoch
+                    1, 2, 3, 4, 5, 6, 7, 8};             // seq
+  EXPECT_EQ(stamp.size(), Origin::kWireSize);
+  Bytes publish = event_frame(BusMsgType::kPublish, e);
+  EXPECT_EQ(publish, concat(concat({0x81}, stamp), kGoldenBody));
   BusMessage back = BusMessage::decode(publish);
   EXPECT_EQ(back.type, BusMsgType::kPublish);
   EXPECT_EQ(back.event->origin(), origin);
   EXPECT_EQ(*back.event, e);
 
-  Bytes deliver = BusMessage::deliver(e, {3, 1}).encode();
-  const std::vector<std::uint64_t> matched{3, 1};
-  EXPECT_EQ(deliver, concat(BusMessage::encode_event_header(matched, origin),
-                            kGoldenBody));
+  const std::uint64_t matched[] = {3, 1};
+  Bytes deliver = event_frame(BusMsgType::kEvent, e, matched);
+  EXPECT_EQ(deliver,
+            concat(concat({0x82, 0x00, 0x02, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+                           0, 0, 0, 0, 1},
+                          stamp),
+                   kGoldenBody));
   back = BusMessage::decode(deliver);
   EXPECT_EQ(back.type, BusMsgType::kEvent);
-  EXPECT_EQ(back.matched, (std::vector<std::uint64_t>{3, 1}));
+  EXPECT_EQ(ids_of(back.matched), (std::vector<std::uint64_t>{3, 1}));
   EXPECT_EQ(back.event->origin(), origin);
   EXPECT_EQ(*back.event, e);
 
@@ -287,7 +324,7 @@ TEST(FederationOriginCodec, FlagRejectedOnEveryOtherType) {
 TEST(FederationOriginCodec, StampWithoutCellOrTruncatedIsRejected) {
   Event e = golden_event();
   e.set_origin(Origin{ServiceId(9), 1, 1});
-  Bytes wire = BusMessage::publish(e).encode();
+  Bytes wire = event_frame(BusMsgType::kPublish, e);
   for (std::size_t len = 1; len < 1 + Origin::kWireSize; ++len) {
     EXPECT_THROW((void)BusMessage::decode(BytesView(wire.data(), len)),
                  DecodeError)

@@ -229,6 +229,33 @@ TEST(ChannelBudget, ShedRemovesWholeFragmentTrain) {
   EXPECT_EQ(p.at_b, (std::vector<std::string>{"head", "tail"}));
 }
 
+TEST(ChannelBudget, ShedAndControlStepPastTrainBegunInWindow) {
+  ReliableChannelConfig cfg;
+  cfg.max_fragment_payload = 20;
+  cfg.window = 1;
+  ChannelPair p(cfg);
+  p.drop_from_a = [](const Packet&) { return true; };
+
+  std::vector<std::string> shed;
+  p.a->set_on_shed([&shed](BytesView m) { shed.emplace_back(to_string(m)); });
+
+  std::string big(50, 'B');  // a 3-fragment train: its head takes the window
+  ASSERT_TRUE(p.a->send(to_bytes(big)));
+  ASSERT_EQ(p.a->in_flight(), 1u);
+  // The peer may hold the train's head: its rest is neither shed nor
+  // split by control.
+  ASSERT_TRUE(p.a->send(to_bytes("tail")));
+  ASSERT_TRUE(p.a->shed_oldest_data());
+  EXPECT_EQ(shed, (std::vector<std::string>{"tail"}));
+  EXPECT_FALSE(p.a->shed_oldest_data());
+  ASSERT_TRUE(p.a->send(to_bytes("tail2")));
+  ASSERT_TRUE(p.a->send(to_bytes("CTRL"), MsgClass::kControl));
+
+  p.drop_from_a = nullptr;
+  p.ex.run();
+  EXPECT_EQ(p.at_b, (std::vector<std::string>{big, "CTRL", "tail2"}));
+}
+
 TEST(ChannelBudget, WatermarksRaiseAndReleasePressure) {
   ReliableChannelConfig cfg;
   cfg.flow_high_water = 200;

@@ -2,6 +2,7 @@
 // dedup, stop-and-wait command delivery, purge) and the bootstrap factory.
 #include <gtest/gtest.h>
 
+#include "event_frame.hpp"
 #include "proxy/bootstrap.hpp"
 #include "proxy/forwarding_proxy.hpp"
 #include "proxy/translating_proxy.hpp"
@@ -263,10 +264,10 @@ TEST(ForwardingFanout, DeliveredFramesAreByteIdenticalAcrossMembers) {
   std::optional<Packet> f2 = Packet::decode(bus.sent[1].second);
   ASSERT_TRUE(f1.has_value());
   ASSERT_TRUE(f2.has_value());
-  // The shared body makes every member's frame payload bitwise identical,
-  // and identical to the legacy whole-message encoding.
+  // The shared body makes every member's frame payload bitwise identical:
+  // the kEvent header, then the event's own body.
   EXPECT_EQ(f1->payload, f2->payload);
-  EXPECT_EQ(f1->payload, BusMessage::deliver(e, matched).encode());
+  EXPECT_EQ(f1->payload, event_frame(BusMsgType::kEvent, e, matched));
 }
 
 // ---- Bootstrap factory.

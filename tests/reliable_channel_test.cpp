@@ -6,24 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <set>
 #include <span>
+#include <string_view>
 
 #include "channel_sink.hpp"
 #include "common/rng.hpp"
 #include "sim/sim_executor.hpp"
 
 namespace amuse {
-
-// The kept control run against the scan it replaces.
-struct ReliableChannelProbe {
-  static std::size_t kept(const ReliableChannel& c) { return c.control_run_; }
-  static std::size_t scanned(const ReliableChannel& c) {
-    return c.scan_control_run();
-  }
-};
-
 namespace {
 
 // Two channels joined by a controllable lossy pipe. An optional second
@@ -1137,10 +1130,11 @@ TEST(ReliableChannelReorder, OverflowingBatchBuffersPartially) {
 namespace amuse {
 namespace {
 
-// ---- Control insertion point: the run length kept as state equals the
-// scan over the queue after every send, pump, ack, loss and shed; and the
-// receiver still gets control in FIFO order, data in FIFO order (less what
-// was shed) and every fragment train whole.
+// ---- Control placement: under every mix of sends, pumps, acks, loss and
+// sheds, messages first go on the wire in the order a reference queue
+// gives (data appends; control goes after the queued control, never inside
+// a fragment train); and the receiver still gets control in FIFO order,
+// data in FIFO order (less what was shed) and every fragment train whole.
 
 std::string tagged(char kind, int n, std::size_t size) {
   std::string m = std::string(1, kind) + std::to_string(n) + ":";
@@ -1148,7 +1142,30 @@ std::string tagged(char kind, int n, std::size_t size) {
   return m;
 }
 
-TEST(ReliableChannelControlRun, KeptRunMatchesScanUnderMixedSends) {
+// The tag ("c12:", "d7:") a message starts with.
+std::string tag_of(std::string_view m) {
+  return std::string(m.substr(0, m.find(':') + 1));
+}
+
+// The documented placement rules, applied to whole messages not yet on the
+// wire. A message leaves the model when its first piece is first sent, so
+// a partly sent fragment train is never in it and nothing can land inside.
+struct QueueModel {
+  std::deque<std::string> queued;  // tags, in wire order
+
+  void send(const std::string& tag) {
+    if (tag[0] == 'd') {
+      queued.push_back(tag);
+      return;
+    }
+    auto after_control = std::find_if(
+        queued.begin(), queued.end(),
+        [](const std::string& t) { return t[0] != 'c'; });
+    queued.insert(after_control, tag);
+  }
+};
+
+TEST(ReliableChannelControlOrder, FirstTransmissionsMatchQueueModel) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     ReliableChannelConfig cfg;
@@ -1160,28 +1177,77 @@ TEST(ReliableChannelControlRun, KeptRunMatchesScanUnderMixedSends) {
     p.drop_from_a = [&rng](const Packet& pk) {
       return pk.type == PacketType::kData && rng.chance(0.2);
     };
+    QueueModel model;
+    std::string sending;  // tag of the send in progress
+    std::size_t shed = 0;
+    p.a->set_on_shed([&](BytesView m) {
+      std::string tag = tag_of(to_string(m));
+      if (tag == sending) return;  // refused on entry: the send fails
+      auto it = std::find(model.queued.begin(), model.queued.end(), tag);
+      ASSERT_NE(it, model.queued.end()) << "seed=" << seed << " shed " << tag;
+      EXPECT_EQ(tag[0], 'd') << "seed=" << seed;
+      model.queued.erase(it);
+      ++shed;
+    });
+    // Every sub-message at a seq not sent before is a first transmission;
+    // one that follows a message's last piece starts the next message.
+    std::uint32_t next_seq = 0;
+    bool at_message_start = true;
+    std::size_t started = 0;
+    p.tap_from_a = [&](const Packet& pk) {
+      if (pk.type != PacketType::kData) return;
+      std::vector<BytesView> subs{pk.payload.view()};
+      if ((pk.flags & kFlagBatched) != 0) {
+        subs = *Packet::split_batch(pk.payload);
+      }
+      for (std::size_t i = 0; i < subs.size(); ++i) {
+        std::uint32_t seq = pk.seq + static_cast<std::uint32_t>(i);
+        ASSERT_LE(seq, next_seq) << "seed=" << seed;
+        if (seq < next_seq) continue;
+        ++next_seq;
+        if (at_message_start) {
+          ASSERT_FALSE(model.queued.empty()) << "seed=" << seed;
+          EXPECT_EQ(tag_of(to_string(subs[i])), model.queued.front())
+              << "seed=" << seed << " seq=" << seq;
+          model.queued.pop_front();
+          ++started;
+        }
+        at_message_start = (pk.flags & kFlagMoreFragments) == 0;
+      }
+    };
     std::vector<std::string> control;
     std::vector<std::string> data;
     for (int op = 0; op < 400; ++op) {
       double dice = rng.uniform();
       if (dice < 0.45) {
         std::string m = tagged('d', op, 1 + rng.bounded(80));
-        if (p.a->send(to_bytes(m))) data.push_back(m);
+        sending = tag_of(m);
+        // The model takes the message first: the send may put it on the
+        // wire before it returns.
+        model.send(sending);
+        if (p.a->send(to_bytes(m))) {
+          data.push_back(m);
+        } else {
+          std::erase(model.queued, sending);
+        }
       } else if (dice < 0.7) {
         std::string m = tagged('c', op, 1 + rng.bounded(60));
+        sending = tag_of(m);
+        model.send(sending);
         ASSERT_TRUE(p.a->send(to_bytes(m), MsgClass::kControl));
         control.push_back(m);
       } else {
         p.ex.run_for(microseconds(100 + rng.bounded(20000)));
       }
-      ASSERT_EQ(ReliableChannelProbe::kept(*p.a),
-                ReliableChannelProbe::scanned(*p.a))
-          << "seed=" << seed << " op=" << op;
+      // A failed channel lets messages into its window unsent, which the
+      // model, driven by the wire, would not see.
+      ASSERT_EQ(p.failures, 0) << "seed=" << seed;
     }
     p.drop_from_a = nullptr;
     p.ex.run_for(seconds(60));
     p.ex.run();
-    ASSERT_EQ(ReliableChannelProbe::kept(*p.a), 0u) << "seed=" << seed;
+    EXPECT_TRUE(model.queued.empty()) << "seed=" << seed;
+    EXPECT_EQ(started + shed, control.size() + data.size()) << "seed=" << seed;
 
     std::vector<std::string> got_control;
     std::vector<std::string> got_data;
