@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,6 +103,31 @@ inline Event payload_event(std::size_t n) {
 
 inline void print_header(const char* title, const char* columns) {
   std::printf("\n== %s ==\n%s\n", title, columns);
+}
+
+/// The PATH of a `--json PATH` argument, or nullptr when there is none.
+inline const char* json_path_arg(int argc, char** argv) {
+  for (int i = 1; i < argc - 1; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
+  }
+  return nullptr;
+}
+
+/// Writes a bench artifact: `body(f)` prints the JSON into the opened file.
+/// Writes nothing when `path` is null. Returns 1 when the file cannot be
+/// opened, 0 otherwise.
+template <typename Body>
+int write_json(const char* path, Body&& body) {
+  if (path == nullptr) return 0;
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return 1;
+  }
+  body(f);
+  std::fclose(f);
+  std::printf("wrote %s\n", path);
+  return 0;
 }
 
 }  // namespace amuse::bench

@@ -144,12 +144,7 @@ int run_full(const char* json_path) {
               "event count\n(encode-once) while reuse grows with fan-out; "
               "dg_dlv falls toward ~2/fan-out + 2 as acks amortise\n");
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
+  return write_json(json_path, [&](std::FILE* f) {
     std::fprintf(f, "{\n  \"bench\": \"fanout_scaling\",\n"
                     "  \"unit\": \"ms\",\n  \"rows\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -165,10 +160,7 @@ int run_full(const char* json_path) {
           r.cbased.dgrams_per_delivery, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  }
-  return 0;
+  });
 }
 
 }  // namespace
@@ -177,9 +169,5 @@ int run_full(const char* json_path) {
 int main(int argc, char** argv) {
   using namespace amuse::bench;
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
-  return smoke ? run_smoke() : run_full(json_path);
+  return smoke ? run_smoke() : run_full(json_path_arg(argc, argv));
 }

@@ -16,7 +16,6 @@
 // bottleneck — `dgrams_ev` is the measured datagrams per delivered event.
 //
 // Usage: fig4b_throughput [--json PATH]   (also prints the table)
-#include <cstring>
 
 #include "bench_util.hpp"
 
@@ -80,10 +79,7 @@ int main(int argc, char** argv) {
   using namespace amuse;
   using namespace amuse::bench;
 
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+  const char* json_path = json_path_arg(argc, argv);
 
   std::printf("Figure 4(b): throughput vs payload size\n");
   std::printf("(saturating publisher; payload KB delivered per second of "
@@ -114,12 +110,7 @@ int main(int argc, char** argv) {
       "\npaper anchors (legacy wire behaviour): c-based ~20-22 KB/s @3000B, "
       "siena ~8-9 KB/s @3000B; both << 575 KB/s link capacity\n");
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
+  return write_json(json_path, [&](std::FILE* f) {
     std::fprintf(f, "{\n  \"bench\": \"fig4b_throughput\",\n"
                     "  \"unit\": \"KB/s\",\n  \"rows\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -135,8 +126,5 @@ int main(int argc, char** argv) {
           i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  }
-  return 0;
+  });
 }

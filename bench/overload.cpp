@@ -248,12 +248,7 @@ int run_full(const char* json_path) {
               "(nothing lost silently); healthy eps tracks\nthe publish pace "
               "untouched by the stalled peer\n");
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 1;
-    }
+  const int wrote = write_json(json_path, [&](std::FILE* f) {
     std::fprintf(
         f,
         "{\n  \"bench\": \"overload\",\n"
@@ -275,9 +270,8 @@ int run_full(const char* json_path) {
         static_cast<unsigned long long>(cbased.soft_fails),
         cbased.healthy_fifo_complete ? "true" : "false", cbased.healthy_eps,
         cbased.violations.size());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  }
+  });
+  if (wrote != 0) return 1;
   return violations == 0 ? 0 : 1;
 }
 
@@ -287,9 +281,5 @@ int run_full(const char* json_path) {
 int main(int argc, char** argv) {
   using namespace amuse::bench;
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
-  return smoke ? run_smoke() : run_full(json_path);
+  return smoke ? run_smoke() : run_full(json_path_arg(argc, argv));
 }

@@ -56,6 +56,12 @@ compiler nor clang-tidy enforce:
       timer ids are how callbacks came to outlive their owners. Timer's
       own cancel() takes no argument, so a `cancel(` call with one is an
       executor cancel
+  I13 one counter type (DESIGN.md §10): the body of every `struct …Stats`
+      under src/ holds only `Counter` fields (common/metrics.hpp: one
+      writer, readable from any thread), and `std::atomic<std::uint64_t>`
+      is spelled only in common/metrics.hpp, where Counter wraps it. A
+      plain uint64_t counter is a data race the moment another thread
+      reads it; a second atomic counter type is a second threading rule
 
 `--self-test` rebuilds a scratch tree seeded with one violation per
 invariant and fails unless every invariant fires — proof the checker
@@ -349,6 +355,31 @@ def check_timer_ownership(path: Path) -> None:
                    "(own the duty as an amuse::Timer, sim/timer.hpp)")
 
 
+# I13: Stats structs hold only Counters; the atomic stays in metrics.hpp.
+STATS_STRUCT = re.compile(r"^\s*struct\s+\w*Stats\s*\{")
+STRUCT_END = re.compile(r"^\s*\};")
+COUNTER_FIELD = re.compile(r"^\s*Counter\s+\w+\s*;\s*$")
+ATOMIC_U64 = re.compile(r"std::atomic\s*<\s*(?:std::)?uint64_t\s*>|"
+                        r"std::atomic_uint64_t\b")
+
+
+def check_counter_stats(path: Path) -> None:
+    metrics = str(path.relative_to(ROOT)) == "src/common/metrics.hpp"
+    in_stats = False
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = strip_comments(raw)
+        if not metrics and ATOMIC_U64.search(line):
+            report(path, lineno, "I13: std::atomic<std::uint64_t> outside "
+                   "common/metrics.hpp (count with amuse::Counter)")
+        if STATS_STRUCT.match(line):
+            in_stats = True
+        elif in_stats and STRUCT_END.match(line):
+            in_stats = False
+        elif in_stats and line.strip() and not COUNTER_FIELD.match(line):
+            report(path, lineno, "I13: a Stats struct field that is not a "
+                   "Counter (common/metrics.hpp)")
+
+
 def check_cmake_lists_all_sources() -> None:
     cmake = (SRC / "CMakeLists.txt").read_text()
     listed = set(re.findall(r"([\w/]+\.cpp)", cmake))
@@ -371,6 +402,7 @@ def run_checks() -> list[str]:
         check_stream_control_class(f)
         check_repllog_store_choke_points(f)
         check_timer_ownership(f)
+        check_counter_stats(f)
     torture_files = sorted(TORTURE.rglob("*.hpp")) + sorted(TORTURE.rglob("*.cpp"))
     for f in torture_files:
         check_torture_determinism(f)
@@ -400,6 +432,9 @@ SELFTEST_FILES = {
     # A hand-kept timer id, and an executor cancel (Timer::cancel() is fine).
     "src/timer_id.hpp": ("I12", "#pragma once\nstruct Owner {\n  TimerId timer_;\n};\n"),
     "src/timer_cancel.cpp": ("I12", "void Owner::stop() {\n  beacon_timer_.cancel();\n  executor_.cancel(timer_);\n}\n"),
+    # A plain field in a Stats struct, and an atomic counter of its own.
+    "src/plain_stats.hpp": ("I13", "#pragma once\nstruct Stats {\n  Counter sent;\n  std::uint64_t dropped = 0;\n};\n"),
+    "src/own_atomic.hpp": ("I13", "#pragma once\nstruct Pool {\n  std::atomic<std::uint64_t> fresh_{0};\n};\n"),
 }
 
 

@@ -118,16 +118,16 @@ class BusClient {
   [[nodiscard]] ServiceId bus() const { return bus_; }
 
   struct Stats {
-    std::uint64_t published = 0;
-    std::uint64_t quenched = 0;
-    std::uint64_t pressured_publishes = 0;  // sent while under flow control
-    std::uint64_t flow_signals = 0;         // kFlowControl messages received
-    std::uint64_t events_received = 0;
-    std::uint64_t handler_invocations = 0;
-    std::uint64_t interest_updates = 0;   // cleanly applied pushes
-    std::uint64_t repl_updates = 0;       // repl stream messages received
-    std::uint64_t resyncs = 0;            // resync requests sent, any stream
-    std::uint64_t deliveries_filtered = 0;  // dropped by the delivery
+    Counter published;
+    Counter quenched;
+    Counter pressured_publishes;            // sent while under flow control
+    Counter flow_signals;                   // kFlowControl messages received
+    Counter events_received;
+    Counter handler_invocations;
+    Counter interest_updates;             // cleanly applied pushes
+    Counter repl_updates;                 // repl stream messages received
+    Counter resyncs;                      // resync requests sent, any stream
+    Counter deliveries_filtered;            // dropped by the delivery
                                             // filter (origin dedup hits)
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

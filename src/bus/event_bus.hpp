@@ -161,33 +161,33 @@ class EventBus final : public BusPort {
   // ---- Introspection.
 
   struct Stats {
-    std::uint64_t published = 0;
-    std::uint64_t deliveries = 0;       // member deliveries enqueued
-    std::uint64_t local_deliveries = 0;
-    std::uint64_t no_subscriber = 0;    // matched nobody
-    std::uint64_t denied_publish = 0;
-    std::uint64_t denied_subscribe = 0;
-    std::uint64_t quench_updates = 0;   // cell-view diffs broadcast
-    std::uint64_t tables_elided = 0;    // admissions answered with a confirm
-    std::uint64_t encodes = 0;          // routed bodies (adopted as received
+    Counter published;
+    Counter deliveries;                 // member deliveries enqueued
+    Counter local_deliveries;
+    Counter no_subscriber;              // matched nobody
+    Counter denied_publish;
+    Counter denied_subscribe;
+    Counter quench_updates;             // cell-view diffs broadcast
+    Counter tables_elided;              // admissions answered with a confirm
+    Counter encodes;                    // routed bodies (adopted as received
                                         // or serialised), one per event
-    std::uint64_t encode_reuses = 0;    // further uses of a routed body
+    Counter encode_reuses;              // further uses of a routed body
                                         // (spool, members past the first)
-    std::uint64_t events_shed = 0;      // queued deliveries dropped, counted
-    std::uint64_t flow_control_signals = 0;  // pressure on/off broadcasts
-    std::uint64_t interests_propagated = 0;  // interest pushes to links
-    std::uint64_t interest_resyncs = 0;      // full tables served on request
-    std::uint64_t fed_events_suppressed = 0;  // no downstream interest —
+    Counter events_shed;                // queued deliveries dropped, counted
+    Counter flow_control_signals;            // pressure on/off broadcasts
+    Counter interests_propagated;            // interest pushes to links
+    Counter interest_resyncs;                // full tables served on request
+    Counter fed_events_suppressed;            // no downstream interest —
                                               // crossed zero links
-    std::uint64_t fed_duplicates_dropped = 0;  // origin-dedup hits (loops +
+    Counter fed_duplicates_dropped;            // origin-dedup hits (loops +
                                                // multi-path duplicates)
-    std::uint64_t origins_replaced = 0;  // non-gateway publishes whose
+    Counter origins_replaced;            // non-gateway publishes whose
                                          // origin the bus re-stamped
-    std::uint64_t repl_updates = 0;        // repl stream messages sent
-    std::uint64_t repl_resyncs = 0;        // full snapshots served on request
-    std::uint64_t promotions = 0;          // 1 when this core restored a replica
-    std::uint64_t staleness_redelivered = 0;  // spooled events re-sent on re-home
-    std::uint64_t staleness_shed = 0;      // events the budget gave up on,
+    Counter repl_updates;                  // repl stream messages sent
+    Counter repl_resyncs;                  // full snapshots served on request
+    Counter promotions;                    // 1 when this core restored a replica
+    Counter staleness_redelivered;            // spooled events re-sent on re-home
+    Counter staleness_shed;                // events the budget gave up on,
                                            // accounted via on_staleness
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -36,6 +36,7 @@
 
 #include "bus/replication.hpp"
 #include "common/bytes.hpp"
+#include "common/metrics.hpp"
 
 namespace amuse {
 
@@ -44,10 +45,10 @@ namespace amuse {
 class ReplStore {
  public:
   struct Stats {
-    std::uint64_t ops_appended = 0;
-    std::uint64_t snapshots_written = 0;
-    std::uint64_t recoveries = 0;   ///< successful recover() calls
-    std::uint64_t torn_tails = 0;   ///< corrupt/truncated tails dropped
+    Counter ops_appended;
+    Counter snapshots_written;
+    Counter recoveries;             ///< successful recover() calls
+    Counter torn_tails;             ///< corrupt/truncated tails dropped
   };
 
   /// Result of replaying the journal.

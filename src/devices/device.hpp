@@ -47,11 +47,11 @@ class RawDevice {
   [[nodiscard]] DiscoveryAgent& agent() { return *agent_; }
 
   struct Stats {
-    std::uint64_t readings_sent = 0;
-    std::uint64_t readings_acked = 0;
-    std::uint64_t reading_retransmits = 0;
-    std::uint64_t readings_dropped = 0;  // retries exhausted
-    std::uint64_t commands_received = 0;
+    Counter readings_sent;
+    Counter readings_acked;
+    Counter reading_retransmits;
+    Counter readings_dropped;            // retries exhausted
+    Counter commands_received;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -74,11 +74,6 @@ EcgViewer::EcgViewer(std::shared_ptr<Transport> transport)
       expected_seq_ = seq + 1;
       ++stats_.packets;
       stats_.samples += n;
-      double last = 0.0;
-      for (std::uint16_t i = 0; i < n; ++i) {
-        last = (static_cast<double>(r.u16()) - 16384.0) / 1000.0;
-      }
-      stats_.last_sample = last;
     } catch (const DecodeError&) {
       // Not an ECG packet; ignore.
     }

@@ -14,6 +14,7 @@
 
 #include <memory>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "net/transport.hpp"
 #include "sim/timer.hpp"
@@ -56,11 +57,10 @@ class EcgViewer {
   ~EcgViewer();
 
   struct Stats {
-    std::uint64_t packets = 0;
-    std::uint64_t samples = 0;
-    std::uint64_t lost_packets = 0;
-    std::uint64_t out_of_order = 0;
-    double last_sample = 0.0;
+    Counter packets;
+    Counter samples;
+    Counter lost_packets;
+    Counter out_of_order;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "common/annotations.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "net/transport.hpp"
@@ -86,14 +87,14 @@ class DiscoveryAgent {
   [[nodiscard]] ServiceId id() const { return transport_->local_id(); }
 
   struct Stats {
-    std::uint64_t beacons_heard = 0;
-    std::uint64_t join_attempts = 0;
-    std::uint64_t joins = 0;
-    std::uint64_t rejections = 0;
-    std::uint64_t cell_losses = 0;
-    std::uint64_t heartbeats_sent = 0;
-    std::uint64_t stale_beacons_ignored = 0;  // fenced (epoch below max)
-    std::uint64_t rehomes = 0;  // left a live join for a higher-epoch core
+    Counter beacons_heard;
+    Counter join_attempts;
+    Counter joins;
+    Counter rejections;
+    Counter cell_losses;
+    Counter heartbeats_sent;
+    Counter stale_beacons_ignored;            // fenced (epoch below max)
+    Counter rehomes;            // left a live join for a higher-epoch core
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -26,6 +26,7 @@
 #include <unordered_map>
 
 #include "common/annotations.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "discovery/membership.hpp"
@@ -136,18 +137,18 @@ class DiscoveryService {
   [[nodiscard]] ServiceId id() const { return transport_->local_id(); }
 
   struct Stats {
-    std::uint64_t beacons_sent = 0;
-    std::uint64_t join_requests = 0;
-    std::uint64_t challenges_sent = 0;
-    std::uint64_t joins_accepted = 0;
-    std::uint64_t joins_rejected = 0;
-    std::uint64_t heartbeats = 0;
-    std::uint64_t suspects = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t purges = 0;
-    std::uint64_t leaves = 0;
-    std::uint64_t evictions_notified = 0;
-    std::uint64_t rival_step_downs = 0;  // deposed by a higher-epoch rival
+    Counter beacons_sent;
+    Counter join_requests;
+    Counter challenges_sent;
+    Counter joins_accepted;
+    Counter joins_rejected;
+    Counter heartbeats;
+    Counter suspects;
+    Counter recoveries;
+    Counter purges;
+    Counter leaves;
+    Counter evictions_notified;
+    Counter rival_step_downs;            // deposed by a higher-epoch rival
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

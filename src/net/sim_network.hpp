@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "hostmodel/cost_model.hpp"
 #include "net/transport.hpp"
@@ -108,16 +109,16 @@ class SimTransport final : public Transport {
 class SimNetwork {
  public:
   struct Stats {
-    std::uint64_t datagrams_sent = 0;
-    std::uint64_t datagrams_delivered = 0;
-    std::uint64_t dropped_loss = 0;
-    std::uint64_t dropped_down = 0;
-    std::uint64_t dropped_no_endpoint = 0;
-    std::uint64_t dropped_mtu = 0;
-    std::uint64_t dropped_partition = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_delivered = 0;
+    Counter datagrams_sent;
+    Counter datagrams_delivered;
+    Counter dropped_loss;
+    Counter dropped_down;
+    Counter dropped_no_endpoint;
+    Counter dropped_mtu;
+    Counter dropped_partition;
+    Counter duplicated;
+    Counter bytes_sent;
+    Counter bytes_delivered;
   };
 
   SimNetwork(Executor& executor, std::uint64_t seed)

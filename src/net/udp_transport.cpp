@@ -48,11 +48,11 @@ Bytes UdpBufferPool::acquire() {
     if (!free_.empty()) {
       Bytes buffer = std::move(free_.back());
       free_.pop_back();
-      recycled_.fetch_add(1, std::memory_order_relaxed);
+      ++recycled;
       return buffer;
     }
   }
-  fresh_.fetch_add(1, std::memory_order_relaxed);
+  ++fresh;
   return Bytes(slot_bytes_);
 }
 
@@ -182,12 +182,12 @@ void UdpTransport::send_to(const sockaddr_in& addr, BytesView data) {
   ssize_t sent =
       ::sendto(unicast_fd_, data.data(), data.size(), 0,
                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  datagrams_sent_.fetch_add(1, std::memory_order_relaxed);
-  send_syscalls_.fetch_add(1, std::memory_order_relaxed);
+  stats_.datagrams_sent.add_shared(1);
+  stats_.send_syscalls.add_shared(1);
   if (sent < 0) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
+    stats_.send_failures.add_shared(1);
   } else {
-    bytes_sent_.fetch_add(data.size(), std::memory_order_relaxed);
+    stats_.bytes_sent.add_shared(data.size());
   }
 }
 
@@ -222,25 +222,23 @@ void UdpTransport::send_burst_mmsg(std::span<const Datagram> batch) {
       headers[i].msg_hdr.msg_iov = &iovecs[i];
       headers[i].msg_hdr.msg_iovlen = 1;
     }
-    datagrams_sent_.fetch_add(count, std::memory_order_relaxed);
+    stats_.datagrams_sent.add_shared(count);
     std::size_t done = 0;
     while (done < count) {
       const std::size_t attempted = count - done;
       int n = ::sendmmsg(unicast_fd_, headers.data() + done,
                          static_cast<unsigned int>(attempted), 0);
-      send_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      if (attempted >= 2) {
-        batches_sent_.fetch_add(1, std::memory_order_relaxed);
-      }
+      stats_.send_syscalls.add_shared(1);
+      if (attempted >= 2) stats_.batches_sent.add_shared(1);
       if (n <= 0) {
-        send_failures_.fetch_add(attempted, std::memory_order_relaxed);
+        stats_.send_failures.add_shared(attempted);
         break;
       }
       std::uint64_t sent_bytes = 0;
       for (std::size_t i = done; i < done + static_cast<std::size_t>(n); ++i) {
         sent_bytes += headers[i].msg_len;
       }
-      bytes_sent_.fetch_add(sent_bytes, std::memory_order_relaxed);
+      stats_.bytes_sent.add_shared(sent_bytes);
       done += static_cast<std::size_t>(n);
     }
   }
@@ -314,7 +312,8 @@ bool UdpTransport::drain_batched(int fd) {
     for (Bytes& b : slots) buffers_->release(std::move(b));
     return false;
   }
-  note_harvest(static_cast<std::uint64_t>(n));
+  ++stats_.recv_syscalls;
+  stats_.max_recv_batch.raise_to(static_cast<std::uint64_t>(n));
 
   std::vector<Inbound> items;
   items.reserve(static_cast<std::size_t>(n));
@@ -335,8 +334,8 @@ bool UdpTransport::drain_batched(int fd) {
     buffers_->release(std::move(slots[i]));
   }
   if (!items.empty()) {
-    datagrams_received_.fetch_add(items.size(), std::memory_order_relaxed);
-    bytes_received_.fetch_add(received_bytes, std::memory_order_relaxed);
+    stats_.datagrams_received += items.size();
+    stats_.bytes_received += received_bytes;
     post_to(std::move(items));
   }
   return static_cast<std::size_t>(n) == depth;
@@ -356,28 +355,20 @@ void UdpTransport::drain_legacy(int fd) {
     buffers_->release(std::move(slot));
     return;
   }
-  note_harvest(1);
+  ++stats_.recv_syscalls;
+  stats_.max_recv_batch.raise_to(1);
   ServiceId src_id = ServiceId::from_addr_port(ntohl(src.sin_addr.s_addr),
                                                ntohs(src.sin_port));
   if (src_id == id_) {
     buffers_->release(std::move(slot));
     return;
   }
-  datagrams_received_.fetch_add(1, std::memory_order_relaxed);
-  bytes_received_.fetch_add(static_cast<std::uint64_t>(got),
-                            std::memory_order_relaxed);
+  ++stats_.datagrams_received;
+  stats_.bytes_received += static_cast<std::uint64_t>(got);
   std::vector<Inbound> items;
   items.push_back(
       Inbound{src_id, std::move(slot), static_cast<std::size_t>(got)});
   post_to(std::move(items));
-}
-
-void UdpTransport::note_harvest(std::uint64_t n) {
-  recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
-  // Only the receive thread writes it: a plain load-compare-store.
-  if (n > max_recv_batch_.load(std::memory_order_relaxed)) {
-    max_recv_batch_.store(n, std::memory_order_relaxed);
-  }
 }
 
 void UdpTransport::post_to(std::vector<Inbound> items) {
@@ -385,21 +376,19 @@ void UdpTransport::post_to(std::vector<Inbound> items) {
   {
     MutexLock lock(handler_mu_);
     if (!handler_) {
-      dropped_no_handler_.fetch_add(items.size(), std::memory_order_relaxed);
+      stats_.dropped_no_handler += items.size();
       for (Inbound& item : items) buffers_->release(std::move(item.buffer));
       return;
     }
     weak_handler = handler_;
   }
-  if (items.size() >= 2) {
-    recv_batches_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (items.size() >= 2) ++stats_.recv_batches;
   executor_.post([weak_handler, items = std::move(items), pool = buffers_,
                   stale = dropped_stale_handler_]() mutable {
     auto h = weak_handler.lock();
     // The handler snapshotted at harvest was replaced (or the transport
     // died) before this task ran: the batch is dropped, and counted.
-    if (!h) stale->fetch_add(items.size(), std::memory_order_relaxed);
+    if (!h) *stale += items.size();
     for (Inbound& item : items) {
       if (h) (*h)(item.src, BytesView(item.buffer.data(), item.length));
       pool->release(std::move(item.buffer));

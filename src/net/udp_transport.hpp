@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/metrics.hpp"
 #include "net/transport.hpp"
 #include "sim/executor.hpp"
 
@@ -61,21 +62,21 @@ struct UdpOptions {
 
 /// Snapshot of the transport's wire counters (see stats()).
 struct UdpTransportStats {
-  std::uint64_t datagrams_sent = 0;      // unicast + broadcast handed to the kernel
-  std::uint64_t bytes_sent = 0;          // payload bytes of successful sends
-  std::uint64_t send_failures = 0;       // sendto()/sendmmsg() reported an error
-  std::uint64_t send_syscalls = 0;       // sendto/sendmmsg invocations
-  std::uint64_t batches_sent = 0;        // sendmmsg flushes covering >= 2 datagrams
-  std::uint64_t datagrams_received = 0;  // posted to the executor
-  std::uint64_t bytes_received = 0;
-  std::uint64_t recv_syscalls = 0;       // recvfrom/recvmmsg calls returning >= 1 datagram
-  std::uint64_t recv_batches = 0;        // executor posts carrying >= 2 datagrams
-  std::uint64_t max_recv_batch = 0;      // largest single harvest
-  std::uint64_t buffers_recycled = 0;    // receive slots served from the freelist
-  std::uint64_t buffers_fresh = 0;       // receive slots newly allocated
-  std::uint64_t dropped_no_handler = 0;  // arrived with no handler installed
-  std::uint64_t dropped_stale_handler = 0;  // reached a handler replaced (or
-                                            // cleared) before delivery
+  Counter datagrams_sent;                // unicast + broadcast handed to the kernel
+  Counter bytes_sent;                    // payload bytes of successful sends
+  Counter send_failures;                 // sendto()/sendmmsg() reported an error
+  Counter send_syscalls;                 // sendto/sendmmsg invocations
+  Counter batches_sent;                  // sendmmsg flushes covering >= 2 datagrams
+  Counter datagrams_received;            // posted to the executor
+  Counter bytes_received;
+  Counter recv_syscalls;                 // recvfrom/recvmmsg calls returning >= 1 datagram
+  Counter recv_batches;                  // executor posts carrying >= 2 datagrams
+  Counter max_recv_batch;                // largest single harvest
+  Counter buffers_recycled;              // receive slots served from the freelist
+  Counter buffers_fresh;                 // receive slots newly allocated
+  Counter dropped_no_handler;            // arrived with no handler installed
+  Counter dropped_stale_handler;         // reached a handler replaced (or
+                                         // cleared) before delivery
 };
 
 /// Small freelist of fixed-size receive slot buffers. The receive thread
@@ -93,20 +94,14 @@ class UdpBufferPool {
   /// Returns a slot to the freelist (freed instead once max_free is held).
   void release(Bytes buffer);
 
-  [[nodiscard]] std::uint64_t recycled() const {
-    return recycled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t fresh() const {
-    return fresh_.load(std::memory_order_relaxed);
-  }
+  Counter recycled;  // buffers_recycled and buffers_fresh of stats()
+  Counter fresh;
 
  private:
   std::size_t slot_bytes_;
   std::size_t max_free_;
   Mutex mu_;
   std::vector<Bytes> free_ AMUSE_GUARDED_BY(mu_);
-  std::atomic<std::uint64_t> recycled_{0};
-  std::atomic<std::uint64_t> fresh_{0};
 };
 
 class UdpTransport final : public Transport {
@@ -133,30 +128,13 @@ class UdpTransport final : public Transport {
   AMUSE_EGRESS_CONTEXT void broadcast(BytesView data) override;
   void set_receive_handler(ReceiveHandler handler) override;
 
-  /// Snapshot of the wire counters. The counters are touched by the
-  /// receive thread and by any thread that sends, so they are relaxed
-  /// atomics: monotonic totals with no ordering contract between them (a
-  /// snapshot taken mid-traffic may see a send counted before its
-  /// matching receive, never torn values). The documented per-counter
-  /// meanings (datagrams per syscall, batch high-water marks) hold exactly
-  /// once traffic quiesces.
+  /// The wire counters. The buffer pool and the delivery tasks, which may
+  /// outlive the transport, own the last three.
   [[nodiscard]] UdpTransportStats stats() const {
-    UdpTransportStats s;
-    s.datagrams_sent = datagrams_sent_.load(std::memory_order_relaxed);
-    s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    s.send_failures = send_failures_.load(std::memory_order_relaxed);
-    s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
-    s.batches_sent = batches_sent_.load(std::memory_order_relaxed);
-    s.datagrams_received = datagrams_received_.load(std::memory_order_relaxed);
-    s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-    s.recv_syscalls = recv_syscalls_.load(std::memory_order_relaxed);
-    s.recv_batches = recv_batches_.load(std::memory_order_relaxed);
-    s.max_recv_batch = max_recv_batch_.load(std::memory_order_relaxed);
-    s.buffers_recycled = buffers_->recycled();
-    s.buffers_fresh = buffers_->fresh();
-    s.dropped_no_handler = dropped_no_handler_.load(std::memory_order_relaxed);
-    s.dropped_stale_handler =
-        dropped_stale_handler_->load(std::memory_order_relaxed);
+    UdpTransportStats s = stats_;
+    s.buffers_recycled = buffers_->recycled;
+    s.buffers_fresh = buffers_->fresh;
+    s.dropped_stale_handler = *dropped_stale_handler_;
     return s;
   }
 
@@ -179,8 +157,6 @@ class UdpTransport final : public Transport {
   void drain_fd(int fd);
   bool drain_batched(int fd);
   void drain_legacy(int fd);
-  /// Counts one receive syscall that harvested `n` >= 1 datagrams.
-  void note_harvest(std::uint64_t n);
   /// Posts one delivery task for a harvest, preserving arrival order. Runs
   /// on the receive thread.
   void post_to(std::vector<Inbound> items);
@@ -204,22 +180,12 @@ class UdpTransport final : public Transport {
   // handler mid-invoke stays alive through the task's temporary shared_ptr.
   mutable Mutex handler_mu_;
   std::shared_ptr<const ReceiveHandler> handler_ AMUSE_GUARDED_BY(handler_mu_);
-  // Hot wire counters: incremented on the receive thread and on whatever
-  // threads send. Relaxed atomics by contract — totals only, no ordering.
-  std::atomic<std::uint64_t> datagrams_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> send_failures_{0};
-  std::atomic<std::uint64_t> send_syscalls_{0};
-  std::atomic<std::uint64_t> batches_sent_{0};
-  std::atomic<std::uint64_t> datagrams_received_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> recv_syscalls_{0};
-  std::atomic<std::uint64_t> recv_batches_{0};
-  std::atomic<std::uint64_t> max_recv_batch_{0};
-  std::atomic<std::uint64_t> dropped_no_handler_{0};
+  // The send side is written from any sending thread (add_shared), the
+  // receive side by the receive thread alone.
+  UdpTransportStats stats_;
   // Shared with the delivery tasks, which may run after the transport died.
-  std::shared_ptr<std::atomic<std::uint64_t>> dropped_stale_handler_ =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
+  std::shared_ptr<Counter> dropped_stale_handler_ =
+      std::make_shared<Counter>();
   std::atomic<bool> stop_{false};
   std::thread receiver_;
 };

@@ -24,8 +24,8 @@ class AuthorisationService {
   [[nodiscard]] EventBus::Authoriser authoriser();
 
   struct Stats {
-    std::uint64_t checks = 0;
-    std::uint64_t denials = 0;
+    Counter checks;
+    Counter denials;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

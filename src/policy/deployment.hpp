@@ -39,10 +39,10 @@ class PolicyDeployer {
   void start();
 
   struct Stats {
-    std::uint64_t admissions_seen = 0;
-    std::uint64_t rules_applied = 0;
-    std::uint64_t policies_enabled = 0;
-    std::uint64_t control_events_sent = 0;
+    Counter admissions_seen;
+    Counter rules_applied;
+    Counter policies_enabled;
+    Counter control_events_sent;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -37,11 +37,11 @@ class ObligationEngine {
   void refresh();
 
   struct Stats {
-    std::uint64_t triggers = 0;        // events that reached a policy
-    std::uint64_t conditions_false = 0;
-    std::uint64_t actions_run = 0;
-    std::uint64_t publishes = 0;
-    std::uint64_t chain_suppressed = 0;
+    Counter triggers;                  // events that reached a policy
+    Counter conditions_false;
+    Counter actions_run;
+    Counter publishes;
+    Counter chain_suppressed;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

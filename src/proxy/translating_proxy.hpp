@@ -11,6 +11,7 @@
 #include <deque>
 #include <memory>
 
+#include "common/metrics.hpp"
 #include "proxy/device_codec.hpp"
 #include "proxy/device_protocol.hpp"
 #include "proxy/proxy.hpp"
@@ -39,14 +40,14 @@ class TranslatingProxy final : public Proxy {
   [[nodiscard]] std::size_t pending() const override { return queue_.size(); }
 
   struct Stats {
-    std::uint64_t readings_decoded = 0;
-    std::uint64_t readings_undecodable = 0;
-    std::uint64_t readings_duplicate = 0;
-    std::uint64_t commands_sent = 0;
-    std::uint64_t commands_acked = 0;
-    std::uint64_t command_retransmits = 0;
-    std::uint64_t events_untranslatable = 0;
-    std::uint64_t queue_overflow = 0;
+    Counter readings_decoded;
+    Counter readings_undecodable;
+    Counter readings_duplicate;
+    Counter commands_sent;
+    Counter commands_acked;
+    Counter command_retransmits;
+    Counter events_untranslatable;
+    Counter queue_overflow;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] bool stalled() const { return stalled_; }

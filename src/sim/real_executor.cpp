@@ -1,6 +1,5 @@
 #include "sim/real_executor.hpp"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -75,18 +74,12 @@ void RealExecutor::run_until_wall(TimePoint deadline, bool has_deadline) {
         }
         cv_.wait_until(lock, wall_deadline);
       }
-      ++stats_.wakeups;
-      stats_.tasks_run += batch.size();
-      stats_.max_drain =
-          std::max<std::uint64_t>(stats_.max_drain, batch.size());
     }
+    ++stats_.wakeups;
+    stats_.tasks_run += batch.size();
+    stats_.max_drain.raise_to(batch.size());
     for (Task& task : batch) task();
   }
-}
-
-RealExecutorStats RealExecutor::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
 }
 
 void RealExecutor::stop() {

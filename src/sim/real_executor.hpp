@@ -7,13 +7,14 @@
 // order, and a cancelled timer leaves the queue at once.
 //
 // This is one of the tree's three genuinely cross-thread surfaces
-// (DESIGN.md §10): every field below is guarded by mu_, and the capability
-// annotations let clang's -Wthread-safety prove it.
+// (DESIGN.md §10): every field below but the counters is guarded by mu_,
+// and the capability annotations let clang's -Wthread-safety prove it.
 #pragma once
 
 #include <cstdint>
 
 #include "common/annotations.hpp"
+#include "common/metrics.hpp"
 #include "sim/executor.hpp"
 #include "sim/task_queue.hpp"
 
@@ -22,12 +23,10 @@ namespace amuse {
 /// Observability for the wakeup economics of the consumer loop (see run()):
 /// one wakeup should amortise over many tasks when producers post in bursts
 /// (the batched UDP receive path posts one task per recvmmsg harvest).
-/// Counters are written by the consumer thread under the queue mutex and
-/// snapshot under the same mutex — totals are exact, not relaxed.
 struct RealExecutorStats {
-  std::uint64_t tasks_run = 0;  // tasks executed by run()/run_for()
-  std::uint64_t wakeups = 0;    // drain cycles that ran at least one task
-  std::uint64_t max_drain = 0;  // largest batch drained per lock acquisition
+  Counter tasks_run;            // tasks executed by run()/run_for()
+  Counter wakeups;              // drain cycles that ran at least one task
+  Counter max_drain;            // largest batch drained per lock acquisition
 };
 
 class RealExecutor final : public Executor {
@@ -39,7 +38,7 @@ class RealExecutor final : public Executor {
   TimerId schedule_at(TimePoint t, Task fn) override;
   void cancel(TimerId id) override;
 
-  [[nodiscard]] RealExecutorStats stats() const;
+  [[nodiscard]] RealExecutorStats stats() const { return stats_; }
 
   /// Runs tasks on the calling thread until stop() is called. Every lock
   /// acquisition drains the whole run of currently-due tasks into a local
@@ -68,7 +67,7 @@ class RealExecutor final : public Executor {
   // stop() notifies under the lock so the wakeup cannot slip between the
   // loop's check and its cv_ wait.
   bool stop_ AMUSE_GUARDED_BY(mu_) = false;
-  RealExecutorStats stats_ AMUSE_GUARDED_BY(mu_);
+  RealExecutorStats stats_;  // written by the consumer thread
 };
 
 }  // namespace amuse

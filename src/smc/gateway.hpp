@@ -56,16 +56,16 @@ class FederationGateway {
   AMUSE_AFFINITY(member_executor) void share(const Filter& filter);
 
   struct Stats {
-    std::uint64_t forwarded = 0;
+    Counter forwarded;
     /// Events that originated in the destination cell: forwarding them
     /// back would only feed its origin dedup, so they never cross.
-    std::uint64_t loopback_suppressed = 0;
+    Counter loopback_suppressed;
     /// Same delivery matched several of our subscriptions — forwarded once.
-    std::uint64_t local_dups_suppressed = 0;
+    Counter local_dups_suppressed;
     /// Destination out of range and its offline buffer full.
-    std::uint64_t dropped_disconnected = 0;
+    Counter dropped_disconnected;
     /// Interest pushes applied to the source-cell subscription set.
-    std::uint64_t interest_reconciles = 0;
+    Counter interest_reconciles;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -79,12 +79,12 @@ class SmcMember {
   [[nodiscard]] std::size_t offline_pending() const { return offline_.size(); }
 
   struct Stats {
-    std::uint64_t joins = 0;
-    std::uint64_t buffered = 0;
-    std::uint64_t buffer_dropped = 0;
-    std::uint64_t flushed = 0;
-    std::uint64_t pressure_deferrals = 0;  // publishes buffered under pressure
-    std::uint64_t ha_duplicates_dropped = 0;  // origin dedup hits —
+    Counter joins;
+    Counter buffered;
+    Counter buffer_dropped;
+    Counter flushed;
+    Counter pressure_deferrals;            // publishes buffered under pressure
+    Counter ha_duplicates_dropped;            // origin dedup hits —
                                               // re-deliveries already seen
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -93,15 +93,15 @@ class StandbyCore {
   [[nodiscard]] ServiceId id() const { return endpoint_->local_id(); }
 
   struct Stats {
-    std::uint64_t updates_applied = 0;
-    std::uint64_t resyncs = 0;             // resync requests sent
-    std::uint64_t resyncs_suppressed = 0;  // throttled resync requests
-    std::uint64_t stale_epoch_ignored = 0; // deposed-core stream dropped
-    std::uint64_t promotions = 0;
-    std::uint64_t lease_expiries_unsynced = 0;  // dead core, no replica
-    std::uint64_t promotion_claims = 0;  // claim rounds started
-    std::uint64_t promotion_votes = 0;   // grants issued to peers
-    std::uint64_t claims_lost = 0;       // rounds abandoned to a rival
+    Counter updates_applied;
+    Counter resyncs;                       // resync requests sent
+    Counter resyncs_suppressed;            // throttled resync requests
+    Counter stale_epoch_ignored;           // deposed-core stream dropped
+    Counter promotions;
+    Counter lease_expiries_unsynced;            // dead core, no replica
+    Counter promotion_claims;            // claim rounds started
+    Counter promotion_votes;             // grants issued to peers
+    Counter claims_lost;                 // rounds abandoned to a rival
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -42,9 +42,9 @@ class TypedClient {
   [[nodiscard]] const std::string& last_error() const { return last_error_; }
 
   struct Stats {
-    std::uint64_t published = 0;
-    std::uint64_t schema_rejections = 0;
-    std::uint64_t subscriptions = 0;
+    Counter published;
+    Counter schema_rejections;
+    Counter subscriptions;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -183,8 +183,7 @@ void ReliableChannel::account_shed(std::size_t bytes,
 void ReliableChannel::charge_entry(const Outbound& entry) {
   retained_bytes_ += entry.payload.size();
   if (config_.shared_budget) config_.shared_budget->charge(entry.payload);
-  stats_.peak_retained_bytes = std::max<std::uint64_t>(
-      stats_.peak_retained_bytes, retained_bytes_);
+  stats_.peak_retained_bytes.raise_to(retained_bytes_);
 }
 
 void ReliableChannel::release_entry(const Outbound& entry) {

@@ -44,6 +44,7 @@
 
 #include "common/annotations.hpp"
 #include "common/bytes.hpp"
+#include "common/metrics.hpp"
 #include "common/service_id.hpp"
 #include "net/transport.hpp"
 #include "sim/executor.hpp"
@@ -189,31 +190,31 @@ class SharedPayload {
 };
 
 struct ReliableChannelStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t fast_retransmits = 0;
-  std::uint64_t duplicates_dropped = 0;
-  std::uint64_t out_of_order_buffered = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t stale_session_dropped = 0;
-  std::uint64_t fragments_sent = 0;
-  std::uint64_t messages_reassembled = 0;
-  std::uint64_t reassembly_overflow_dropped = 0;
+  Counter messages_sent;
+  Counter messages_delivered;
+  Counter retransmissions;
+  Counter fast_retransmits;
+  Counter duplicates_dropped;
+  Counter out_of_order_buffered;
+  Counter acks_sent;
+  Counter stale_session_dropped;
+  Counter fragments_sent;
+  Counter messages_reassembled;
+  Counter reassembly_overflow_dropped;
   // Wire-level accounting (what the host is actually charged for).
-  std::uint64_t datagrams_sent = 0;   // DATA + ACK frames handed down
-  std::uint64_t bytes_on_wire = 0;    // encoded frame bytes incl. overhead
-  std::uint64_t batches_sent = 0;     // DATA frames carrying ≥ 2 messages
-  std::uint64_t batched_messages = 0; // messages inside those frames
-  std::uint64_t acks_delayed = 0;     // ack requests deferred to the timer
-  std::uint64_t frame_bursts = 0;     // sink calls carrying ≥ 2 frames
-  std::uint64_t malformed_batch_dropped = 0;  // bad sub-lengths in a batch
+  Counter datagrams_sent;             // DATA + ACK frames handed down
+  Counter bytes_on_wire;              // encoded frame bytes incl. overhead
+  Counter batches_sent;               // DATA frames carrying ≥ 2 messages
+  Counter batched_messages;           // messages inside those frames
+  Counter acks_delayed;               // ack requests deferred to the timer
+  Counter frame_bursts;               // sink calls carrying ≥ 2 frames
+  Counter malformed_batch_dropped;            // bad sub-lengths in a batch
   // Overload accounting (DESIGN.md §9): drops are counted, never silent.
-  std::uint64_t events_shed = 0;      // data-class messages dropped
-  std::uint64_t bytes_shed = 0;       // payload bytes of those messages
-  std::uint64_t control_sent = 0;     // control-class messages accepted
-  std::uint64_t peak_retained_bytes = 0;  // high-water of retained bytes
-  std::uint64_t pressure_raised = 0;  // high-water crossings signalled
+  Counter events_shed;                // data-class messages dropped
+  Counter bytes_shed;                 // payload bytes of those messages
+  Counter control_sent;               // control-class messages accepted
+  Counter peak_retained_bytes;            // high-water of retained bytes
+  Counter pressure_raised;            // high-water crossings signalled
 };
 
 class ReliableChannel {

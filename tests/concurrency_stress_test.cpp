@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "bus/bus_client.hpp"
+#include "bus/event_bus.hpp"
 #include "common/log.hpp"
 #include "net/udp_transport.hpp"
 #include "sim/real_executor.hpp"
@@ -593,6 +595,65 @@ TEST(UdpStress, BroadcastStormAcrossEndpoints) {
   }
   EXPECT_GE(got_b.load(), 1);
   EXPECT_GE(got_c.load(), 1);
+}
+
+// --------------------------------------------------------------------------
+// Counters (common/metrics.hpp): written by their owner, readable anywhere
+// --------------------------------------------------------------------------
+
+TEST(CounterStress, StatsReadWhileBusRoutesOverUdp) {
+  RealExecutor ex;
+  std::shared_ptr<UdpTransport> bus_ep = try_open(ex);
+  std::shared_ptr<UdpTransport> pub_ep = try_open(ex, bus_ep.get());
+  std::shared_ptr<UdpTransport> sub_ep = try_open(ex, bus_ep.get());
+  if (!bus_ep || !pub_ep || !sub_ep) {
+    GTEST_SKIP() << "UDP sockets unavailable in this sandbox";
+  }
+  // Wired on this thread before the loop starts; from then on the bus and
+  // the clients are touched only by the loop thread, and this thread only
+  // reads their counters.
+  EventBus bus(ex, bus_ep, EventBusConfig{});
+  bus.add_member(MemberInfo{pub_ep->local_id(), "svc.pub", "service"});
+  bus.add_member(MemberInfo{sub_ep->local_id(), "svc.sub", "service"});
+  BusClient pub(ex, pub_ep, bus.bus_id());
+  BusClient sub(ex, sub_ep, bus.bus_id());
+  std::atomic<std::uint64_t> got{0};
+  sub.subscribe(Filter::for_type("stress.tick"),
+                [&got](const Event&) { got.fetch_add(1); });
+
+  std::atomic<bool> publishing{true};
+  std::function<void()> tick = [&] {
+    if (!publishing.load()) return;
+    pub.publish(Event("stress.tick"));
+    ex.schedule_after(microseconds(200), [&tick] { tick(); });
+  };
+  std::thread loop([&ex] { ex.run(); });
+  ex.post([&tick] { tick(); });
+
+  // Totals never fall, whichever thread reads them.
+  constexpr std::uint64_t kWanted = 300;
+  const ReliableChannelStats& link = sub.channel_stats();
+  std::uint64_t published = 0;
+  std::uint64_t delivered = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (got.load() < kWanted && std::chrono::steady_clock::now() < deadline) {
+    EventBus::Stats snap = bus.stats();
+    ReliableChannelStats channel = link;
+    EXPECT_GE(snap.published, published);
+    EXPECT_GE(channel.messages_delivered, delivered);
+    published = snap.published;
+    delivered = channel.messages_delivered;
+    std::this_thread::yield();
+  }
+  publishing.store(false);
+  ex.post([&ex] { ex.stop(); });
+  loop.join();
+
+  EXPECT_GE(got.load(), kWanted);
+  EXPECT_GE(bus.stats().published, got.load());
+  EXPECT_EQ(sub.stats().handler_invocations, got.load());
+  EXPECT_GE(link.messages_delivered, got.load());
 }
 
 }  // namespace
