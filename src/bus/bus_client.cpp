@@ -1,6 +1,7 @@
 #include "bus/bus_client.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/log.hpp"
 #include "wire/packet.hpp"
@@ -54,7 +55,7 @@ std::uint64_t BusClient::subscribe(const Filter& filter, Handler handler) {
                          std::make_unique<const Handler>(std::move(handler)));
   // Control class: subscription state must reach the bus even when the
   // outbound queue is saturated with event data.
-  (void)channel_->send(BusMessage::subscribe(id, filter).encode(),
+  (void)channel_->send(BusMessage::encode_subscribe(id, filter),
                        MsgClass::kControl);
   return id;
 }
@@ -117,13 +118,14 @@ void BusClient::request_resync(BusMsgType stream) {
 }
 
 void BusClient::on_message(const SharedBytes& message) {
-  BusMessage m;
+  std::optional<BusMessage> decoded;
   try {
-    m = BusMessage::decode(message);
+    decoded.emplace(BusMessage::decode(message));
   } catch (const DecodeError& e) {
     kLog.warn("malformed message from bus: ", e.what());
     return;
   }
+  BusMessage& m = *decoded;
   switch (m.type) {
     case BusMsgType::kEvent: {
       ++stats_.events_received;

@@ -366,12 +366,11 @@ void EventBus::member_subscribe(ServiceId member, std::uint64_t local_id,
     return;
   }
   if (observer_.on_subscribe) observer_.on_subscribe(member, local_id, filter);
-  registry_.subscribe(member, local_id, filter);
+  // Logged before the filter moves into the registry.
+  if (ha_) repl_.sub_added(member, local_id, filter);
+  registry_.subscribe(member, local_id, std::move(filter));
   interests_changed();
-  if (ha_) {
-    repl_.sub_added(member, local_id, filter);
-    repl_flush();
-  }
+  if (ha_) repl_flush();
 }
 
 void EventBus::member_unsubscribe(ServiceId member, std::uint64_t local_id) {

@@ -63,7 +63,16 @@ void read_stream(Reader& r, StreamHeader& h) {
 
 }  // namespace
 
+Bytes BusMessage::encode_subscribe(std::uint64_t sub_id, const Filter& f) {
+  Writer w(1 + 8 + f.encoded_size());
+  w.u8(static_cast<std::uint8_t>(BusMsgType::kSubscribe));
+  w.u64(sub_id);
+  f.encode(w);
+  return std::move(w).take();
+}
+
 Bytes BusMessage::encode() const {
+  if (type == BusMsgType::kSubscribe) return encode_subscribe(sub_id, *filter);
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
   switch (type) {
@@ -73,9 +82,7 @@ Bytes BusMessage::encode() const {
           "BusMessage::encode: event frames are written by "
           "write_event_header()");
     case BusMsgType::kSubscribe:
-      w.u64(sub_id);
-      filter->encode(w);
-      break;
+      break;  // returned above
     case BusMsgType::kUnsubscribe:
       w.u64(sub_id);
       break;
@@ -201,14 +208,6 @@ void BusMessage::write_event_header(std::span<std::uint8_t> out,
     p = store_be<8>(p, origin.epoch);
     store_be<8>(p, origin.seq);
   }
-}
-
-BusMessage BusMessage::subscribe(std::uint64_t sub_id, Filter f) {
-  BusMessage m;
-  m.type = BusMsgType::kSubscribe;
-  m.sub_id = sub_id;
-  m.filter = std::move(f);
-  return m;
 }
 
 BusMessage BusMessage::unsubscribe(std::uint64_t sub_id) {

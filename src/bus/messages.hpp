@@ -184,6 +184,10 @@ struct BusMessage {
   /// is written with write_event_header() and its event's body; asking
   /// encode() for one throws std::logic_error.
   [[nodiscard]] Bytes encode() const;
+  /// A kSubscribe message, written straight from `f` into a buffer of
+  /// exactly its size: the one encoder of the type.
+  [[nodiscard]] static Bytes encode_subscribe(std::uint64_t sub_id,
+                                              const Filter& f);
   /// Throws DecodeError on malformed input. A decoded event shares
   /// `data`'s buffer: the kPublish/kEvent body is indexed where it lies.
   [[nodiscard]] static BusMessage decode(const SharedBytes& data);
@@ -201,7 +205,6 @@ struct BusMessage {
   static void write_event_header(std::span<std::uint8_t> out, BusMsgType type,
                                  std::span<const std::uint64_t> matched,
                                  const Origin& origin);
-  [[nodiscard]] static BusMessage subscribe(std::uint64_t sub_id, Filter f);
   [[nodiscard]] static BusMessage unsubscribe(std::uint64_t sub_id);
   [[nodiscard]] static BusMessage flow_control(bool pressure);
   [[nodiscard]] static BusMessage interest_update(InterestUpdate update);

@@ -7,19 +7,37 @@ namespace amuse {
 SubscriptionRegistry::SubscriptionRegistry(std::unique_ptr<Matcher> matcher)
     : matcher_(std::move(matcher)) {}
 
+namespace {
+
+/// The first of a member's (local id, SubId) pairs at or past `local_id`.
+auto lower(auto& locals, std::uint64_t local_id) {
+  // A member's ids ascend as it subscribes: a new one lands past the end.
+  if (locals.empty() || locals.back().first < local_id) return locals.end();
+  return std::ranges::lower_bound(locals, local_id, {},
+                                  &std::pair<std::uint64_t, SubId>::first);
+}
+
+}  // namespace
+
 void SubscriptionRegistry::subscribe(ServiceId member, std::uint64_t local_id,
-                                     const Filter& filter) {
-  unsubscribe(member, local_id);
+                                     Filter filter) {
+  Locals& locals = by_member_[member];
+  auto at = lower(locals, local_id);
   SubId id = records_.size();
-  if (free_.empty()) {
-    records_.push_back(Record{member, local_id, filter});
+  if (at != locals.end() && at->first == local_id) {
+    id = at->second;  // the matcher's add() replaces the old filter
+    records_[id].filter = std::move(filter);
   } else {
-    id = free_.back();
-    free_.pop_back();
-    records_[id] = Record{member, local_id, filter};
+    if (free_.empty()) {
+      records_.push_back(Record{member, local_id, std::move(filter)});
+    } else {
+      id = free_.back();
+      free_.pop_back();
+      records_[id] = Record{member, local_id, std::move(filter)};
+    }
+    locals.emplace(at, local_id, id);
   }
-  matcher_->add(id, filter);
-  by_member_[member].emplace(local_id, id);
+  matcher_->add(id, records_[id].filter);
 }
 
 void SubscriptionRegistry::retire(SubId id) {
@@ -32,8 +50,8 @@ void SubscriptionRegistry::unsubscribe(ServiceId member,
                                        std::uint64_t local_id) {
   auto mit = by_member_.find(member);
   if (mit == by_member_.end()) return;
-  auto lit = mit->second.find(local_id);
-  if (lit == mit->second.end()) return;
+  auto lit = lower(mit->second, local_id);
+  if (lit == mit->second.end() || lit->first != local_id) return;
   retire(lit->second);
   mit->second.erase(lit);
   if (mit->second.empty()) by_member_.erase(mit);

@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/service_id.hpp"
@@ -23,10 +24,9 @@ class SubscriptionRegistry {
  public:
   explicit SubscriptionRegistry(std::unique_ptr<Matcher> matcher);
 
-  /// Registers member `local_id` under `filter`. Re-subscribing an existing
-  /// local id replaces its filter.
-  void subscribe(ServiceId member, std::uint64_t local_id,
-                 const Filter& filter);
+  /// Registers member `local_id` under `filter`, which the registry keeps.
+  /// Re-subscribing an existing local id replaces its filter.
+  void subscribe(ServiceId member, std::uint64_t local_id, Filter filter);
   void unsubscribe(ServiceId member, std::uint64_t local_id);
   /// Drops every subscription of a purged member.
   void remove_member(ServiceId member);
@@ -128,7 +128,10 @@ class SubscriptionRegistry {
   // resolves to its member with one array index.
   std::vector<Record> records_;
   std::vector<SubId> free_;  // unused records_ slots
-  std::unordered_map<ServiceId, std::map<std::uint64_t, SubId>> by_member_;
+  // Each member's (local id, SubId) pairs, ascending by local id. A
+  // member's ids ascend as it subscribes, so a new one is appended.
+  using Locals = std::vector<std::pair<std::uint64_t, SubId>>;
+  std::unordered_map<ServiceId, Locals> by_member_;
   mutable std::vector<SubId> hits_;  // match() scratch, reused
 };
 

@@ -1,5 +1,6 @@
 #include "common/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -97,23 +98,20 @@ void Sha256::update(BytesView data) {
 }
 
 Digest256 Sha256::finish() {
-  std::uint64_t bit_len = total_bytes_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-  std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  static constexpr std::uint8_t kZeros[64] = {};
-  // Note update() above already counted the pad into total_bytes_, but the
-  // length field must reflect the original message only; bit_len captured it.
-  while (buffered_ != 56) {
-    std::size_t gap = buffered_ < 56 ? 56 - buffered_ : 64 - buffered_ + 56;
-    std::size_t take = std::min<std::size_t>(gap, 64);
-    update(BytesView(kZeros, take));
+  // Padding, in the block buffer: 0x80, zeros, then the message's 64-bit
+  // big-endian bit length in the last 8 bytes of a block.
+  constexpr std::size_t kLengthAt = 56;
+  const std::uint64_t bit_len = total_bytes_ * 8;
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kLengthAt) {
+    std::fill(buffer_.begin() + buffered_, buffer_.end(), 0);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
-  }
-  update(BytesView(len_bytes, 8));
+  std::fill(buffer_.begin() + buffered_, buffer_.begin() + kLengthAt, 0);
+  store_be<8>(buffer_.data() + kLengthAt, bit_len);
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Digest256 out{};
   for (int i = 0; i < 8; ++i) {
@@ -132,6 +130,10 @@ Digest256 Sha256::hash(BytesView data) {
 }
 
 Digest256 hmac_sha256(BytesView key, BytesView message) {
+  return HmacSha256(key).mac(message);
+}
+
+HmacSha256::HmacSha256(BytesView key) {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
@@ -147,16 +149,21 @@ Digest256 hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
+  inner_.update(BytesView(ipad.data(), ipad.size()));
+  outer_.update(BytesView(opad.data(), opad.size()));
+}
 
-  Sha256 inner;
-  inner.update(BytesView(ipad.data(), ipad.size()));
-  inner.update(message);
+Digest256 HmacSha256::finish(Sha256& inner) const {
   Digest256 inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(BytesView(opad.data(), opad.size()));
+  Sha256 outer = outer_;
   outer.update(BytesView(inner_digest.data(), inner_digest.size()));
   return outer.finish();
+}
+
+Digest256 HmacSha256::mac(BytesView message) const {
+  Sha256 inner = begin();
+  inner.update(message);
+  return finish(inner);
 }
 
 bool digest_equal(const Digest256& a, const Digest256& b) {

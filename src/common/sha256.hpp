@@ -42,6 +42,24 @@ class Sha256 {
 /// first, shorter ones are zero-padded.
 [[nodiscard]] Digest256 hmac_sha256(BytesView key, BytesView message);
 
+/// HMAC-SHA256 under one key, keyed once: holds the inner and outer hash
+/// states after their key blocks, so a MAC hashes only its message and
+/// the inner digest. Equal to hmac_sha256() under the same key.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(BytesView key);
+
+  /// The inner hash, keyed: update() it with the message, then finish().
+  [[nodiscard]] Sha256 begin() const { return inner_; }
+  [[nodiscard]] Digest256 finish(Sha256& inner) const;
+  /// One-shot MAC of `message`.
+  [[nodiscard]] Digest256 mac(BytesView message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
 /// Constant-time digest comparison (avoids timing side channels in the
 /// admission handshake).
 [[nodiscard]] bool digest_equal(const Digest256& a, const Digest256& b);

@@ -19,6 +19,7 @@ DiscoveryAgent::DiscoveryAgent(Executor& executor,
     : executor_(executor),
       transport_(std::move(transport)),
       config_(std::move(config)),
+      psk_(config_.pre_shared_key),
       rng_(config_.seed ^ transport_->local_id().raw(), /*stream=*/0xa9e2),
       heartbeat_timer_(executor, [this] { send_heartbeat(); }),
       handshake_timer_(executor, [this] { on_handshake_timeout(); }),
@@ -56,8 +57,7 @@ void DiscoveryAgent::handle_packet(ServiceId src, const Packet& packet) {
         if (state_ != State::kWaitChallenge || src != discovery_id_) break;
         Reader r(packet.payload);
         Bytes nonce = r.blob16();
-        Digest256 mac = admission_mac(config_.pre_shared_key, nonce, id(),
-                                      config_.device_type);
+        Digest256 mac = admission_mac(psk_, nonce, id(), config_.device_type);
         Packet out;
         out.type = PacketType::kJoinResponse;
         out.src = id();

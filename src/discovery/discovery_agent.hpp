@@ -109,6 +109,7 @@ class DiscoveryAgent {
   Executor& executor_;
   std::shared_ptr<Transport> transport_;
   DiscoveryAgentConfig config_;
+  HmacSha256 psk_;  // config_.pre_shared_key, keyed
   Rng rng_;
   State state_ = State::kIdle;
   ServiceId discovery_id_;

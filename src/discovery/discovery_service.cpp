@@ -22,14 +22,16 @@ Event member_event(const char* type, const MemberInfo& info,
 
 }  // namespace
 
-Digest256 admission_mac(BytesView psk, BytesView nonce, ServiceId device,
-                        std::string_view device_type) {
-  Writer w;
-  w.raw(nonce);
-  w.u48(device.raw());
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(device_type.data()),
-                  device_type.size()));
-  return hmac_sha256(psk, w.bytes());
+Digest256 admission_mac(const HmacSha256& psk, BytesView nonce,
+                        ServiceId device, std::string_view device_type) {
+  Sha256 h = psk.begin();
+  h.update(nonce);
+  std::array<std::uint8_t, 6> id{};
+  store_be<6>(id.data(), device.raw());
+  h.update(id);
+  h.update(BytesView(reinterpret_cast<const std::uint8_t*>(device_type.data()),
+                     device_type.size()));
+  return psk.finish(h);
 }
 
 DiscoveryService::DiscoveryService(Executor& executor,
@@ -39,6 +41,7 @@ DiscoveryService::DiscoveryService(Executor& executor,
       transport_(std::move(transport)),
       bus_id_(bus_id),
       config_(std::move(config)),
+      psk_(config_.pre_shared_key),
       rng_(config_.seed, /*stream=*/0xd15c),
       beacon_timer_(executor, [this] { send_beacon(); }),
       sweep_timer_(executor, [this] { sweep(); }) {
@@ -140,8 +143,8 @@ void DiscoveryService::on_datagram(ServiceId src, BytesView data) {
           BytesView held = r.raw(table_digest.size());
           std::copy(held.begin(), held.end(), table_digest.begin());
         }
-        Digest256 want = admission_mac(config_.pre_shared_key,
-                                       pit->second.nonce, src, device_type);
+        Digest256 want =
+            admission_mac(psk_, pit->second.nonce, src, device_type);
         Digest256 got{};
         bool size_ok = mac.size() == got.size();
         if (size_ok) std::copy(mac.begin(), mac.end(), got.begin());

@@ -77,10 +77,11 @@ struct DiscoveryConfig {
   std::uint64_t epoch = 0;
 };
 
-/// Builds the admission MAC: HMAC-SHA256(psk, nonce ‖ id(48-bit BE) ‖ type).
-[[nodiscard]] Digest256 admission_mac(BytesView psk, BytesView nonce,
-                                      ServiceId device, std::string_view
-                                      device_type);
+/// Builds the admission MAC: HMAC-SHA256(psk, nonce ‖ id(48-bit BE) ‖ type),
+/// under `psk` keyed once.
+[[nodiscard]] Digest256 admission_mac(const HmacSha256& psk, BytesView nonce,
+                                      ServiceId device,
+                                      std::string_view device_type);
 
 class DiscoveryService {
  public:
@@ -171,6 +172,7 @@ class DiscoveryService {
   std::shared_ptr<Transport> transport_;
   ServiceId bus_id_;
   DiscoveryConfig config_;
+  HmacSha256 psk_;  // config_.pre_shared_key, keyed
   Rng rng_;
   Membership membership_;
   std::unordered_map<ServiceId, PendingJoin> pending_;

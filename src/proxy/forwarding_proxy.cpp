@@ -1,5 +1,7 @@
 #include "proxy/forwarding_proxy.hpp"
 
+#include <optional>
+
 #include "common/log.hpp"
 #include "wire/packet.hpp"
 
@@ -68,14 +70,15 @@ void ForwardingProxy::send_control(const BusMessage& message) {
 void ForwardingProxy::on_shed(BytesView message) {
   // Only data-class messages are ever shed, and the only data-class
   // traffic on a proxy channel is kEvent deliveries.
-  BusMessage m;
+  std::optional<BusMessage> decoded;
   try {
-    m = BusMessage::decode(message);
+    decoded.emplace(BusMessage::decode(message));
   } catch (const DecodeError& e) {
     kLog.error("shed an undecodable message for ", member_id().to_string(),
                ": ", e.what());
     return;
   }
+  const BusMessage& m = *decoded;
   if (m.type != BusMsgType::kEvent || !m.event) {
     kLog.error("shed a non-event ", to_string(m.type), " for ",
                member_id().to_string());
@@ -89,14 +92,15 @@ std::size_t ForwardingProxy::pending() const {
 }
 
 void ForwardingProxy::on_message(const SharedBytes& message) {
-  BusMessage m;
+  std::optional<BusMessage> decoded;
   try {
-    m = BusMessage::decode(message);
+    decoded.emplace(BusMessage::decode(message));
   } catch (const DecodeError& e) {
     kLog.warn("malformed bus message from ", member_id().to_string(), ": ",
               e.what());
     return;
   }
+  BusMessage& m = *decoded;
   switch (m.type) {
     case BusMsgType::kPublish:
       bus().member_publish(member_id(), std::move(*m.event));

@@ -118,7 +118,10 @@ FastForwardMatcher::Test FastForwardMatcher::compile(const Constraint& c) {
       text = as_chars(c.value.as_bytes());
       break;
   }
-  auto [sit, added] = strings_.try_emplace(std::string(text));
+  // Most constants are already interned: look them up by view first.
+  auto sit = strings_.find(text);
+  bool added = sit == strings_.end();
+  if (added) sit = strings_.try_emplace(std::string(text)).first;
   Interned& in = sit->second;
   if (added) {
     if (free_ids_.empty()) {
@@ -181,22 +184,25 @@ bool FastForwardMatcher::passes(const Test& t, const Binding& b) const {
   return ((t.mask >> r) & 1) != 0;
 }
 
-std::pair<std::size_t, std::size_t> FastForwardMatcher::load(
-    Access access, const Test& t) const {
+FastForwardMatcher::Load FastForwardMatcher::load(Access access,
+                                                   const Test& t) {
   // Keys held at the access: a fresh bucket counts as one (its load is 0).
-  auto of = [](const auto& buckets, const auto& key) {
-    auto it = buckets.find(key);
-    return std::pair<std::size_t, std::size_t>{
-        it == buckets.end() ? 0 : it->second.size(),
-        std::max<std::size_t>(1, buckets.size())};
+  auto of = [](auto& buckets, const auto& key) {
+    Load out;
+    out.keys = std::max<std::size_t>(1, buckets.size());
+    if (auto it = buckets.find(key); it != buckets.end()) {
+      out.bucket = &it->second;
+      out.n = it->second.size();
+    }
+    return out;
   };
-  const AttrIndex& ai = index_of(t);
+  AttrIndex& ai = index_of(t);
   if (access == Access::kEqNum) return of(ai.eq_num, t.num);
   if (access == Access::kEqStr) return of(ai.eq_str, t.sid);
   const std::string& prefix = text(t);
   auto level =
       std::ranges::find(ai.prefixes, prefix.size(), &PrefixLevel::length);
-  if (level == ai.prefixes.end()) return {0, 1};
+  if (level == ai.prefixes.end()) return {};
   return of(level->buckets, prefix);
 }
 
@@ -225,14 +231,18 @@ FastForwardMatcher::Bucket& FastForwardMatcher::bucket_for(Access access,
 
 void FastForwardMatcher::add(SubId id, const Filter& filter) {
   remove(id);  // re-adding replaces the filter
-  std::vector<Test> tests;
-  tests.reserve(filter.size());
+  std::vector<Test>& tests = tests_;
+  tests.clear();
   for (const Constraint& c : filter.constraints()) {
     tests.push_back(compile(c));
   }
 
   Filed filed;
+  filed.live = true;
   std::size_t key = tests.size();
+  // The chosen key's bucket when it already exists: filed without a
+  // second lookup.
+  Bucket* home = nullptr;
   if (!tests.empty()) {
     // First choice: the equality or prefix test with the fewest expected
     // visits, bucket size ÷ distinct keys (the first one on a tie).
@@ -249,13 +259,14 @@ void FastForwardMatcher::add(SubId id, const Filter& filter) {
       }
       if (t.eval == Test::Eval::kPrefix) access = Access::kPrefix;
       if (access == Access::kScan) continue;
-      auto [n, k] = load(access, t);
-      if (key == tests.size() || n * best_k < best_n * k) {
+      Load l = load(access, t);
+      if (key == tests.size() || l.n * best_k < best_n * l.keys) {
         key = i;
-        best_n = n;
-        best_k = k;
+        best_n = l.n;
+        best_k = l.keys;
+        home = l.bucket;
         filed.access = access;
-        if (n == 0) break;
+        if (l.n == 0) break;
       }
     }
     // Else a numeric range bound (NaN has no place in a sorted array);
@@ -286,11 +297,13 @@ void FastForwardMatcher::add(SubId id, const Filter& filter) {
                                        &Ranged::bound);
     bounds.insert(at, Ranged{filed.key.num, std::move(entry)});
   } else {
-    Bucket& bucket = bucket_for(filed.access, filed.key);
+    Bucket& bucket = home ? *home : bucket_for(filed.access, filed.key);
     filed.pos = static_cast<std::uint32_t>(bucket.size());
     bucket.push_back(std::move(entry));
   }
-  subs_.emplace(id, filed);
+  if (id >= subs_.size()) subs_.resize(id + 1);
+  subs_[id] = filed;
+  ++live_;
 }
 
 FastForwardMatcher::Entry FastForwardMatcher::unfile(SubId id,
@@ -301,7 +314,7 @@ FastForwardMatcher::Entry FastForwardMatcher::unfile(SubId id,
     Entry out = std::move(bucket[filed.pos]);
     if (filed.pos + 1 != bucket.size()) {
       bucket[filed.pos] = std::move(bucket.back());
-      subs_.find(bucket[filed.pos].id)->second.pos = filed.pos;
+      subs_[bucket[filed.pos].id].pos = filed.pos;
     }
     bucket.pop_back();
     return out;
@@ -347,11 +360,11 @@ FastForwardMatcher::Entry FastForwardMatcher::unfile(SubId id,
 }
 
 void FastForwardMatcher::remove(SubId id) {
-  auto it = subs_.find(id);
-  if (it == subs_.end()) return;
-  const Filed filed = it->second;
+  if (id >= subs_.size() || !subs_[id].live) return;
+  const Filed filed = subs_[id];
   Entry entry = unfile(id, filed);
-  subs_.erase(id);
+  subs_[id].live = false;
+  --live_;
   // A scan entry carries its key among its tests; every other entry's key
   // lives only in `filed`.
   entry.all_of([this](const Test& t) {

@@ -52,7 +52,7 @@ class FastForwardMatcher final : public Matcher {
   void add(SubId id, const Filter& filter) override;
   void remove(SubId id) override;
   void match(const Event& e, std::vector<SubId>& out) const override;
-  [[nodiscard]] std::size_t size() const override { return subs_.size(); }
+  [[nodiscard]] std::size_t size() const override { return live_; }
   [[nodiscard]] std::string name() const override { return "fastforward"; }
 
  private:
@@ -111,6 +111,7 @@ class FastForwardMatcher final : public Matcher {
   /// Where a subscription is filed, and its key test (all but kAll).
   struct Filed {
     Access access = Access::kAll;
+    bool live = false;      // false: no subscription holds this id
     std::uint32_t pos = 0;  // index in its bucket (all but kRange)
     Test key;
   };
@@ -167,10 +168,15 @@ class FastForwardMatcher final : public Matcher {
   /// Drops the references compile() took.
   void release(const Test& t);
   [[nodiscard]] bool passes(const Test& t, const Binding& b) const;
-  /// Expected visits of the equality or prefix bucket `t` would be filed
-  /// in under `access`, as (bucket size, distinct keys at that access).
-  [[nodiscard]] std::pair<std::size_t, std::size_t> load(Access access,
-                                                         const Test& t) const;
+  /// The equality or prefix bucket `t` would be filed in under `access`
+  /// (null while it does not exist), and its expected visits as its size
+  /// and the number of distinct keys at that access.
+  struct Load {
+    Bucket* bucket = nullptr;
+    std::size_t n = 0;
+    std::size_t keys = 1;
+  };
+  [[nodiscard]] Load load(Access access, const Test& t);
   /// The bucket (not kRange) a filter keyed on `key` under `access` sits in;
   /// created on demand.
   Bucket& bucket_for(Access access, const Test& key);
@@ -184,7 +190,9 @@ class FastForwardMatcher final : public Matcher {
   }
   static std::vector<Ranged>& range_array(AttrIndex& ai, Op op);
 
-  std::unordered_map<SubId, Filed> subs_;
+  std::vector<Filed> subs_;  // by SubId (dense, matcher.hpp)
+  std::size_t live_ = 0;     // ids filed
+  std::vector<Test> tests_;  // add() scratch
   StringMap<AttrIndex> attrs_;
   std::vector<AttrEntry*> by_slot_;  // slot → its attrs_ entry (stable)
   std::vector<std::uint32_t> free_slots_;

@@ -200,9 +200,23 @@ void Filter::encode(Writer& w) const {
   for (const Constraint& c : constraints_) c.encode(w);
 }
 
+std::size_t Filter::encoded_size() const {
+  std::size_t n = 2;
+  for (const Constraint& c : constraints_) {
+    n += 2 + c.attribute.size() + 1 + ValueView(c.value).encoded_size();
+  }
+  return n;
+}
+
 Filter Filter::decode(Reader& r) {
+  // The smallest constraint: an empty attribute (u16 length), the op and
+  // a bool value (tag and byte). A count the remaining bytes cannot hold
+  // fails below; reserving by it must not allocate first.
+  constexpr std::size_t kMinConstraintBytes = 2 + 1 + 2;
   Filter f;
   std::uint16_t n = r.u16();
+  f.constraints_.reserve(
+      std::min<std::size_t>(n, r.remaining() / kMinConstraintBytes));
   for (std::uint16_t i = 0; i < n; ++i) {
     f.constraints_.push_back(Constraint::decode(r));
   }

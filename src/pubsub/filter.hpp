@@ -76,6 +76,9 @@ class Filter {
   [[nodiscard]] std::string to_string() const;
 
   void encode(Writer& w) const;
+  /// The bytes encode() writes.
+  [[nodiscard]] std::size_t encoded_size() const;
+  /// Throws DecodeError on malformed input.
   [[nodiscard]] static Filter decode(Reader& r);
 
  private:

@@ -22,8 +22,11 @@
 
 namespace amuse {
 
-/// Opaque subscription identity assigned by the caller (the bus maps these
-/// to proxies).
+/// Subscription identity assigned by the caller (the bus maps these to
+/// proxies). Ids are dense: a caller hands them out from 0 upwards and
+/// reuses a removed id before minting a new one, as SubscriptionRegistry
+/// does. An engine may therefore index its state by id, holding memory for
+/// every id up to the largest one in use.
 using SubId = std::uint64_t;
 
 class Matcher {

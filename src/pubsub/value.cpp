@@ -117,6 +117,21 @@ void ValueView::encode(Writer& w) const {
   }
 }
 
+std::size_t ValueView::encoded_size() const {
+  switch (type_) {
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return 1 + 8;
+    case ValueType::kBool:
+      return 1 + 1;
+    case ValueType::kString:
+      return 1 + 2 + len_;
+    case ValueType::kBytes:
+      return 1 + 4 + len_;
+  }
+  return 1;
+}
+
 Value Value::decode(Reader& r) {
   auto tag = static_cast<ValueType>(r.u8());
   switch (tag) {

@@ -66,6 +66,8 @@ class ValueView {
   [[nodiscard]] int compare(ValueView other) const;
   [[nodiscard]] std::string to_string() const;
   void encode(Writer& w) const;
+  /// The bytes encode() writes.
+  [[nodiscard]] std::size_t encoded_size() const;
 
  private:
   ValueType type_;

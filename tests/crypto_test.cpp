@@ -3,6 +3,7 @@
 // service's admission handshake.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -151,15 +152,25 @@ TEST(Sha256, IncrementalSplitInvariance) {
 }
 
 TEST(Sha256, PaddingEdgeLengths) {
-  // Messages of length 55, 56, 63, 64 exercise every padding branch.
-  for (std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
+  // Messages of length 55, 56, 63, 64 exercise every padding branch; the
+  // digests of 'x' repeated are known answers.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+  };
+  for (const auto& [len, want] : cases) {
     Bytes msg(len, 'x');
-    Digest256 one = Sha256::hash(msg);
+    EXPECT_EQ(hex_digest(Sha256::hash(msg)), want) << "len " << len;
     Sha256 h;
     for (std::size_t i = 0; i < len; ++i) {
       h.update(BytesView(msg.data() + i, 1));
     }
-    EXPECT_EQ(hex_digest(h.finish()), hex_digest(one)) << "len " << len;
+    EXPECT_EQ(hex_digest(h.finish()), want) << "len " << len;
   }
 }
 
@@ -201,6 +212,50 @@ TEST(HmacSha256, DifferentKeysDiffer) {
   Bytes msg = to_bytes("admission challenge nonce");
   EXPECT_NE(hex_digest(hmac_sha256(to_bytes("key-a"), msg)),
             hex_digest(hmac_sha256(to_bytes("key-b"), msg)));
+}
+
+// RFC 2104 written out over one-shot hashes, independent of HmacSha256's
+// cached key states.
+Digest256 reference_hmac(BytesView key, BytesView message) {
+  Bytes k(key.begin(), key.end());
+  if (k.size() > 64) {
+    Digest256 kd = Sha256::hash(k);
+    k.assign(kd.begin(), kd.end());
+  }
+  k.resize(64, 0);
+  Bytes inner;
+  for (std::uint8_t b : k) inner.push_back(b ^ 0x36);
+  inner.insert(inner.end(), message.begin(), message.end());
+  Digest256 inner_digest = Sha256::hash(inner);
+  Bytes outer;
+  for (std::uint8_t b : k) outer.push_back(b ^ 0x5c);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256::hash(outer);
+}
+
+// One keyed object, reused for every message, gives the MAC of a fresh
+// key schedule: across the key lengths that take each branch (empty,
+// short, one block, hashed) and message lengths over the padding edges.
+TEST(HmacSha256, KeyedObjectEqualsOneShot) {
+  Bytes bytes = pseudo_random_bytes(200 + 131);
+  for (std::size_t key_len : {0u, 1u, 64u, 65u, 131u}) {
+    BytesView key(bytes.data() + 200, key_len);
+    const HmacSha256 keyed(key);
+    for (std::size_t len = 0; len <= 200; ++len) {
+      BytesView msg(bytes.data(), len);
+      Digest256 want = reference_hmac(key, msg);
+      ASSERT_EQ(hex_digest(keyed.mac(msg)), hex_digest(want))
+          << "key " << key_len << " message " << len;
+      ASSERT_EQ(hex_digest(hmac_sha256(key, msg)), hex_digest(want))
+          << "key " << key_len << " message " << len;
+      // Fed in two pieces through begin() / finish().
+      Sha256 inner = keyed.begin();
+      inner.update(msg.subspan(0, len / 3));
+      inner.update(msg.subspan(len / 3));
+      ASSERT_EQ(hex_digest(keyed.finish(inner)), hex_digest(want))
+          << "key " << key_len << " message " << len;
+    }
+  }
 }
 
 TEST(DigestEqual, ComparesCorrectly) {

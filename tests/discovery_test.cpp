@@ -284,16 +284,23 @@ TEST_F(DiscoveryFixture, HandshakeSurvivesPacketLoss) {
 
 TEST_F(DiscoveryFixture, AdmissionMacBindsIdentityAndType) {
   Bytes nonce = to_bytes("0123456789abcdef");
-  Digest256 base = admission_mac(kPsk, nonce, ServiceId(1), "sensor.a");
+  const HmacSha256 psk(kPsk);
+  Digest256 base = admission_mac(psk, nonce, ServiceId(1), "sensor.a");
   EXPECT_FALSE(digest_equal(
-      base, admission_mac(kPsk, nonce, ServiceId(2), "sensor.a")));
+      base, admission_mac(psk, nonce, ServiceId(2), "sensor.a")));
   EXPECT_FALSE(digest_equal(
-      base, admission_mac(kPsk, nonce, ServiceId(1), "sensor.b")));
+      base, admission_mac(psk, nonce, ServiceId(1), "sensor.b")));
   EXPECT_FALSE(digest_equal(
-      base, admission_mac(to_bytes("other"), nonce, ServiceId(1),
+      base, admission_mac(HmacSha256(to_bytes("other")), nonce, ServiceId(1),
                           "sensor.a")));
   EXPECT_TRUE(digest_equal(
-      base, admission_mac(kPsk, nonce, ServiceId(1), "sensor.a")));
+      base, admission_mac(psk, nonce, ServiceId(1), "sensor.a")));
+  // The MAC covers nonce ‖ id (48-bit big-endian) ‖ type.
+  Writer w;
+  w.raw(nonce);
+  w.u48(1);
+  w.raw(to_bytes("sensor.a"));
+  EXPECT_TRUE(digest_equal(base, hmac_sha256(kPsk, w.bytes())));
 }
 
 TEST(Membership, SweepReportsTransitionsWithoutMutating) {

@@ -569,7 +569,7 @@ TEST_F(BusFixture, NonCanonicalBodiesReachSubscribersReserialised) {
   bus->add_member(MemberInfo{sub_t->local_id(), "svc", "service"});
   RawMember sub(ex, std::move(sub_t), bus->bus_id());
   (void)sub.channel.send(
-      BusMessage::subscribe(1, Filter::for_type_prefix("t.")).encode(),
+      BusMessage::encode_subscribe(1, Filter::for_type_prefix("t.")),
       MsgClass::kControl);
   ex.run();
 
@@ -622,7 +622,7 @@ TEST_F(BusFixture, GatewayRelayIsForwardedUnderTheGatewaysId) {
   bus->add_member(MemberInfo{sub_t->local_id(), "svc", "service"});
   RawMember sub(ex, std::move(sub_t), bus->bus_id());
   (void)sub.channel.send(
-      BusMessage::subscribe(1, Filter::for_type("t.relayed")).encode(),
+      BusMessage::encode_subscribe(1, Filter::for_type("t.relayed")),
       MsgClass::kControl);
   ex.run();
 

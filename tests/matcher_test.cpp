@@ -73,8 +73,31 @@ TEST_P(EveryMatcher, ReAddReplacesFilter) {
 TEST_P(EveryMatcher, RemoveUnknownIsNoop) {
   auto m = make(GetParam());
   m->add(1, Filter::for_type("a"));
+  m->add(5, Filter::for_type("a"));
+  // Never added: below the largest id, past it, and at the very end.
+  m->remove(3);
   m->remove(99);
-  EXPECT_EQ(m->size(), 1u);
+  m->remove(std::numeric_limits<SubId>::max());
+  EXPECT_EQ(m->size(), 2u);
+  EXPECT_EQ(match_sorted(*m, Event("a")), (std::vector<SubId>{1, 5}));
+}
+
+TEST_P(EveryMatcher, SizeTracksLiveIdsAcrossReAddsAndReuse) {
+  auto m = make(GetParam());
+  for (SubId id = 0; id < 3; ++id) m->add(id, Filter::for_type("a"));
+  m->add(1, Filter::for_type("b"));  // re-add
+  EXPECT_EQ(m->size(), 3u);
+  m->remove(1);
+  m->remove(1);
+  EXPECT_EQ(m->size(), 2u);
+  m->add(1, Filter::for_type("c"));  // the freed id, reused
+  EXPECT_EQ(m->size(), 3u);
+  EXPECT_EQ(match_sorted(*m, Event("a")), (std::vector<SubId>{0, 2}));
+  EXPECT_EQ(match_sorted(*m, Event("c")), (std::vector<SubId>{1}));
+  EXPECT_TRUE(match_sorted(*m, Event("b")).empty());
+  for (SubId id = 0; id < 3; ++id) m->remove(id);
+  EXPECT_EQ(m->size(), 0u);
+  EXPECT_TRUE(match_sorted(*m, Event("a")).empty());
 }
 
 TEST_P(EveryMatcher, NumericRangeConstraints) {

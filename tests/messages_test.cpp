@@ -92,12 +92,44 @@ TEST(BusMessage, EncodeRefusesEventTypes) {
 TEST(BusMessage, SubscribeRoundTrip) {
   Filter f;
   f.where("type", Op::kPrefix, "alarm.").where("level", Op::kEq, "high");
-  BusMessage m = BusMessage::subscribe(42, f);
-  BusMessage back = BusMessage::decode(m.encode());
+  Bytes wire = BusMessage::encode_subscribe(42, f);
+  EXPECT_EQ(wire.size(), 1 + 8 + f.encoded_size());
+  BusMessage back = BusMessage::decode(wire);
   EXPECT_EQ(back.type, BusMsgType::kSubscribe);
   EXPECT_EQ(back.sub_id, 42u);
   ASSERT_TRUE(back.filter.has_value());
   EXPECT_EQ(*back.filter, f);
+  // A decoded kSubscribe re-encodes through the same encoder.
+  EXPECT_EQ(back.encode(), wire);
+}
+
+TEST(BusMessage, SubscribeWireBytes) {
+  Bytes wire = BusMessage::encode_subscribe(0x0102, Filter::for_type("a"));
+  const Bytes want{
+      3,                       // kSubscribe
+      0, 0, 0, 0, 0, 0, 1, 2,  // local id
+      0, 1,                    // one constraint
+      0, 4, 't', 'y', 'p', 'e',
+      static_cast<std::uint8_t>(Op::kEq),
+      static_cast<std::uint8_t>(ValueType::kString), 0, 1, 'a'};
+  EXPECT_EQ(wire, want);
+}
+
+TEST(BusMessage, ForgedConstraintCountThrows) {
+  // A kSubscribe whose filter claims 65,535 constraints over a 20-byte
+  // body: three smallest constraints, then three stray bytes.
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(BusMsgType::kSubscribe));
+  w.u64(1);
+  w.u16(0xffff);
+  for (int i = 0; i < 3; ++i) {
+    w.str("");
+    w.u8(static_cast<std::uint8_t>(Op::kEq));
+    Value(true).encode(w);
+  }
+  w.raw(Bytes{1, 2, 3});
+  ASSERT_EQ(w.size(), 1 + 8 + 20u);
+  EXPECT_THROW((void)BusMessage::decode(w.bytes()), DecodeError);
 }
 
 TEST(BusMessage, UnsubscribeRoundTrip) {
@@ -145,7 +177,7 @@ TEST(BusMessage, DecodeRejectsBadType) {
 }
 
 TEST(BusMessage, DecodeRejectsTruncation) {
-  Bytes wire = BusMessage::subscribe(1, Filter::for_type("a")).encode();
+  Bytes wire = BusMessage::encode_subscribe(1, Filter::for_type("a"));
   for (std::size_t len = 1; len < wire.size(); ++len) {
     EXPECT_THROW((void)BusMessage::decode(BytesView(wire.data(), len)),
                  DecodeError)
@@ -306,7 +338,7 @@ TEST(FederationOriginCodec, StampedFramesRoundTrip) {
 
 TEST(FederationOriginCodec, FlagRejectedOnEveryOtherType) {
   std::vector<Bytes> frames{
-      BusMessage::subscribe(1, Filter::for_type("a")).encode(),
+      BusMessage::encode_subscribe(1, Filter::for_type("a")),
       BusMessage::unsubscribe(1).encode(),
       BusMessage::interest_update(InterestUpdate{}).encode(),
       BusMessage::flow_control(true).encode(),

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "pubsub/fastforward_matcher.hpp"
@@ -62,6 +63,52 @@ TEST(Registry, ResubscribeReplacesFilter) {
   EXPECT_TRUE(hit.empty());
   reg.match(Event("new"), hit);
   EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{1}));
+}
+
+TEST(Registry, ResubscribeReplacesInPlace) {
+  auto reg = make_registry();
+  for (std::uint64_t local : {1u, 2u, 3u}) {
+    reg.subscribe(member_a(), local,
+                  Filter::for_type("t" + std::to_string(local)));
+  }
+  reg.subscribe(member_a(), 2, Filter::for_type("new"));
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.member_subscriptions(member_a()), 3u);
+  SubscriptionRegistry::MatchResult hit;
+  reg.match(Event("t2"), hit);
+  EXPECT_TRUE(hit.empty());
+  reg.match(Event("new"), hit);
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{2}));
+  auto subs = reg.subscriptions_of(member_a());
+  ASSERT_EQ(subs.size(), 3u);
+  EXPECT_EQ(subs.at(2), Filter::for_type("new"));
+  reg.unsubscribe(member_a(), 2);
+  reg.match(Event("new"), hit);
+  EXPECT_TRUE(hit.empty());
+  EXPECT_EQ(reg.size(), 2u);
+}
+
+TEST(Registry, SubscriptionsStayAscendingForOutOfOrderIds) {
+  auto reg = make_registry();
+  // Out of order, as an HA restore or a re-subscribe delivers them.
+  for (std::uint64_t local : {5u, 1u, 9u, 3u, 7u}) {
+    reg.subscribe(member_a(), local, Filter::for_type(std::to_string(local)));
+  }
+  reg.unsubscribe(member_a(), 3);
+  reg.subscribe(member_a(), 2, Filter::for_type("2"));
+  std::vector<std::uint64_t> locals;
+  for (const auto& [local, filter] : reg.subscriptions_of(member_a())) {
+    locals.push_back(local);
+    EXPECT_EQ(filter, Filter::for_type(std::to_string(local)));
+  }
+  EXPECT_EQ(locals, (std::vector<std::uint64_t>{1, 2, 5, 7, 9}));
+  auto all = reg.subscriptions_by_member();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all.at(member_a()).size(), 5u);
+  EXPECT_EQ(all.at(member_a()).begin()->first, 1u);
+  SubscriptionRegistry::MatchResult hit;
+  reg.match(Event("7"), hit);
+  EXPECT_EQ(locals_of(hit, member_a()), (std::vector<std::uint64_t>{7}));
 }
 
 TEST(Registry, UnsubscribeRemovesOnlyThatSubscription) {
